@@ -223,6 +223,7 @@ fn main() {
                 .unwrap_or(0);
             let prefetch_hits: usize = stats.iter().map(|e| e.prefetch_hits).sum();
             let sim_pipelined: f64 = stats.iter().map(|e| e.sim_pipelined_seconds).sum();
+            let network_bytes: u64 = stats.iter().map(|e| e.network_bytes).sum();
             table.row(&[
                 machines.to_string(),
                 p.to_string(),
@@ -240,6 +241,7 @@ fn main() {
                 "peak_machine_bytes": peak,
                 "prefetch_hits": prefetch_hits,
                 "sim_pipelined_seconds": sim_pipelined,
+                "network_bytes": network_bytes,
                 "projected_hours": projection.total_hours,
                 "projected_pipelined_hours": overlapped.total_hours,
             }));

@@ -29,13 +29,12 @@ use std::io::Write;
 use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"PBGC";
-/// Binary format version written by [`save`]. Version 1 stored float
-/// payloads big-endian; version 2 stores them little-endian so the
-/// serving tier can memory-map embedding shards and reinterpret the
-/// payload as `&[f32]` in place on little-endian hosts (readers accept
-/// both). Integer header fields are big-endian in both versions.
+/// Binary format version written by [`save`]: float payloads are
+/// little-endian, so the serving tier can memory-map embedding shards
+/// and reinterpret the payload as `&[f32]` in place on little-endian
+/// hosts. Integer header fields are big-endian. (Version 1, which
+/// stored floats big-endian, is no longer read.)
 const VERSION: u8 = 2;
-const VERSION_BE: u8 = 1;
 /// Version 3 marks a *quantized* embedding shard: the previously
 /// reserved u16 at offset 6 carries the [`Precision`] tag and the float
 /// payload is the corresponding [`pbg_tensor::quant`] block encoding.
@@ -521,12 +520,10 @@ fn in_file(name: &str, e: PbgError) -> PbgError {
     }
 }
 
-/// Parsed common header: the format version (already validated as
-/// supported), the payload kind byte, and the storage precision (always
-/// [`Precision::F32`] for v1/v2 files; carried in the formerly reserved
-/// u16 for v3).
+/// Parsed common header of a supported format version: the payload
+/// kind byte and the storage precision (always [`Precision::F32`] for
+/// v2 files; carried in the formerly reserved u16 for v3).
 pub(crate) struct BinHeader {
-    pub version: u8,
     pub kind: u8,
     pub precision: Precision,
 }
@@ -541,7 +538,7 @@ pub(crate) fn read_header(data: &mut &[u8]) -> Result<BinHeader> {
         return Err(PbgError::Checkpoint("bad magic".into()));
     }
     let version = data.get_u8();
-    if version != VERSION && version != VERSION_BE && version != VERSION_QUANT {
+    if version != VERSION && version != VERSION_QUANT {
         return Err(PbgError::Checkpoint(format!(
             "unsupported version {version}"
         )));
@@ -556,27 +553,19 @@ pub(crate) fn read_header(data: &mut &[u8]) -> Result<BinHeader> {
                 PbgError::Checkpoint(format!("unknown precision tag {reserved} in v3 file"))
             })?
     } else {
-        // v1/v2 files predate the tag; the field was written as zero
-        // and is deliberately ignored, matching the old readers
+        // v2 files predate the tag; the field was written as zero and
+        // is deliberately ignored, matching the old readers
         Precision::F32
     };
-    Ok(BinHeader {
-        version,
-        kind,
-        precision,
-    })
+    Ok(BinHeader { kind, precision })
 }
 
-/// Reads one f32 in the byte order `version` prescribes (v1 big-endian,
-/// v2 little-endian). Caller has already bounds-checked 4 bytes.
-fn get_f32_v(data: &mut &[u8], version: u8) -> f32 {
-    if version == VERSION_BE {
-        data.get_f32()
-    } else {
-        let mut raw = [0u8; 4];
-        data.copy_to_slice(&mut raw);
-        f32::from_le_bytes(raw)
-    }
+/// Reads one little-endian f32. Caller has already bounds-checked 4
+/// bytes.
+fn get_f32_le(data: &mut &[u8]) -> f32 {
+    let mut raw = [0u8; 4];
+    data.copy_to_slice(&mut raw);
+    f32::from_le_bytes(raw)
 }
 
 fn read_matrix(mut data: &[u8]) -> Result<Matrix> {
@@ -616,7 +605,7 @@ fn read_matrix(mut data: &[u8]) -> Result<Matrix> {
     let count = rows * cols;
     let mut values = Vec::with_capacity(count.min(data.remaining() / 4));
     for _ in 0..count {
-        values.push(get_f32_v(&mut data, header.version));
+        values.push(get_f32_le(&mut data));
     }
     Ok(Matrix::from_vec(rows, cols, values))
 }
@@ -638,7 +627,7 @@ fn read_relations(mut data: &[u8]) -> Result<Vec<RelationSnapshot>> {
             return Err(PbgError::Checkpoint("relation entry truncated".into()));
         }
         let op = op_from_code(data.get_u8())?;
-        let weight = get_f32_v(&mut data, header.version);
+        let weight = get_f32_le(&mut data);
         let flen = data.get_u64() as usize;
         let fbytes = flen
             .checked_mul(4)
@@ -647,9 +636,7 @@ fn read_relations(mut data: &[u8]) -> Result<Vec<RelationSnapshot>> {
         if data.remaining() < fbytes {
             return Err(PbgError::Checkpoint("relation params truncated".into()));
         }
-        let forward: Vec<f32> = (0..flen)
-            .map(|_| get_f32_v(&mut data, header.version))
-            .collect();
+        let forward: Vec<f32> = (0..flen).map(|_| get_f32_le(&mut data)).collect();
         let reciprocal = if data.get_u8() == 1 {
             if data.remaining() < 8 {
                 return Err(PbgError::Checkpoint("reciprocal header truncated".into()));
@@ -661,11 +648,7 @@ fn read_relations(mut data: &[u8]) -> Result<Vec<RelationSnapshot>> {
             if data.remaining() < ibytes {
                 return Err(PbgError::Checkpoint("reciprocal params truncated".into()));
             }
-            Some(
-                (0..ilen)
-                    .map(|_| get_f32_v(&mut data, header.version))
-                    .collect(),
-            )
+            Some((0..ilen).map(|_| get_f32_le(&mut data)).collect())
         } else {
             None
         };
@@ -1122,25 +1105,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_big_endian_files_still_load() {
-        // a matrix written in the v1 byte order must decode to the same
-        // values as the v2 little-endian writer produces
-        let values = [1.5f32, -2.25, 0.0, 3.0e-3, -7.75, 42.0];
-        let mut buf = BytesMut::new();
-        buf.put_slice(MAGIC);
-        buf.put_u8(VERSION_BE);
-        buf.put_u8(0);
-        buf.put_u16(0);
-        buf.put_u64(2);
-        buf.put_u64(3);
-        for &v in &values {
-            buf.put_f32(v); // vendored bytes writes big-endian
-        }
-        let m = read_matrix(&buf).unwrap();
-        assert_eq!(m.as_slice(), &values);
-    }
-
-    #[test]
     fn truncated_matrix_reports_shape_and_file() {
         // chop the float payload of a valid embeddings file: the error
         // must be a shape mismatch naming the file, not a generic read
@@ -1270,15 +1234,15 @@ mod tests {
 
     #[test]
     fn mmap_refuses_v1_big_endian_shard() {
-        // a v1 shard stores floats big-endian: mapping it would serve
-        // garbage, so open_mmap must refuse with a re-save hint even
-        // when the manifest checks out
+        // a v1 shard stores floats big-endian: reading it as v2 would
+        // serve garbage, so both loaders must refuse it as an
+        // unsupported version even when the manifest checks out
         let dir = tmp("mmap_v1");
         let snap = snapshot();
         save(&snap, &dir).unwrap();
         let mut buf = BytesMut::new();
         buf.put_slice(MAGIC);
-        buf.put_u8(VERSION_BE);
+        buf.put_u8(1);
         buf.put_u8(0);
         buf.put_u16(0);
         buf.put_u64(10);
@@ -1299,15 +1263,17 @@ mod tests {
             serde_json::to_string(&manifest).unwrap(),
         )
         .unwrap();
-        // the heap loader still accepts the v1 file…
-        assert!(load(&dir).is_ok());
-        // …but the serving path refuses it by name
-        match open_mmap(&dir) {
-            Err(PbgError::Checkpoint(msg)) => {
-                assert!(msg.contains("embeddings_0.bin"), "{msg}");
-                assert!(msg.contains("re-save"), "{msg}");
+        for (loader, result) in [
+            ("load", load(&dir).map(drop)),
+            ("open_mmap", open_mmap(&dir).map(drop)),
+        ] {
+            match result {
+                Err(PbgError::Checkpoint(msg)) => {
+                    assert!(msg.contains("embeddings_0.bin"), "{loader}: {msg}");
+                    assert!(msg.contains("unsupported version 1"), "{loader}: {msg}");
+                }
+                other => panic!("{loader} accepted a v1 shard: {other:?}"),
             }
-            other => panic!("v1 shard mapped: {other:?}"),
         }
         std::fs::remove_dir_all(&dir).ok();
     }

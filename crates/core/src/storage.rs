@@ -218,7 +218,14 @@ impl StoreLayout {
             .unwrap_or_else(|| panic!("unknown partition key {key:?}"))
     }
 
-    fn init(&self, key: PartitionKey) -> PartitionData {
+    /// The deterministic initial contents of `key` — every process that
+    /// derives the layout from the same schema and config computes the
+    /// same floats.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the key is not part of this layout.
+    pub fn init(&self, key: PartitionKey) -> PartitionData {
         let rows = self.rows_of(key);
         // derive a distinct seed per partition
         let seed = self
@@ -953,10 +960,8 @@ impl Drop for MapBacking {
 /// (v3) rows decode on access: the *mapping* stays compressed, only the
 /// row being scored materializes as f32.
 ///
-/// Checkpoint binary v2 and v3 qualify: their payloads are
-/// little-endian, so the mapped bytes are directly addressable. (v1
-/// big-endian shards still load via the heap path in
-/// [`crate::checkpoint::load`]; re-save to serve them.)
+/// Checkpoint binary v2 and v3 payloads are little-endian, so the
+/// mapped bytes are directly addressable.
 #[derive(Debug)]
 pub struct MmapPartition {
     backing: MapBacking,
@@ -966,7 +971,7 @@ pub struct MmapPartition {
 }
 
 impl MmapPartition {
-    /// Maps `path` and validates its header and size: magic, version 2,
+    /// Maps `path` and validates its header and size: magic, version,
     /// matrix kind, and that the file holds exactly `rows × cols` floats
     /// — a shard shorter than its own header's shape is refused with an
     /// error naming the file.
@@ -999,13 +1004,6 @@ impl MmapPartition {
         let header = crate::checkpoint::read_header(&mut head).map_err(|e| e.to_string())?;
         if header.kind != 0 {
             return Err("not a matrix payload".into());
-        }
-        if header.version == 1 {
-            return Err(format!(
-                "binary v{} stores floats big-endian and cannot be memory-mapped; \
-                 re-save the checkpoint to upgrade it to v2",
-                header.version
-            ));
         }
         let rows = u64::from_be_bytes(bytes[8..16].try_into().expect("8 bytes")) as usize;
         let cols = u64::from_be_bytes(bytes[16..24].try_into().expect("8 bytes")) as usize;

@@ -1,39 +1,37 @@
-//! Multi-machine training driver (machines as threads).
+//! The simulated cluster: machines as threads, each running the one
+//! rank driver ([`crate::rank::Rank`]) over the in-process services.
 //!
-//! Reproduces Figure 2's protocol end to end: each "machine" loops
-//! acquiring a bucket from the [`LockServer`], checks the partitions it
-//! no longer needs back into the [`PartitionServer`] and checks out the
-//! new ones (charging simulated transfer time), releases the old bucket's
-//! locks, trains the bucket with HOGWILD threads via
-//! [`pbg_core::trainer::train_bucket`], and asynchronously syncs relation
-//! parameters through the [`ParameterServer`] with throttling.
-//!
-//! Unpartitioned entity types live in shared memory visible to all
-//! machines — the in-process equivalent of the paper's parameter-server
-//! placement for such types.
+//! [`ClusterTrainer`] is a harness, not a second driver. It owns the
+//! three state machines ([`EpochLock`], [`PartitionServer`],
+//! [`ParameterServer`]) and one [`Rank`] per simulated machine, and
+//! steps them an epoch at a time so callers can report and evaluate
+//! between epochs. What makes it a *simulation* are decorators on the
+//! service traits: `Charged` bills every transfer's [`NetworkModel`]
+//! seconds to the machine that made it and projects its pipelined
+//! wall-clock; the [`crate::fault::FaultPlan`] of [`ClusterConfig`] is
+//! injected by the rank driver's own [`crate::fault::Faulty`] wrapper,
+//! exactly as on the TCP path.
 
-use crate::fault::{backoff, FaultPlan};
-use crate::lockserver::{Acquire, LockServer};
+use crate::fault::FaultPlan;
+use crate::lockserver::{Acquire, EpochLock, LockServer};
 use crate::netmodel::NetworkModel;
-use crate::paramserver::{ParamClient, ParamKey, ParameterServer};
+use crate::paramserver::{ParamKey, ParameterServer};
 use crate::partitionserver::PartitionServer;
+use crate::rank::{snapshot_model, Rank, RankConfig, RankServices, RankStats};
+use crate::service::{LockService, ParamService, PartitionService, ServiceError};
 use parking_lot::Mutex;
 use pbg_core::config::PbgConfig;
-use pbg_core::error::{PbgError, Result};
+use pbg_core::error::PbgError;
 use pbg_core::model::{Model, TrainedEmbeddings};
-use pbg_core::storage::{PartitionData, PartitionKey, PartitionStore};
-use pbg_core::trainer::{bucketize, needed_keys, train_bucket, SwapPlanner};
-use pbg_graph::bucket::{BucketId, Buckets};
+use pbg_core::storage::PartitionKey;
+use pbg_core::trainer::bucketize;
+use pbg_graph::bucket::BucketId;
 use pbg_graph::edges::EdgeList;
 use pbg_graph::schema::GraphSchema;
-use pbg_graph::RelationTypeId;
 use pbg_telemetry::metrics::names as metric;
 use pbg_telemetry::trace::names as span_name;
-use pbg_telemetry::{span, Counter, Gauge, Registry};
-use pbg_tensor::rng::Xoshiro256;
+use pbg_telemetry::{span, Registry};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -81,10 +79,10 @@ pub struct ClusterEpochStats {
     /// Maximum simulated network seconds across machines (added to
     /// compute time when projecting cluster wall-clock serially).
     pub sim_network_seconds: f64,
-    /// Maximum simulated seconds across machines when partition I/O
-    /// overlaps compute: each bucket costs `max(compute, I/O)` instead
-    /// of their sum (the pipelined projection; ≤ `seconds +
-    /// sim_network_seconds`).
+    /// Maximum simulated seconds across machines when partition and
+    /// parameter I/O overlaps the machine's own time: each step between
+    /// two bucket requests costs `max(elapsed, I/O)` instead of their
+    /// sum (the pipelined projection; ≤ `seconds + sim_network_seconds`).
     pub sim_pipelined_seconds: f64,
     /// Edges trained.
     pub edges: usize,
@@ -109,22 +107,15 @@ pub struct ClusterEpochStats {
 
 /// Multi-machine trainer.
 pub struct ClusterTrainer {
-    cluster: ClusterConfig,
-    models: Vec<Model>,
-    pserver: Arc<PartitionServer>,
-    params: Arc<ParameterServer>,
-    lock: Arc<LockServer>,
+    schema: GraphSchema,
+    config: PbgConfig,
+    ranks: Vec<Rank>,
+    lock: EpochLock,
+    partitions: PartitionServer,
+    params: ParameterServer,
     net: Arc<NetworkModel>,
-    buckets: Buckets,
-    globals: Arc<HashMap<PartitionKey, Arc<PartitionData>>>,
     epoch: usize,
     telemetry: Registry,
-}
-
-/// Name of machine `m`'s resident-bytes gauge (peak = per-epoch
-/// high-water mark after [`pbg_telemetry::Gauge::reset_peak`]).
-fn machine_gauge_name(machine: usize) -> String {
-    format!("machine{machine}.resident_bytes")
 }
 
 impl ClusterTrainer {
@@ -138,7 +129,7 @@ impl ClusterTrainer {
         edges: &EdgeList,
         config: PbgConfig,
         cluster: ClusterConfig,
-    ) -> Result<Self> {
+    ) -> Result<Self, PbgError> {
         if cluster.machines == 0 {
             return Err(PbgError::Config("machines must be positive".into()));
         }
@@ -146,84 +137,53 @@ impl ClusterTrainer {
             cluster.net_bandwidth,
             cluster.net_latency,
         ));
-        // one model per machine; deterministic init keeps them identical
-        let models: Vec<Model> = (0..cluster.machines)
-            .map(|_| Model::new(schema.clone(), config.clone()))
-            .collect::<Result<_>>()?;
-        let layout = models[0].store_layout();
-        // unpartitioned entity types stay in shared memory (the in-process
-        // equivalent of parameter-server placement); partitioned ones go
-        // to the partition server
-        let mut globals = HashMap::new();
-        let mut partitioned_keys = Vec::new();
-        for (key, _rows) in layout.keys() {
-            if schema.entity_type(key.entity_type).is_partitioned() {
-                partitioned_keys.push(*key);
-            }
-        }
-        let full_store = pbg_core::storage::InMemoryStore::new(layout.clone());
-        for (key, _rows) in layout.keys() {
-            if !schema.entity_type(key.entity_type).is_partitioned() {
-                globals.insert(*key, full_store.load(*key));
-            }
-        }
-        let pserver = Arc::new(PartitionServer::new(
-            layout,
-            cluster.machines,
-            Arc::clone(&net),
-        ));
-        // drop the partitioned copies the init store holds; the partition
-        // server owns the canonical versions
-        drop(full_store);
-        let params = Arc::new(ParameterServer::new(cluster.machines, Arc::clone(&net)));
-        // register relation params once (identical across machines)
-        for (r, rel) in (0..models[0].num_relations())
-            .map(|r| (r, models[0].relation(RelationTypeId(r as u32))))
-        {
-            params.register(
-                ParamKey {
-                    relation: r as u32,
-                    side: 0,
-                },
-                &rel.forward.snapshot(),
-            );
-            if let Some(recip) = &rel.reciprocal {
-                params.register(
-                    ParamKey {
-                        relation: r as u32,
-                        side: 1,
-                    },
-                    &recip.snapshot(),
-                );
-            }
-        }
-        let buckets = bucketize(&schema, edges);
-        let lock = Arc::new(LockServer::with_lease(cluster.lease_ttl));
+        let layout = Model::new(schema.clone(), config.clone())?.store_layout();
+        let partitions = PartitionServer::new(layout, cluster.machines, Arc::clone(&net));
+        let params = ParameterServer::new(cluster.machines, Arc::clone(&net));
+        let buckets = Arc::new(bucketize(&schema, edges));
+        // no epoch is scheduled yet: `train_epoch` adds them one by one
+        let lock = EpochLock::new(
+            LockServer::with_lease(cluster.lease_ttl),
+            0,
+            buckets.src_parts(),
+            buckets.dst_parts(),
+        );
+        // one rank per machine; deterministic init keeps them identical
+        let mut ranks = (0..cluster.machines)
+            .map(|rank| {
+                let run = RankConfig {
+                    rank,
+                    faults: cluster.faults.clone(),
+                    param_sync_throttle: cluster.param_sync_throttle,
+                };
+                Rank::new(&schema, Arc::clone(&buckets), config.clone(), run)
+            })
+            .collect::<Result<Vec<Rank>, ServiceError>>()
+            .map_err(|e| PbgError::Config(e.to_string()))?;
+        // the shared parameters exist on the server from the start, so a
+        // snapshot before the first epoch sees the initial model
+        ranks[0]
+            .register(&params)
+            .expect("in-process registration cannot fail");
         Ok(ClusterTrainer {
-            cluster,
-            models,
-            pserver,
-            params,
+            schema,
+            config,
+            ranks,
             lock,
+            partitions,
+            params,
             net,
-            buckets,
-            globals: Arc::new(globals),
             epoch: 0,
             telemetry: Registry::new(),
         })
     }
 
     /// The cluster's telemetry registry: `cluster.*` metrics, per-machine
-    /// resident gauges, and (when tracing is enabled via
+    /// `rank{m}.resident_bytes` gauges, and (when tracing is enabled via
     /// [`pbg_telemetry::Registry::set_tracing`]) `bucket_train` /
     /// `acquire_wait` / `param_sync` spans.
     pub fn telemetry(&self) -> &Registry {
         &self.telemetry
-    }
-
-    /// The bucketed training edges.
-    pub fn buckets(&self) -> &Buckets {
-        &self.buckets
     }
 
     /// Epochs completed.
@@ -231,274 +191,91 @@ impl ClusterTrainer {
         self.epoch
     }
 
-    /// Trains one epoch across all machines.
+    /// Trains one epoch across all machines: schedules it on the lock
+    /// server and runs every machine's [`Rank`] until the server reports
+    /// the epoch done.
     ///
-    /// Epoch counters (`edges`, `lock_waits`, `prefetch_hits`,
+    /// Epoch counters (`lock_waits`, `prefetch_hits`, `retries`,
     /// `network_bytes`, `peak_machine_bytes`) are derived from
     /// [`Registry::snapshot`] deltas of [`ClusterTrainer::telemetry`] —
     /// the report is a view of the same registry the trace and the
     /// Prometheus dump read.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a machine's run fails, which the in-process services
+    /// only allow when injected transfer failures outlast the retries.
     pub fn train_epoch(&mut self) -> ClusterEpochStats {
         self.epoch += 1;
         let epoch = self.epoch;
         let bytes_before = self.net.total_bytes();
-        self.lock
-            .start_epoch(self.buckets.src_parts(), self.buckets.dst_parts());
+        self.lock.add_epoch();
         // per-epoch machine peaks restart from the current residency
-        for machine in 0..self.cluster.machines {
+        for machine in 0..self.ranks.len() {
             self.telemetry
-                .gauge(&machine_gauge_name(machine))
+                .gauge(&format!("rank{machine}.resident_bytes"))
                 .reset_peak();
         }
         let before = self.telemetry.snapshot();
         let _epoch_span = span!(self.telemetry, span_name::EPOCH, epoch = epoch as u64);
         let start = Instant::now();
-        let loss_sum = Mutex::new(0.0f64);
-        let max_sim_secs = Mutex::new(0.0f64);
-        let max_pipelined_secs = Mutex::new(0.0f64);
-        crossbeam::thread::scope(|scope| {
-            for (machine, model) in self.models.iter().enumerate() {
-                let lock = Arc::clone(&self.lock);
-                let pserver = Arc::clone(&self.pserver);
-                let params = Arc::clone(&self.params);
-                let globals = Arc::clone(&self.globals);
-                let buckets = &self.buckets;
-                let cluster = &self.cluster;
-                let telemetry = &self.telemetry;
-                let loss_sum = &loss_sum;
-                let max_sim_secs = &max_sim_secs;
-                let max_pipelined_secs = &max_pipelined_secs;
-                scope.spawn(move |_| {
-                    let retries_total = telemetry.counter(metric::CLUSTER_RETRIES);
-                    let store = MachineStore::new(
-                        pserver,
-                        globals,
-                        model,
-                        telemetry.gauge(&machine_gauge_name(machine)),
-                        cluster.faults.clone(),
-                        machine,
-                        retries_total.clone(),
-                        telemetry.counter(metric::CLUSTER_STALE_CHECKINS),
-                    );
-                    let edges_total = telemetry.counter(metric::CLUSTER_EDGES);
-                    let lock_waits = telemetry.counter(metric::CLUSTER_LOCK_WAITS);
-                    let idle_ns = telemetry.counter(metric::CLUSTER_IDLE_NS);
-                    let recovered = telemetry.counter(metric::CLUSTER_RECOVERED_BUCKETS);
-                    let acquire_wait = telemetry.histogram(metric::CLUSTER_ACQUIRE_WAIT_NS);
-                    // swap planning shared with the single-machine
-                    // trainer: the planner is this machine's capacity-B
-                    // partition buffer and emits load/evict deltas.
-                    // Retaining a partition past its bucket lock is safe
-                    // because updates are written through before the
-                    // lock goes (see `write_through`) and a cached copy
-                    // is validated against its fencing token on reuse.
-                    let mut planner = SwapPlanner::with_capacity(model.config().buffer_size);
-                    let mut client = ParamClient::new(params, cluster.param_sync_throttle);
-                    register_params(&mut client, model);
-                    let mut rng = Xoshiro256::seed_from_u64((epoch as u64) << 32 | machine as u64);
-                    let mut prev: Option<BucketId> = None;
-                    let mut machine_loss = 0.0f64;
-                    let mut buckets_done = 0usize;
-                    // monotonically numbers this machine's param-sync
-                    // attempts for the fault plan's timeout decisions
-                    let mut sync_seq = 0u64;
-                    // per-bucket max(compute, I/O): the pipelined
-                    // wall-clock projection for this machine
-                    let mut pipelined_secs = 0.0f64;
-                    // start of the oldest unanswered acquire attempt
-                    let mut wait_start: Option<u64> = None;
-                    loop {
-                        let t_req = wait_start.unwrap_or_else(|| telemetry.now_ns());
-                        match lock.acquire(machine, prev) {
-                            Acquire::Granted(bucket) => {
-                                let waited = telemetry.now_ns().saturating_sub(t_req);
-                                acquire_wait.observe(waited);
-                                if wait_start.take().is_some() {
-                                    // only waits that actually idled the
-                                    // machine earn a span; instant grants
-                                    // would drown the trace
-                                    telemetry.record_span(
-                                        span_name::ACQUIRE_WAIT,
-                                        t_req,
-                                        waited,
-                                        vec![("machine", (machine as u64).into())],
-                                    );
-                                }
-                                // evict what the buffer gives up, write
-                                // through what it keeps, then release the
-                                // old locks: partitions staying resident
-                                // lose lock coverage the moment the old
-                                // bucket's locks go, so the next holder
-                                // must find their updates on the server.
-                                // The new bucket's own partitions stay
-                                // dirty under locks we still hold.
-                                let needed = needed_keys(model, bucket);
-                                let transition = planner.step(&needed);
-                                for &key in &transition.release {
-                                    store.release(key);
-                                }
-                                store.write_through(&needed);
-                                if let Some(p) = prev.take() {
-                                    lock.release_bucket(machine, p);
-                                }
-                                // checkout through the prefetch path:
-                                // this step's I/O, overlappable with the
-                                // previous bucket's compute
-                                for &key in &transition.acquire {
-                                    store.prefetch(key);
-                                }
-                                if cluster.faults.machine_crashes(epoch, machine, buckets_done) {
-                                    // simulated hard crash at the worst
-                                    // point: the bucket is locked and its
-                                    // partitions checked out, and nothing
-                                    // is released or checked back in. The
-                                    // lease reaper and fencing tokens
-                                    // must clean up. The simulator's
-                                    // books still get this machine's
-                                    // pre-crash measurements.
-                                    *loss_sum.lock() += machine_loss;
-                                    telemetry
-                                        .counter(metric::CLUSTER_PREFETCH_HITS)
-                                        .add(store.prefetch_hits() as u64);
-                                    return;
-                                }
-                                let mut edges = buckets.bucket(bucket).clone();
-                                edges.shuffle(&mut rng);
-                                let stats = train_bucket(
-                                    model,
-                                    &store,
-                                    bucket,
-                                    &edges,
-                                    ((epoch as u64) << 40)
-                                        | ((machine as u64) << 20)
-                                        | (bucket.src.0 as u64 * 1000)
-                                        | bucket.dst.0 as u64,
-                                    telemetry,
-                                );
-                                pipelined_secs += NetworkModel::pipelined_step_seconds(
-                                    stats.seconds,
-                                    store.take_step_io(),
-                                );
-                                machine_loss += stats.loss;
-                                edges_total.add(stats.edges as u64);
-                                buckets_done += 1;
-                                sync_params(
-                                    &mut client,
-                                    model,
-                                    false,
-                                    telemetry,
-                                    &cluster.faults,
-                                    machine,
-                                    &mut sync_seq,
-                                    &retries_total,
-                                );
-                                prev = Some(bucket);
-                            }
-                            Acquire::Wait => {
-                                wait_start = Some(t_req);
-                                // avoid deadlock: give up bucket locks
-                                // while waiting. The buffer stays warm —
-                                // once written through, cached copies
-                                // are clean so holding them blocks no
-                                // other machine, and one gone stale
-                                // while we wait fails validation on
-                                // reuse and is simply refetched.
-                                store.write_through(&HashSet::new());
-                                if let Some(p) = prev.take() {
-                                    lock.release_bucket(machine, p);
-                                }
-                                // a crashed machine never releases: once
-                                // its lease lapses, return its bucket to
-                                // the pool and fence its partition
-                                // checkouts so the retrainer starts from
-                                // the last committed versions
-                                let reaped = lock.reap_expired();
-                                for &bucket in &reaped {
-                                    recovered.inc();
-                                    for key in needed_keys(model, bucket) {
-                                        if !store.is_global(key) {
-                                            store.revoke(key);
-                                        }
-                                    }
-                                }
-                                lock_waits.inc();
-                                let sleep_start = telemetry.now_ns();
-                                std::thread::sleep(Duration::from_micros(200));
-                                idle_ns.add(telemetry.now_ns().saturating_sub(sleep_start));
-                            }
-                            Acquire::Done => break,
-                        }
-                    }
-                    for key in planner.finish() {
-                        store.release(key);
-                    }
-                    if let Some(p) = prev {
-                        lock.release_bucket(machine, p);
-                    }
-                    sync_params(
-                        &mut client,
-                        model,
-                        true,
-                        telemetry,
-                        &cluster.faults,
-                        machine,
-                        &mut sync_seq,
-                        &retries_total,
-                    );
-                    // trailing write-backs and param syncs have no
-                    // compute left to hide behind
-                    pipelined_secs += store.take_step_io() + client.sim_seconds;
-                    *loss_sum.lock() += machine_loss;
-                    let sim = store.sim_seconds() + client.sim_seconds;
-                    let mut max = max_sim_secs.lock();
-                    if sim > *max {
-                        *max = sim;
-                    }
-                    drop(max);
-                    let mut max_pipe = max_pipelined_secs.lock();
-                    if pipelined_secs > *max_pipe {
-                        *max_pipe = pipelined_secs;
-                    }
-                    drop(max_pipe);
-                    telemetry
-                        .counter(metric::CLUSTER_PREFETCH_HITS)
-                        .add(store.prefetch_hits() as u64);
-                });
-            }
-        })
-        .expect("cluster scope panicked");
+        let (lock, partitions, params) = (&self.lock, &self.partitions, &self.params);
+        let telemetry = &self.telemetry;
+        let runs: Vec<(RankStats, SimClock)> = std::thread::scope(|scope| {
+            let machines: Vec<_> = self
+                .ranks
+                .iter_mut()
+                .map(|rank| {
+                    scope.spawn(move || {
+                        let clock = Mutex::new(SimClock::new());
+                        let services = RankServices {
+                            lock: Charged(lock, &clock),
+                            partitions: Charged(partitions, &clock),
+                            params: Charged(params, &clock),
+                        };
+                        let stats = rank
+                            .run(&services, telemetry)
+                            .expect("simulated machine failed");
+                        let mut clock = clock.into_inner();
+                        // trailing write-backs and param syncs have no
+                        // compute left to hide behind
+                        clock.close_step();
+                        (stats, clock)
+                    })
+                })
+                .collect();
+            machines
+                .into_iter()
+                .map(|m| m.join().expect("simulated machine panicked"))
+                .collect()
+        });
+        let seconds = start.elapsed().as_secs_f64();
         self.telemetry
             .counter(metric::CLUSTER_NET_BYTES)
             .add(self.net.total_bytes() - bytes_before);
         let delta = self.telemetry.snapshot().delta_since(&before);
-        let edges = delta.counter(metric::CLUSTER_EDGES) as usize;
-        let epoch_secs = start.elapsed().as_secs_f64();
-        if epoch_secs > 0.0 {
+        let edges: usize = runs.iter().map(|(stats, _)| stats.edges).sum();
+        let loss: f64 = runs.iter().map(|(stats, _)| stats.loss).sum();
+        if seconds > 0.0 {
             // live cluster-wide throughput, refreshed every epoch
             self.telemetry
                 .gauge(metric::CLUSTER_EDGES_PER_SEC)
-                .set((edges as f64 / epoch_secs) as u64);
+                .set((edges as f64 / seconds) as u64);
         }
-        let sim_network_seconds = *max_sim_secs.lock();
-        let sim_pipelined_seconds = *max_pipelined_secs.lock();
-        let total_loss = *loss_sum.lock();
+        let max_over = |f: fn(&SimClock) -> f64| runs.iter().map(|(_, c)| f(c)).fold(0.0, f64::max);
         ClusterEpochStats {
             epoch,
-            seconds: start.elapsed().as_secs_f64(),
-            sim_network_seconds,
-            sim_pipelined_seconds,
+            seconds,
+            sim_network_seconds: max_over(|c| c.io_secs),
+            sim_pipelined_seconds: max_over(|c| c.pipelined_secs),
             edges,
-            mean_loss: if edges > 0 {
-                total_loss / edges as f64
-            } else {
-                0.0
-            },
+            mean_loss: if edges > 0 { loss / edges as f64 } else { 0.0 },
             network_bytes: delta.counter(metric::CLUSTER_NET_BYTES),
-            peak_machine_bytes: delta.max_gauge_peak("machine") as usize,
+            peak_machine_bytes: delta.max_gauge_peak("rank") as usize,
             lock_waits: delta.counter(metric::CLUSTER_LOCK_WAITS) as usize,
             prefetch_hits: delta.counter(metric::CLUSTER_PREFETCH_HITS) as usize,
-            recovered_buckets: delta.counter(metric::CLUSTER_RECOVERED_BUCKETS) as usize,
-            retries: delta.counter(metric::CLUSTER_RETRIES) as usize,
+            recovered_buckets: runs.iter().map(|(s, _)| s.recovered_buckets).sum(),
+            retries: delta.counter(metric::NET_RPC_RETRIES) as usize,
         }
     }
 
@@ -508,7 +285,7 @@ impl ClusterTrainer {
         &mut self,
         mut on_epoch: impl FnMut(&ClusterEpochStats, &ClusterTrainer) -> bool,
     ) -> Vec<ClusterEpochStats> {
-        let epochs = self.models[0].config().epochs;
+        let epochs = self.config.epochs;
         let mut all = Vec::with_capacity(epochs);
         for _ in 0..epochs {
             let stats = self.train_epoch();
@@ -526,502 +303,132 @@ impl ClusterTrainer {
         self.train_with(|_, _| true)
     }
 
-    /// Snapshots the model: canonical relation parameters from the
-    /// parameter server, embeddings gathered from the partition server
-    /// and shared globals.
+    /// Snapshots the model from the servers, exactly as a networked run
+    /// does ([`snapshot_model`]): shared parameters from the parameter
+    /// server, partitioned embeddings peeked from the partition server.
     pub fn snapshot(&self) -> TrainedEmbeddings {
-        let model = &self.models[0];
-        // adopt canonical parameter-server values
-        for r in 0..model.num_relations() {
-            let rel = model.relation(RelationTypeId(r as u32));
-            if !rel.forward.is_empty() {
-                let v = self.params.pull(ParamKey {
-                    relation: r as u32,
-                    side: 0,
-                });
-                let acc = rel.forward.accumulator_snapshot();
-                rel.forward.restore(&v, &acc);
-            }
-            if let Some(recip) = &rel.reciprocal {
-                if !recip.is_empty() {
-                    let v = self.params.pull(ParamKey {
-                        relation: r as u32,
-                        side: 1,
-                    });
-                    let acc = recip.accumulator_snapshot();
-                    recip.restore(&v, &acc);
-                }
-            }
-        }
-        // snapshotting is not training: account residency on throwaway
-        // gauges/counters so it distorts neither any machine's epoch peak
-        // nor the fault/retry bookkeeping
-        let store = MachineStore::new(
-            Arc::clone(&self.pserver),
-            Arc::clone(&self.globals),
-            model,
-            Gauge::new(),
-            FaultPlan::none(),
-            usize::MAX,
-            Counter::new(),
-            Counter::new(),
-        );
-        let snap = model.snapshot(&store);
-        for (key, _) in store.server.layout().keys().to_vec() {
-            store.release(key);
-        }
-        snap
+        snapshot_model(
+            &self.schema,
+            self.config.clone(),
+            &self.partitions,
+            &self.params,
+        )
+        .expect("in-process snapshot cannot fail")
     }
 }
 
 impl std::fmt::Debug for ClusterTrainer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ClusterTrainer")
-            .field("machines", &self.cluster.machines)
+            .field("machines", &self.ranks.len())
             .field("epoch", &self.epoch)
-            .field("buckets", &self.buckets.len())
             .finish()
     }
 }
 
-/// Registers every relation block and installs the server's canonical
-/// values into the local model: a machine (re)joining an epoch — fresh,
-/// or rebooted after a crash — must start from the cluster's state, not
-/// whatever its local copy last saw, or its first delta push would
-/// revert other machines' progress.
-fn register_params(client: &mut ParamClient, model: &Model) {
-    for r in 0..model.num_relations() {
-        let rel = model.relation(RelationTypeId(r as u32));
-        let canonical = client.register(
-            ParamKey {
-                relation: r as u32,
-                side: 0,
-            },
-            &rel.forward.snapshot(),
-        );
-        if !rel.forward.is_empty() {
-            rel.forward
-                .restore(&canonical, &rel.forward.accumulator_snapshot());
+/// One simulated machine's network bill and pipelined-time projection
+/// for an epoch. A *step* runs from one bucket request to the next —
+/// the same boundary the benchmark's timing decorators use — and costs
+/// the larger of the real time the machine spent in it and the
+/// simulated I/O it was charged, as if transfers overlapped the work.
+#[derive(Debug)]
+struct SimClock {
+    /// Simulated transfer seconds charged so far (serial accounting).
+    io_secs: f64,
+    /// Of those, the seconds charged in the current step.
+    step_io: f64,
+    pipelined_secs: f64,
+    step_start: Instant,
+}
+
+impl SimClock {
+    fn new() -> Self {
+        SimClock {
+            io_secs: 0.0,
+            step_io: 0.0,
+            pipelined_secs: 0.0,
+            step_start: Instant::now(),
         }
-        if let Some(recip) = &rel.reciprocal {
-            let canonical = client.register(
-                ParamKey {
-                    relation: r as u32,
-                    side: 1,
-                },
-                &recip.snapshot(),
-            );
-            if !recip.is_empty() {
-                recip.restore(&canonical, &recip.accumulator_snapshot());
-            }
-        }
+    }
+
+    fn charge(&mut self, secs: f64) {
+        self.io_secs += secs;
+        self.step_io += secs;
+    }
+
+    fn close_step(&mut self) {
+        let elapsed = self.step_start.elapsed().as_secs_f64();
+        self.pipelined_secs +=
+            NetworkModel::pipelined_step_seconds(elapsed, std::mem::take(&mut self.step_io));
+        self.step_start = Instant::now();
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn sync_params(
-    client: &mut ParamClient,
-    model: &Model,
-    force: bool,
-    telemetry: &Registry,
-    faults: &FaultPlan,
-    machine: usize,
-    sync_seq: &mut u64,
-    retries: &Counter,
-) {
-    // injected parameter-server timeouts: retry with exponential backoff
-    // until an attempt goes through
-    let mut attempt = 0u32;
-    loop {
-        let nth = *sync_seq;
-        *sync_seq += 1;
-        if !faults.param_sync_times_out(machine, nth) {
-            break;
-        }
-        retries.inc();
-        std::thread::sleep(backoff(attempt));
-        attempt += 1;
-    }
-    let t0 = telemetry.now_ns();
-    let mut bytes = 0u64;
-    for r in 0..model.num_relations() {
-        let rel = model.relation(RelationTypeId(r as u32));
-        bytes += sync_one(
-            client,
-            ParamKey {
-                relation: r as u32,
-                side: 0,
-            },
-            &rel.forward,
-            force,
-        );
-        if let Some(recip) = &rel.reciprocal {
-            bytes += sync_one(
-                client,
-                ParamKey {
-                    relation: r as u32,
-                    side: 1,
-                },
-                recip,
-                force,
-            );
-        }
-    }
-    if bytes > 0 {
-        telemetry.counter(metric::CLUSTER_SYNC_BYTES).add(bytes);
-        telemetry.record_span(
-            span_name::PARAM_SYNC,
-            t0,
-            telemetry.now_ns().saturating_sub(t0),
-            vec![("bytes", bytes.into())],
-        );
-    }
-}
+/// Time-charging decorator: serves one machine from an in-process state
+/// machine and bills the [`NetworkModel`] seconds of every transfer to
+/// that machine's [`SimClock`].
+struct Charged<'a, S>(&'a S, &'a Mutex<SimClock>);
 
-/// Syncs one parameter block; returns the bytes moved over the simulated
-/// wire (push + pull), or 0 when throttled or empty.
-fn sync_one(
-    client: &mut ParamClient,
-    key: ParamKey,
-    params: &pbg_core::optimizer::HogwildAdagradDense,
-    force: bool,
-) -> u64 {
-    if params.is_empty() {
-        return 0;
-    }
-    let local = params.snapshot();
-    let merged = if force {
-        Some(client.force_sync(key, &local))
-    } else {
-        client.maybe_sync(key, &local)
-    };
-    match merged {
-        Some(merged) => {
-            let acc = params.accumulator_snapshot();
-            params.restore(&merged, &acc);
-            // one push (delta) + one pull (merged), 4 bytes per f32
-            (local.len() as u64 + merged.len() as u64) * 4
-        }
-        None => 0,
-    }
-}
-
-/// Machine-local capacity-B partition cache backed by the partition
-/// server.
-///
-/// Implements [`PartitionStore`] including [`PartitionStore::prefetch`],
-/// so the cluster driver consumes the same swap machinery as the
-/// single-machine trainer: the [`SwapPlanner`] decides *what* moves, the
-/// store charges simulated transfer seconds for *moving* it. I/O charged
-/// between [`MachineStore::take_step_io`] calls is attributed to the
-/// current bucket, which the driver overlaps with compute in the
-/// pipelined projection.
-///
-/// Caching a partition past its bucket lock is only sound because the
-/// cache is write-through: [`MachineStore::write_through`] commits
-/// mutated partitions with [`PartitionServer::checkin_keep`] before
-/// their locks are released, leaving a clean copy cached under a fresh
-/// fencing token, and a `load` of a clean cached copy first asks the
-/// server to [`PartitionServer::validate`] that token — a copy fenced
-/// out by another machine's checkout is dropped and refetched instead
-/// of trained on stale.
-struct MachineStore<'m> {
-    server: Arc<PartitionServer>,
-    globals: Arc<HashMap<PartitionKey, Arc<PartitionData>>>,
-    resident: Mutex<HashMap<PartitionKey, Arc<PartitionData>>>,
-    /// Fencing token of each resident partition's checkout (or the
-    /// fresh token from its last `checkin_keep`), presented at check-in
-    /// and at validation.
-    tokens: Mutex<HashMap<PartitionKey, u64>>,
-    /// Keys checked out ahead of use; a later `load` of one is a
-    /// prefetch hit.
-    prefetched: Mutex<std::collections::HashSet<PartitionKey>>,
-    /// Resident keys mutated since their last checkout or write-through
-    /// ([`PartitionStore::mark_dirty`]). A clean release skips the
-    /// check-in transfer entirely.
-    mutated: Mutex<std::collections::HashSet<PartitionKey>>,
-    /// Bytes whose release skipped the check-in because the copy was
-    /// clean (eval/snapshot traffic, retained-buffer evictions).
-    writeback_skipped: AtomicU64,
-    lr: f32,
-    /// Total simulated transfer seconds (serial accounting).
-    sim_seconds: Mutex<f64>,
-    /// Simulated transfer seconds since the last `take_step_io`.
-    step_io: Mutex<f64>,
-    /// This machine's `machine{m}.resident_bytes` telemetry gauge; its
-    /// peak is the per-epoch high-water mark the epoch report uses.
-    resident_bytes: Gauge,
-    swaps: AtomicUsize,
-    prefetch_hits: AtomicUsize,
-    faults: FaultPlan,
-    machine: usize,
-    /// Monotonically numbers this machine's transfer attempts for the
-    /// fault plan (a retry re-rolls with a fresh number).
-    xfer_seq: std::sync::atomic::AtomicU64,
-    retries: Counter,
-    stale_checkins: Counter,
-    _model: std::marker::PhantomData<&'m ()>,
-}
-
-impl<'m> MachineStore<'m> {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        server: Arc<PartitionServer>,
-        globals: Arc<HashMap<PartitionKey, Arc<PartitionData>>>,
-        model: &'m Model,
-        resident_bytes: Gauge,
-        faults: FaultPlan,
+impl LockService for Charged<'_, EpochLock> {
+    fn acquire(
+        &self,
         machine: usize,
-        retries: Counter,
-        stale_checkins: Counter,
-    ) -> Self {
-        MachineStore {
-            server,
-            globals,
-            resident: Mutex::new(HashMap::new()),
-            tokens: Mutex::new(HashMap::new()),
-            prefetched: Mutex::new(std::collections::HashSet::new()),
-            mutated: Mutex::new(std::collections::HashSet::new()),
-            writeback_skipped: AtomicU64::new(0),
-            lr: model.config().learning_rate,
-            sim_seconds: Mutex::new(0.0),
-            step_io: Mutex::new(0.0),
-            resident_bytes,
-            swaps: AtomicUsize::new(0),
-            prefetch_hits: AtomicUsize::new(0),
-            faults,
-            machine,
-            xfer_seq: std::sync::atomic::AtomicU64::new(0),
-            retries,
-            stale_checkins,
-            _model: std::marker::PhantomData,
-        }
+        prev: Option<BucketId>,
+    ) -> Result<(usize, Acquire), ServiceError> {
+        self.1.lock().close_step();
+        LockService::acquire(self.0, machine, prev)
     }
 
-    fn sim_seconds(&self) -> f64 {
-        *self.sim_seconds.lock()
+    fn release_bucket(&self, machine: usize, bucket: BucketId) -> Result<(), ServiceError> {
+        LockService::release_bucket(self.0, machine, bucket)
     }
 
-    /// Drains the simulated I/O seconds charged since the last call.
-    fn take_step_io(&self) -> f64 {
-        std::mem::take(&mut *self.step_io.lock())
-    }
-
-    fn prefetch_hits(&self) -> usize {
-        self.prefetch_hits.load(Ordering::SeqCst)
-    }
-
-    fn is_global(&self, key: PartitionKey) -> bool {
-        self.globals.contains_key(&key)
-    }
-
-    /// Fences out any outstanding checkout of `key` on the server (used
-    /// when reaping a dead machine's bucket lease).
-    fn revoke(&self, key: PartitionKey) {
-        self.server.revoke(key);
-    }
-
-    fn charge(&self, secs: f64) {
-        *self.sim_seconds.lock() += secs;
-        *self.step_io.lock() += secs;
-    }
-
-    /// Blocks until the fault plan lets a transfer through, backing off
-    /// exponentially on each injected failure.
-    fn retry_transfer_faults(&self) {
-        let mut attempt = 0u32;
-        loop {
-            let nth = self.xfer_seq.fetch_add(1, Ordering::SeqCst);
-            if !self.faults.transfer_fails(self.machine, nth) {
-                return;
-            }
-            self.retries.inc();
-            std::thread::sleep(backoff(attempt));
-            attempt += 1;
-        }
-    }
-
-    /// Checks `key` out of the partition server into the local cache.
-    fn checkout(&self, key: PartitionKey) -> Arc<PartitionData> {
-        self.retry_transfer_faults();
-        let (emb, acc, token, secs) = self.server.checkout(key);
-        self.tokens.lock().insert(key, token);
-        self.charge(secs);
-        self.swaps.fetch_add(1, Ordering::SeqCst);
-        let dim = self.server.layout().dim();
-        let rows = emb.len() / dim;
-        let data = Arc::new(PartitionData::from_parts(rows, dim, self.lr, emb, &acc));
-        self.resident_bytes.add(data.bytes() as u64);
-        data
-    }
-
-    /// Commits every mutated resident partition *not* in `still_locked`
-    /// back to the server via [`PartitionServer::checkin_keep`], keeping
-    /// the now-clean copy cached under a fresh fencing token.
-    ///
-    /// Must run before the previous bucket's locks are released: a
-    /// retained partition loses lock coverage at that moment, and the
-    /// next machine granted a bucket over it checks out whatever the
-    /// server holds. Partitions of the newly granted bucket
-    /// (`still_locked`) stay dirty — our own locks still cover them, so
-    /// their commit can wait until *their* coverage ends (matching the
-    /// pre-buffer failure semantics: a crash loses at most the
-    /// still-locked bucket's updates, which the lease reaper retrains).
-    fn write_through(&self, still_locked: &HashSet<PartitionKey>) {
-        let mut to_commit: Vec<PartitionKey> = self
-            .mutated
-            .lock()
-            .iter()
-            .copied()
-            .filter(|key| !still_locked.contains(key))
-            .collect();
-        to_commit.sort();
-        for key in to_commit {
-            let data = match self.resident.lock().get(&key) {
-                Some(data) => Arc::clone(data),
-                None => {
-                    self.mutated.lock().remove(&key);
-                    continue;
-                }
-            };
-            self.retry_transfer_faults();
-            let token = self.tokens.lock().get(&key).copied().unwrap_or(u64::MAX);
-            let (secs, committed, fresh) = self.server.checkin_keep(
-                key,
-                data.embeddings.to_vec(),
-                data.adagrad.to_vec(),
-                token,
-            );
-            self.charge(secs);
-            self.mutated.lock().remove(&key);
-            if let (true, Some(fresh)) = (committed, fresh) {
-                self.tokens.lock().insert(key, fresh);
-            } else {
-                // fenced out (our lease was reaped mid-bucket): the
-                // server kept the new holder's version — drop our copy
-                // so any later use refetches the committed state
-                self.stale_checkins.inc();
-                self.tokens.lock().remove(&key);
-                if let Some(data) = self.resident.lock().remove(&key) {
-                    self.prefetched.lock().remove(&key);
-                    self.resident_bytes.sub(data.bytes() as u64);
-                }
-            }
-        }
+    fn reap_expired(&self) -> Result<Vec<BucketId>, ServiceError> {
+        LockService::reap_expired(self.0)
     }
 }
 
-impl PartitionStore for MachineStore<'_> {
-    fn load(&self, key: PartitionKey) -> Arc<PartitionData> {
-        if let Some(data) = self.globals.get(&key) {
-            return Arc::clone(data);
-        }
-        let mut resident = self.resident.lock();
-        if let Some(data) = resident.get(&key) {
-            // fresh this-bucket checkouts and dirty mid-bucket copies
-            // are ours under a held lock; a clean copy retained from an
-            // earlier bucket must prove nobody checked the partition
-            // out since we wrote it through
-            if self.prefetched.lock().remove(&key) {
-                self.prefetch_hits.fetch_add(1, Ordering::SeqCst);
-                return Arc::clone(data);
-            }
-            if self.mutated.lock().contains(&key) {
-                return Arc::clone(data);
-            }
-            let token = self.tokens.lock().get(&key).copied();
-            if let Some(token) = token {
-                let (valid, secs) = self.server.validate(key, token);
-                self.charge(secs);
-                if valid {
-                    return Arc::clone(data);
-                }
-            }
-            // fenced out while unlocked: drop the stale copy and fall
-            // through to a fresh checkout of the committed version
-            let data = resident.remove(&key).expect("checked above");
-            self.tokens.lock().remove(&key);
-            self.resident_bytes.sub(data.bytes() as u64);
-        }
-        let data = self.checkout(key);
-        resident.insert(key, Arc::clone(&data));
-        data
+impl PartitionService for Charged<'_, PartitionServer> {
+    fn checkout(&self, key: PartitionKey) -> Result<(Vec<f32>, Vec<f32>, u64), ServiceError> {
+        let (emb, acc, token, secs) = self.0.checkout(key);
+        self.1.lock().charge(secs);
+        Ok((emb, acc, token))
     }
 
-    fn release(&self, key: PartitionKey) {
-        if self.globals.contains_key(&key) {
-            return;
-        }
-        let mut resident = self.resident.lock();
-        if let Some(data) = resident.remove(&key) {
-            self.prefetched.lock().remove(&key);
-            let token = self.tokens.lock().remove(&key).unwrap_or(u64::MAX);
-            if !self.mutated.lock().remove(&key) {
-                // clean: the server already holds these bytes (initial
-                // checkout or a prior write-through) — skip the
-                // check-in transfer entirely
-                self.writeback_skipped
-                    .fetch_add(data.bytes() as u64, Ordering::SeqCst);
-                self.resident_bytes.sub(data.bytes() as u64);
-                return;
-            }
-            self.retry_transfer_faults();
-            let (secs, committed) =
-                self.server
-                    .checkin(key, data.embeddings.to_vec(), data.adagrad.to_vec(), token);
-            if !committed {
-                // fenced out: our lease was reaped and someone else owns
-                // this partition now — the server kept their version
-                self.stale_checkins.inc();
-            }
-            self.charge(secs);
-            self.resident_bytes.sub(data.bytes() as u64);
-        }
+    fn checkin(
+        &self,
+        key: PartitionKey,
+        emb: Vec<f32>,
+        acc: Vec<f32>,
+        token: u64,
+    ) -> Result<bool, ServiceError> {
+        let (secs, committed) = self.0.checkin(key, emb, acc, token);
+        self.1.lock().charge(secs);
+        Ok(committed)
     }
 
-    fn mark_dirty(&self, key: PartitionKey) {
-        if !self.globals.contains_key(&key) {
-            self.mutated.lock().insert(key);
-        }
+    fn revoke(&self, key: PartitionKey) -> Result<(), ServiceError> {
+        PartitionService::revoke(self.0, key)
     }
 
-    fn writeback_skipped_bytes(&self) -> u64 {
-        self.writeback_skipped.load(Ordering::SeqCst)
+    fn peek(&self, key: PartitionKey) -> Result<(Vec<f32>, Vec<f32>), ServiceError> {
+        PartitionService::peek(self.0, key)
+    }
+}
+
+impl ParamService for Charged<'_, ParameterServer> {
+    fn register(&self, key: ParamKey, init: &[f32]) -> Result<Vec<f32>, ServiceError> {
+        ParamService::register(self.0, key, init)
     }
 
-    fn prefetch(&self, key: PartitionKey) {
-        if self.globals.contains_key(&key) {
-            return;
-        }
-        let mut resident = self.resident.lock();
-        if resident.contains_key(&key) {
-            return;
-        }
-        let data = self.checkout(key);
-        resident.insert(key, data);
-        self.prefetched.lock().insert(key);
+    fn push_pull(&self, key: ParamKey, delta: &[f32]) -> Result<Vec<f32>, ServiceError> {
+        let (merged, secs) = self.0.push_pull(key, delta);
+        self.1.lock().charge(secs);
+        Ok(merged)
     }
 
-    fn resident_bytes(&self) -> usize {
-        self.resident_bytes.get() as usize
-    }
-
-    fn peak_bytes(&self) -> usize {
-        self.resident_bytes.peak() as usize
-    }
-
-    fn swap_ins(&self) -> usize {
-        self.swaps.load(Ordering::SeqCst)
-    }
-
-    fn prefetch_hits(&self) -> usize {
-        self.prefetch_hits.load(Ordering::SeqCst)
-    }
-
-    fn load_all(&self) {
-        for (key, _) in self.server.layout().keys().to_vec() {
-            let _ = self.load(key);
-        }
+    fn pull(&self, key: ParamKey) -> Result<Vec<f32>, ServiceError> {
+        ParamService::pull(self.0, key)
     }
 }
 
@@ -1343,8 +750,16 @@ mod tests {
     #[test]
     fn param_sync_timeouts_are_retried_to_completion() {
         use crate::fault::FaultPlan;
+        use pbg_graph::schema::{EntityTypeDef, OperatorKind, RelationTypeDef};
         let (edges, n) = dataset();
-        let schema = GraphSchema::homogeneous(n, 4).unwrap();
+        // a parameterized operator: only an RPC that is sent can time out
+        let schema = GraphSchema::builder()
+            .entity_type(EntityTypeDef::new("node", n).with_partitions(4))
+            .relation_type(
+                RelationTypeDef::new("edge", 0u32, 0u32).with_operator(OperatorKind::Translation),
+            )
+            .build()
+            .unwrap();
         let mut t = ClusterTrainer::new(
             schema,
             &edges,

@@ -7,13 +7,22 @@
 //! faults every run, and a fault-free run (`FaultPlan::none`) must be
 //! byte-identical to one built without fault support at all.
 //!
-//! Faults are *decided* here and *acted on* by the cluster driver: the
-//! lock server's lease expiry reassigns buckets a crashed machine
-//! abandoned, the partition server's fencing tokens discard its stale
-//! check-ins, and clients retry failed transfers with exponential
-//! backoff.
+//! Faults are *decided* here and injected at the service boundary by
+//! [`Faulty`], a decorator over the partition and parameter services
+//! that the rank driver wraps around whatever transport it was handed:
+//! a failed transfer is a transport error the rank store's retry
+//! absorbs, a timed-out parameter sync backs off before it is sent. The
+//! machine crash is the driver itself dying ([`FaultPlan::machine_crashes`]
+//! is asked by [`crate::rank::Rank::run`]); the lock server's lease
+//! expiry then reassigns the abandoned bucket and the partition server's
+//! fencing tokens discard the dead holder's check-ins.
 
+use crate::paramserver::ParamKey;
+use crate::service::{ParamService, PartitionService, ServiceError};
+use pbg_core::storage::PartitionKey;
+use pbg_telemetry::Counter;
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One injected machine crash: the machine stops dead (no check-ins, no
 /// lock releases) right after it has been granted a bucket and checked
@@ -110,6 +119,99 @@ impl FaultPlan {
 /// in seconds; the simulation compresses time but keeps the shape.
 pub fn backoff(attempt: u32) -> std::time::Duration {
     std::time::Duration::from_micros(100u64 << attempt.min(6))
+}
+
+/// Injects one machine's share of a [`FaultPlan`] into the partition or
+/// parameter service it wraps; with [`FaultPlan::none`] every call is
+/// forwarded untouched.
+#[derive(Debug)]
+pub struct Faulty<'a, S> {
+    inner: &'a S,
+    plan: &'a FaultPlan,
+    machine: usize,
+    /// Numbers this machine's attempts for the plan (a retry re-rolls
+    /// with a fresh number).
+    seq: AtomicU64,
+    retries: Counter,
+}
+
+impl<'a, S> Faulty<'a, S> {
+    /// Wraps `inner` for `machine`; backed-off parameter-sync timeouts
+    /// are counted in `retries`.
+    pub fn new(inner: &'a S, plan: &'a FaultPlan, machine: usize, retries: Counter) -> Self {
+        Faulty {
+            inner,
+            plan,
+            machine,
+            seq: AtomicU64::new(0),
+            retries,
+        }
+    }
+
+    /// Decides a transfer's fate before anything is sent, so an injected
+    /// failure can neither duplicate nor half-apply it.
+    fn transfer(&self) -> Result<(), ServiceError> {
+        let nth = self.seq.fetch_add(1, Ordering::Relaxed);
+        if self.plan.transfer_fails(self.machine, nth) {
+            return Err(ServiceError::Transport("injected transfer failure".into()));
+        }
+        Ok(())
+    }
+
+    /// Backs off until the plan lets a parameter sync through. The sync
+    /// itself is then sent exactly once: `push_pull` is not idempotent.
+    fn wait_out_timeouts(&self) {
+        let mut attempt = 0u32;
+        while self
+            .plan
+            .param_sync_times_out(self.machine, self.seq.fetch_add(1, Ordering::Relaxed))
+        {
+            self.retries.inc();
+            std::thread::sleep(backoff(attempt));
+            attempt += 1;
+        }
+    }
+}
+
+impl<S: PartitionService> PartitionService for Faulty<'_, S> {
+    fn checkout(&self, key: PartitionKey) -> Result<(Vec<f32>, Vec<f32>, u64), ServiceError> {
+        self.transfer()?;
+        self.inner.checkout(key)
+    }
+
+    fn checkin(
+        &self,
+        key: PartitionKey,
+        emb: Vec<f32>,
+        acc: Vec<f32>,
+        token: u64,
+    ) -> Result<bool, ServiceError> {
+        self.transfer()?;
+        self.inner.checkin(key, emb, acc, token)
+    }
+
+    fn revoke(&self, key: PartitionKey) -> Result<(), ServiceError> {
+        self.inner.revoke(key)
+    }
+
+    fn peek(&self, key: PartitionKey) -> Result<(Vec<f32>, Vec<f32>), ServiceError> {
+        self.inner.peek(key)
+    }
+}
+
+impl<S: ParamService> ParamService for Faulty<'_, S> {
+    fn register(&self, key: ParamKey, init: &[f32]) -> Result<Vec<f32>, ServiceError> {
+        self.inner.register(key, init)
+    }
+
+    fn push_pull(&self, key: ParamKey, delta: &[f32]) -> Result<Vec<f32>, ServiceError> {
+        self.wait_out_timeouts();
+        self.inner.push_pull(key, delta)
+    }
+
+    fn pull(&self, key: ParamKey) -> Result<Vec<f32>, ServiceError> {
+        self.inner.pull(key)
+    }
 }
 
 #[cfg(test)]

@@ -7,28 +7,33 @@
 //! embeddings, and a sharded **parameter server** asynchronously syncs the
 //! small set of shared parameters with throttling.
 //!
-//! We cannot ship a cluster, so this crate reproduces the *protocol* with
-//! machines-as-threads plus a **network cost model** that accounts
-//! simulated transfer time for every byte moved, and a **discrete-event
-//! projector** that predicts paper-scale wall-clock hours (the time
-//! columns of Tables 3 and 4) from measured per-edge throughput:
+//! We cannot ship a cluster, so this crate holds the *protocol* — the
+//! three server state machines and the one trainer-rank driver — plus a
+//! simulation of it: machines-as-threads running that driver, a
+//! **network cost model** that accounts simulated transfer time for
+//! every byte moved, and a **discrete-event projector** that predicts
+//! paper-scale wall-clock hours (the time columns of Tables 3 and 4)
+//! from measured per-edge throughput. `pbg-net` runs the same driver and
+//! state machines over TCP.
 //!
 //! - [`lockserver`]: bucket locking with affinity, the init invariant,
-//!   and lease expiry for crash recovery.
+//!   lease expiry for crash recovery, and epoch sequencing.
 //! - [`partitionserver`]: sharded partition storage with transfer
 //!   accounting, committed versions, and fencing tokens.
-//! - [`paramserver`]: asynchronous shared-parameter sync with throttling.
+//! - [`paramserver`]: asynchronous shared-parameter sync with throttling
+//!   (relation operators and unpartitioned entity tables).
+//! - [`service`]: transport-neutral traits over the three servers.
+//! - [`rank`]: the trainer rank — the acquire → swap → train → sync →
+//!   release loop, written once over the service traits.
+//! - [`cluster`]: the simulated cluster — one rank per machine thread
+//!   over the in-process servers, with time-charging decorators.
+//! - [`fault`]: seeded fault injection (machine crashes, transfer
+//!   failures, sync timeouts) as a service decorator.
 //! - [`netmodel`]: bandwidth/latency cost model (defaults match the
 //!   paper's measured ~1 GB/s TCP bandwidth).
-//! - [`fault`]: seeded fault injection (machine crashes, transfer
-//!   failures, sync timeouts) driving the recovery paths.
-//! - [`cluster`]: the multi-machine training driver.
 //! - [`event`]: discrete-event projection of paper-scale training time.
 //! - [`occupancy`]: analytical occupancy (how many machines can actually
 //!   work, given P and M).
-//! - [`service`]: transport-neutral traits over the three servers, so the
-//!   real TCP runtime (`pbg-net`) and this simulation share one logic
-//!   core.
 
 pub mod cluster;
 pub mod event;
@@ -38,6 +43,7 @@ pub mod netmodel;
 pub mod occupancy;
 pub mod paramserver;
 pub mod partitionserver;
+pub mod rank;
 pub mod service;
 
 pub use cluster::{ClusterConfig, ClusterTrainer};
@@ -47,4 +53,5 @@ pub use lockserver::{EpochLock, LockServer};
 pub use netmodel::NetworkModel;
 pub use paramserver::ParameterServer;
 pub use partitionserver::PartitionServer;
+pub use rank::{snapshot_model, train_rank, Rank, RankConfig, RankServices, RankStats};
 pub use service::{LockService, ParamService, PartitionService, ServiceError};

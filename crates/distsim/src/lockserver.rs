@@ -271,10 +271,9 @@ struct EpochState {
 /// grant is labeled with the epoch it belongs to (ranks need the epoch to
 /// derive deterministic shuffle seeds).
 ///
-/// In the in-process simulation the cluster driver calls
-/// [`LockServer::start_epoch`] itself between epochs; over the network
-/// there is no such coordinator, so the lock *server* owns the epoch
-/// counter.
+/// Networked ranks run straight through the scheduled epochs; the
+/// simulated cluster, which reports and evaluates between epochs,
+/// schedules them one at a time with [`EpochLock::add_epoch`].
 #[derive(Debug)]
 pub struct EpochLock {
     inner: LockServer,
@@ -336,6 +335,12 @@ impl EpochLock {
                 }
             }
         }
+    }
+
+    /// Schedules one more epoch after the ones already scheduled: ranks
+    /// that were told `Done` are granted its buckets when they next ask.
+    pub fn add_epoch(&self) {
+        self.state.lock().total_epochs += 1;
     }
 
     /// See [`LockServer::release_bucket`].
@@ -611,6 +616,18 @@ mod tests {
     fn epoch_lock_zero_epochs_is_immediately_done() {
         let el = EpochLock::new(LockServer::new(), 0, 2, 2);
         assert_eq!(el.acquire(0, None), (0, Acquire::Done));
+    }
+
+    #[test]
+    fn add_epoch_resumes_after_done_with_the_next_label() {
+        let el = EpochLock::new(LockServer::new(), 0, 1, 1);
+        for epoch in 1..=2 {
+            el.add_epoch();
+            let bucket = BucketId::new(0u32, 0u32);
+            assert_eq!(el.acquire(0, None), (epoch, Acquire::Granted(bucket)));
+            el.release_bucket(0, bucket);
+            assert_eq!(el.acquire(0, Some(bucket)), (epoch, Acquire::Done));
+        }
     }
 
     #[test]

@@ -13,19 +13,30 @@
 //! enforces a minimum interval between syncs.
 
 use crate::netmodel::{wirecost, NetworkModel};
+use crate::service::ServiceError;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Identifier of one shared parameter block (e.g. one relation's forward
-/// operator parameters).
+/// Identifier of one shared parameter block: one relation's forward or
+/// reciprocal operator parameters, or the embedding table of one
+/// unpartitioned entity type (§4.2 places both on the parameter server).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ParamKey {
-    /// Relation index.
+    /// Relation index — or, when `side` is [`ParamKey::ENTITY_TABLE`],
+    /// the entity type index.
     pub relation: u32,
-    /// 0 = forward parameters, 1 = reciprocal parameters.
+    /// 0 = forward parameters, 1 = reciprocal parameters,
+    /// [`ParamKey::ENTITY_TABLE`] = an unpartitioned type's embeddings.
     pub side: u8,
+}
+
+impl ParamKey {
+    /// `side` value marking the embedding table of an unpartitioned
+    /// entity type (the wire format carries `side` as an opaque byte, so
+    /// this needs no new frame).
+    pub const ENTITY_TABLE: u8 = 2;
 }
 
 /// Sharded asynchronous parameter server.
@@ -111,10 +122,9 @@ impl ParameterServer {
     }
 }
 
-/// Delta-base and throttle bookkeeping shared by every parameter-server
-/// client — the in-process [`ParamClient`] and the networked rank driver
-/// use the same logic core, so sim and net agree on what gets pushed and
-/// when.
+/// The delta-tracking parameter client every rank syncs through, over
+/// any [`crate::service::ParamService`] (the in-process [`ParameterServer`] or a TCP
+/// client).
 ///
 /// Tracks, per key, the value adopted at the last sync (the delta base)
 /// and the last sync time. Throttling is per parameter block: one
@@ -139,100 +149,85 @@ impl DeltaTracker {
         }
     }
 
-    /// Adopts `value` as the new delta base for `key`.
-    pub fn adopt(&mut self, key: ParamKey, value: Vec<f32>) {
-        self.base.insert(key, value);
+    /// Registers a block and adopts the server value as the delta base,
+    /// returning that canonical value so the caller can install it
+    /// locally (a rank joining mid-training must start from the
+    /// server's state, not its own stale copy).
+    ///
+    /// # Errors
+    ///
+    /// Propagates service failures; a canonical value whose length
+    /// differs from `init` is a [`ServiceError::Protocol`].
+    pub fn register<Q: crate::service::ParamService + ?Sized>(
+        &mut self,
+        service: &Q,
+        key: ParamKey,
+        init: &[f32],
+    ) -> Result<Vec<f32>, ServiceError> {
+        let canonical = checked_len(key, service.register(key, init)?, init.len())?;
+        self.base.insert(key, canonical.clone());
+        Ok(canonical)
     }
 
-    /// `true` when `key` synced more recently than the throttle allows.
-    pub fn throttled(&self, key: ParamKey) -> bool {
-        self.last_sync
-            .get(&key)
-            .is_some_and(|last| last.elapsed() < self.throttle)
-    }
-
-    /// Computes `local - base` for `key`.
+    /// Synchronizes one block: pushes `local() - base`, adopts the merged
+    /// value as the new base and returns it. Returns `None` without
+    /// calling `local` when the key synced more recently than the
+    /// throttle allows and `force` is off (the caller keeps its value).
+    ///
+    /// Never retried on failure: `push_pull` is not idempotent (a lost
+    /// response would double-apply the delta on retry).
+    ///
+    /// # Errors
+    ///
+    /// Propagates service failures; a merged value of the wrong length is
+    /// a [`ServiceError::Protocol`].
     ///
     /// # Panics
     ///
-    /// Panics if the key was never adopted or lengths disagree.
-    pub fn delta(&self, key: ParamKey, local: &[f32]) -> Vec<f32> {
+    /// Panics if the key was not registered through this tracker or
+    /// `local()` has a different length than the registered block.
+    pub fn sync<Q: crate::service::ParamService + ?Sized>(
+        &mut self,
+        service: &Q,
+        key: ParamKey,
+        force: bool,
+        local: impl FnOnce() -> Vec<f32>,
+    ) -> Result<Option<Vec<f32>>, ServiceError> {
+        let throttled = self
+            .last_sync
+            .get(&key)
+            .is_some_and(|last| last.elapsed() < self.throttle);
+        if throttled && !force {
+            return Ok(None);
+        }
         let base = self
             .base
-            .get(&key)
+            .get_mut(&key)
             .unwrap_or_else(|| panic!("parameter {key:?} not registered on this client"));
-        assert_eq!(base.len(), local.len(), "delta: length mismatch");
-        local.iter().zip(base).map(|(l, b)| l - b).collect()
-    }
-
-    /// Records that `key` just synced (restarts its throttle window).
-    pub fn mark_synced(&mut self, key: ParamKey) {
+        let local = local();
+        assert_eq!(base.len(), local.len(), "sync: length mismatch");
+        let delta: Vec<f32> = local.iter().zip(base.iter()).map(|(l, b)| l - b).collect();
+        let merged = checked_len(key, service.push_pull(key, &delta)?, delta.len())?;
+        base.clone_from(&merged);
         self.last_sync.insert(key, Instant::now());
-    }
-
-    /// Keys with an adopted base, in unspecified order.
-    pub fn keys(&self) -> impl Iterator<Item = ParamKey> + '_ {
-        self.base.keys().copied()
+        Ok(Some(merged))
     }
 }
 
-/// Per-machine sync client with throttling.
-#[derive(Debug)]
-pub struct ParamClient {
-    server: Arc<ParameterServer>,
-    tracker: DeltaTracker,
-    /// Simulated network seconds this client has spent syncing.
-    pub sim_seconds: f64,
-}
-
-impl ParamClient {
-    /// Creates a client; `throttle` is the minimum interval between syncs
-    /// of the *same* key.
-    pub fn new(server: Arc<ParameterServer>, throttle: Duration) -> Self {
-        ParamClient {
-            server,
-            tracker: DeltaTracker::new(throttle),
-            sim_seconds: 0.0,
-        }
-    }
-
-    /// Registers a block and adopts the server value as the base,
-    /// returning that canonical value so the caller can install it
-    /// locally (a machine joining mid-training must start from the
-    /// server's state, not its own stale copy).
-    pub fn register(&mut self, key: ParamKey, init: &[f32]) -> Vec<f32> {
-        self.server.register(key, init);
-        let canonical = self.server.pull(key);
-        self.tracker.adopt(key, canonical.clone());
-        canonical
-    }
-
-    /// Synchronizes one block if its throttle allows: pushes
-    /// `local - base`, adopts the merged value, returns it. Returns
-    /// `None` when throttled (caller keeps its local value).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the key was not registered through this client.
-    pub fn maybe_sync(&mut self, key: ParamKey, local: &[f32]) -> Option<Vec<f32>> {
-        if self.tracker.throttled(key) {
-            return None;
-        }
-        Some(self.force_sync(key, local))
-    }
-
-    /// Synchronizes unconditionally (used at epoch boundaries).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the key was not registered through this client.
-    pub fn force_sync(&mut self, key: ParamKey, local: &[f32]) -> Vec<f32> {
-        let delta = self.tracker.delta(key, local);
-        let (merged, secs) = self.server.push_pull(key, &delta);
-        self.sim_seconds += secs;
-        self.tracker.adopt(key, merged.clone());
-        self.tracker.mark_synced(key);
-        merged
+/// Rejects a server value whose length disagrees with the local block
+/// (ranks started with different configs, or a corrupt reply).
+pub(crate) fn checked_len(
+    key: ParamKey,
+    value: Vec<f32>,
+    want: usize,
+) -> Result<Vec<f32>, ServiceError> {
+    if value.len() == want {
+        Ok(value)
+    } else {
+        Err(ServiceError::Protocol(format!(
+            "parameter {key:?}: server holds {} floats, this rank {want}",
+            value.len()
+        )))
     }
 }
 
@@ -273,27 +268,31 @@ mod tests {
     #[test]
     fn two_clients_converge_to_combined_updates() {
         let s = server();
-        let mut a = ParamClient::new(Arc::clone(&s), Duration::ZERO);
-        let mut b = ParamClient::new(Arc::clone(&s), Duration::ZERO);
-        a.register(KEY, &[0.0]);
-        b.register(KEY, &[0.0]);
+        let mut a = DeltaTracker::new(Duration::ZERO);
+        let mut b = DeltaTracker::new(Duration::ZERO);
+        a.register(&*s, KEY, &[0.0]).unwrap();
+        b.register(&*s, KEY, &[0.0]).unwrap();
         // each client locally adds 1.0 and syncs
-        let va = a.force_sync(KEY, &[1.0]);
-        let vb = b.force_sync(KEY, &[1.0]);
+        let va = a.sync(&*s, KEY, true, || vec![1.0]).unwrap().unwrap();
+        let vb = b.sync(&*s, KEY, true, || vec![1.0]).unwrap().unwrap();
         assert_eq!(va, vec![1.0]);
         assert_eq!(vb, vec![2.0], "b sees a's update merged in");
         // a syncs again with no further local change: pushes zero delta
-        let va2 = a.force_sync(KEY, &va);
+        let va2 = a.sync(&*s, KEY, true, || va.clone()).unwrap().unwrap();
         assert_eq!(va2, vec![2.0]);
     }
 
     #[test]
     fn throttling_skips_rapid_syncs() {
         let s = server();
-        let mut c = ParamClient::new(Arc::clone(&s), Duration::from_secs(3600));
-        c.register(KEY, &[0.0]);
-        assert!(c.maybe_sync(KEY, &[1.0]).is_some(), "first sync allowed");
-        assert!(c.maybe_sync(KEY, &[2.0]).is_none(), "second sync throttled");
+        let mut c = DeltaTracker::new(Duration::from_secs(3600));
+        c.register(&*s, KEY, &[0.0]).unwrap();
+        let first = c.sync(&*s, KEY, false, || vec![1.0]).unwrap();
+        assert!(first.is_some(), "first sync allowed");
+        let second = c.sync(&*s, KEY, false, || panic!("throttled syncs do not read"));
+        assert!(second.unwrap().is_none(), "second sync throttled");
+        let forced = c.sync(&*s, KEY, true, || vec![2.0]).unwrap();
+        assert_eq!(forced, Some(vec![2.0]), "force overrides the throttle");
     }
 
     #[test]
@@ -306,40 +305,43 @@ mod tests {
             relation: 1,
             side: 0,
         };
-        let mut c = ParamClient::new(Arc::clone(&s), Duration::from_secs(3600));
-        c.register(KEY, &[0.0]);
-        c.register(other, &[0.0]);
-        assert!(c.maybe_sync(KEY, &[1.0]).is_some());
+        let mut c = DeltaTracker::new(Duration::from_secs(3600));
+        c.register(&*s, KEY, &[0.0]).unwrap();
+        c.register(&*s, other, &[0.0]).unwrap();
+        let mut sync = |key, v: f32| c.sync(&*s, key, false, || vec![v]).unwrap();
+        assert!(sync(KEY, 1.0).is_some());
         assert!(
-            c.maybe_sync(other, &[1.0]).is_some(),
+            sync(other, 1.0).is_some(),
             "syncing one key must not throttle a different key"
         );
-        assert!(c.maybe_sync(KEY, &[2.0]).is_none(), "same key throttled");
-        assert!(c.maybe_sync(other, &[2.0]).is_none());
+        assert!(sync(KEY, 2.0).is_none(), "same key throttled");
+        assert!(sync(other, 2.0).is_none());
     }
 
     #[test]
     fn register_returns_canonical_server_value() {
         let s = server();
-        let mut a = ParamClient::new(Arc::clone(&s), Duration::ZERO);
-        let first = a.register(KEY, &[1.0, 2.0]);
+        let mut a = DeltaTracker::new(Duration::ZERO);
+        let first = a.register(&*s, KEY, &[1.0, 2.0]).unwrap();
         assert_eq!(first, vec![1.0, 2.0]);
-        a.force_sync(KEY, &[2.0, 2.0]); // server now [2.0, 2.0]
-        let mut b = ParamClient::new(Arc::clone(&s), Duration::ZERO);
-        let adopted = b.register(KEY, &[9.0, 9.0]);
+        a.sync(&*s, KEY, true, || vec![2.0, 2.0]).unwrap(); // server now [2.0, 2.0]
+        let mut b = DeltaTracker::new(Duration::ZERO);
+        let adopted = b.register(&*s, KEY, &[9.0, 9.0]).unwrap();
         assert_eq!(adopted, vec![2.0, 2.0], "late joiner adopts server state");
+        let err = b.register(&*s, KEY, &[9.0]).unwrap_err();
+        assert!(matches!(err, ServiceError::Protocol(_)), "{err}");
     }
 
     #[test]
     fn sync_accounts_network_time() {
         let net = Arc::new(NetworkModel::new(1e3, 0.0));
-        let s = Arc::new(ParameterServer::new(1, Arc::clone(&net)));
-        let mut c = ParamClient::new(Arc::clone(&s), Duration::ZERO);
-        c.register(KEY, &[0.0; 250]);
-        c.force_sync(KEY, &[1.0; 250]);
+        let s = ParameterServer::new(1, Arc::clone(&net));
+        let mut c = DeltaTracker::new(Duration::ZERO);
+        c.register(&s, KEY, &[0.0; 250]).unwrap();
+        c.sync(&s, KEY, true, || vec![1.0; 250]).unwrap();
         // one framed push/pull round trip at 1000 B/s, zero latency
         let want = wirecost::push_pull_rpc_bytes(250) as f64 / 1e3;
-        assert!((c.sim_seconds - want).abs() < 1e-6, "{}", c.sim_seconds);
+        assert!((net.total_seconds() - want).abs() < 1e-6);
         assert_eq!(
             net.total_bytes() as usize,
             wirecost::push_pull_rpc_bytes(250)

@@ -71,16 +71,13 @@ impl PartitionServer {
         };
         // materialize initial values (identical to single-machine init) so
         // every checkout is well-defined
-        let init_store = pbg_core::storage::InMemoryStore::new(server.layout.clone());
-        for (key, _rows) in server.layout.keys().to_vec() {
-            let data = pbg_core::storage::PartitionStore::load(&init_store, key);
-            let emb = data.embeddings.to_vec();
-            let acc = data.adagrad.to_vec();
+        for &(key, _rows) in server.layout.keys() {
+            let data = server.layout.init(key);
             server.shard(key).lock().partitions.insert(
                 key,
                 Stored {
-                    emb,
-                    acc,
+                    emb: data.embeddings.to_vec(),
+                    acc: data.adagrad.to_vec(),
                     next_token: 0,
                     valid_token: None,
                 },
@@ -178,73 +175,6 @@ impl PartitionServer {
         (secs, true)
     }
 
-    /// Like [`PartitionServer::checkin`], but atomically issues a fresh
-    /// fencing token to the same holder when the commit succeeds. This
-    /// is the write-through primitive behind the capacity-B machine
-    /// buffer: a trainer commits its updates yet keeps a now-clean copy
-    /// cached, and the fresh token lets it later prove (via
-    /// [`PartitionServer::validate`]) that nobody else has checked the
-    /// partition out in the meantime. A stale token commits nothing and
-    /// returns no new token.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the key is unknown.
-    pub fn checkin_keep(
-        &self,
-        key: PartitionKey,
-        emb: Vec<f32>,
-        acc: Vec<f32>,
-        token: u64,
-    ) -> (f64, bool, Option<u64>) {
-        // bytes cross the wire before the server can judge the token
-        let secs = self.net.record_rpc(
-            wirecost::checkin_request_bytes_q(
-                emb.len(),
-                acc.len(),
-                self.layout.dim(),
-                self.layout.precision(),
-            ),
-            wirecost::CHECKIN_RESPONSE_BYTES,
-        );
-        let mut shard = self.shard(key).lock();
-        let stored = shard
-            .partitions
-            .get_mut(&key)
-            .unwrap_or_else(|| panic!("partition {key:?} not on server"));
-        if stored.valid_token != Some(token) {
-            return (secs, false, None);
-        }
-        stored.emb = emb;
-        stored.acc = acc;
-        let fresh = stored.next_token;
-        stored.next_token += 1;
-        stored.valid_token = Some(fresh);
-        (secs, true, Some(fresh))
-    }
-
-    /// Whether `token` is still the one outstanding valid token for
-    /// `key` — i.e. no other checkout or revoke has fenced it out. A
-    /// cached copy whose token validates is byte-identical to the
-    /// committed version (it was committed via
-    /// [`PartitionServer::checkin_keep`]) and safe to reuse without a
-    /// transfer. Only the token check crosses the wire, so the charge
-    /// is a control-plane RPC, not a data transfer.
-    pub fn validate(&self, key: PartitionKey, token: u64) -> (bool, f64) {
-        let valid = self
-            .shard(key)
-            .lock()
-            .partitions
-            .get(&key)
-            .map(|s| s.valid_token == Some(token))
-            .unwrap_or(false);
-        let secs = self.net.record_rpc(
-            wirecost::CHECKOUT_REQUEST_BYTES,
-            wirecost::CHECKIN_RESPONSE_BYTES,
-        );
-        (valid, secs)
-    }
-
     /// Invalidates any outstanding checkout token for `key`, so a dead
     /// holder's eventual check-in is discarded. Called when a bucket
     /// lease is reaped.
@@ -338,47 +268,6 @@ mod tests {
         let (_, committed) = s.checkin(key, emb_a, acc_a, token_a);
         assert!(!committed, "stale token must not commit");
         assert_eq!(s.peek(key).0[0], 7.0);
-    }
-
-    #[test]
-    fn checkin_keep_commits_and_reissues_a_token() {
-        let s = server(4, 2);
-        let key = PartitionKey::new(0u32, 2u32);
-        let (mut emb, acc, token, _) = s.checkout(key);
-        emb[0] = 5.0;
-        let (_, committed, fresh) = s.checkin_keep(key, emb.clone(), acc.clone(), token);
-        assert!(committed);
-        let fresh = fresh.expect("fresh token on commit");
-        assert_ne!(fresh, token);
-        assert_eq!(s.peek(key).0[0], 5.0);
-        // the fresh token proves exclusivity until someone else checks out
-        assert!(s.validate(key, fresh).0);
-        let _ = s.checkout(key);
-        assert!(!s.validate(key, fresh).0, "checkout fences the kept copy");
-    }
-
-    #[test]
-    fn checkin_keep_with_stale_token_commits_nothing() {
-        let s = server(4, 2);
-        let key = PartitionKey::new(0u32, 2u32);
-        let before = s.peek(key).0;
-        let (mut emb, acc, token, _) = s.checkout(key);
-        let _ = s.checkout(key); // fences the first holder out
-        emb[0] = -3.0;
-        let (_, committed, fresh) = s.checkin_keep(key, emb, acc, token);
-        assert!(!committed);
-        assert!(fresh.is_none());
-        assert_eq!(s.peek(key).0, before);
-    }
-
-    #[test]
-    fn revoke_invalidates_a_kept_token() {
-        let s = server(4, 2);
-        let key = PartitionKey::new(0u32, 2u32);
-        let (emb, acc, token, _) = s.checkout(key);
-        let (_, _, fresh) = s.checkin_keep(key, emb, acc, token);
-        s.revoke(key);
-        assert!(!s.validate(key, fresh.unwrap()).0);
     }
 
     #[test]

@@ -5,10 +5,10 @@
 //! backoff (a rank may start before its servers), but a failure
 //! mid-RPC propagates as [`ServiceError::Transport`] instead of blindly
 //! resending — `push_pull` and `checkin` are not idempotent, and a retry
-//! after a lost response could double-apply a delta. Fault-injected
-//! retries (the [`FaultPlan`](pbg_distsim::fault::FaultPlan) transfer
-//! failures the tests drive) are decided client-side *before* a request
-//! is sent, so they never risk duplication either.
+//! after a lost response could double-apply a delta. Injected faults
+//! never reach these clients: the rank driver's
+//! [`Faulty`](pbg_distsim::fault::Faulty) decorator decides them *before*
+//! a request is forwarded, so they never risk duplication either.
 
 use crate::wire::{self, Message, WireError};
 use parking_lot::Mutex;
@@ -393,8 +393,25 @@ impl NetParams {
     }
 }
 
+/// Largest parameter block one frame carries (tag, key and length
+/// prefix take 10 payload bytes). Unpartitioned entity tables travel as
+/// parameter blocks, so this bounds their size over TCP.
+pub const MAX_PARAM_FLOATS: usize = (wire::MAX_PAYLOAD_BYTES - 10) / 4;
+
+/// Rejects a block the codec could only refuse by panicking.
+fn check_block(label: &'static str, floats: &[f32]) -> Result<(), ServiceError> {
+    if floats.len() > MAX_PARAM_FLOATS {
+        return Err(ServiceError::Protocol(format!(
+            "{label}: a block of {} floats does not fit one frame (limit {MAX_PARAM_FLOATS})",
+            floats.len()
+        )));
+    }
+    Ok(())
+}
+
 impl ParamService for NetParams {
     fn register(&self, key: ParamKey, init: &[f32]) -> Result<Vec<f32>, ServiceError> {
+        check_block("param_register", init)?;
         let request = Message::ParamRegister {
             key,
             init: init.to_vec(),
@@ -406,6 +423,7 @@ impl ParamService for NetParams {
     }
 
     fn push_pull(&self, key: ParamKey, delta: &[f32]) -> Result<Vec<f32>, ServiceError> {
+        check_block("param_push_pull", delta)?;
         let request = Message::ParamPushPull {
             key,
             delta: delta.to_vec(),

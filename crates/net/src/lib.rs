@@ -2,8 +2,8 @@
 //!
 //! TCP transport for the PBG distributed protocol (paper §3.3): the
 //! lock, partition, and parameter servers from `pbg-distsim` served
-//! over real sockets, plus the trainer-rank driver that runs against
-//! them.
+//! over real sockets, and clients that hand the `pbg-distsim` rank
+//! driver those servers through its service traits.
 //!
 //! Layering:
 //!
@@ -18,24 +18,25 @@
 //!   [`client::NetParams`]: TCP clients implementing the
 //!   `distsim::service` traits, with telemetry (bytes, RPC latency,
 //!   reconnect retries).
-//! - [`rank`] — [`rank::train_rank`]: one process's training loop,
-//!   generic over the service traits so the identical driver runs
-//!   in-process (tests) and over TCP (production). Replays the
-//!   single-machine schedule seed-for-seed, so a conflict-free cluster
-//!   run is bit-identical to `threads = 1` on one machine.
+//! - [`rank`] — a re-export of [`pbg_distsim::rank`]: the one rank
+//!   driver, generic over the service traits, which the simulated
+//!   cluster runs over in-process services and [`train_rank`] runs over
+//!   the clients above. It replays the single-machine schedule
+//!   seed-for-seed, so a conflict-free cluster run is bit-identical to
+//!   `threads = 1` on one machine.
 //!
-//! Because both transports implement one trait set, every protocol
-//! invariant (epoch sequencing, fencing tokens, lease reaping, delta
-//! merge) is tested once in `pbg-distsim` and inherited here; the net
-//! crate's own tests cover what sockets add — framing, corruption,
+//! Because both transports run one driver over one trait set, every
+//! protocol invariant (epoch sequencing, fencing tokens, lease reaping,
+//! delta merge) is tested once in `pbg-distsim` and inherited here; the
+//! net crate's own tests cover what sockets add — framing, corruption,
 //! partial reads, connection loss, and real crash recovery.
 
 pub mod client;
-pub mod rank;
 pub mod server;
 pub mod wire;
 
 pub use client::{Connection, NetLock, NetParams, NetPartitions};
+pub use pbg_distsim::rank;
 pub use rank::{snapshot_model, train_rank, RankConfig, RankServices, RankStats};
 pub use server::NetServer;
 pub use wire::{Message, WireError};
@@ -142,6 +143,23 @@ mod tests {
         let merged = client.push_pull(key, &[0.5, -1.0]).expect("push_pull");
         assert_eq!(merged, vec![1.5, 1.0]);
         assert_eq!(client.pull(key).expect("pull"), vec![1.5, 1.0]);
+    }
+
+    #[test]
+    fn oversized_param_block_is_an_error_not_a_panic() {
+        // refused before anything is sent: no server needed
+        let client = NetParams::new("127.0.0.1:1", &Registry::new());
+        let key = ParamKey {
+            relation: 0,
+            side: ParamKey::ENTITY_TABLE,
+        };
+        let table = vec![0.0f32; client::MAX_PARAM_FLOATS + 1];
+        for result in [client.register(key, &table), client.push_pull(key, &table)] {
+            assert!(matches!(
+                result,
+                Err(pbg_distsim::service::ServiceError::Protocol(_))
+            ));
+        }
     }
 
     #[test]

@@ -43,17 +43,18 @@ pub mod names {
     pub const TRAINER_EDGES: &str = "trainer.edges";
     /// Counter: buckets trained.
     pub const TRAINER_BUCKETS: &str = "trainer.buckets";
-    /// Counter: distsim edges trained across machines.
+    /// Counter: edges trained by cluster ranks (simulated or networked).
     pub const CLUSTER_EDGES: &str = "cluster.edges";
-    /// Counter: distsim bucket-acquire attempts that had to wait.
+    /// Counter: cluster bucket-acquire attempts that had to wait.
     pub const CLUSTER_LOCK_WAITS: &str = "cluster.lock_waits";
-    /// Counter: distsim loads served by a machine's prefetched partition.
+    /// Counter: cluster loads served by a rank's prefetched partition.
     pub const CLUSTER_PREFETCH_HITS: &str = "cluster.prefetch_hits";
     /// Counter: bytes moved over the simulated network.
     pub const CLUSTER_NET_BYTES: &str = "cluster.net_bytes";
-    /// Counter: bytes of relation-parameter sync traffic.
+    /// Counter: bytes of shared-parameter sync traffic (relation
+    /// operators and unpartitioned entity tables).
     pub const CLUSTER_SYNC_BYTES: &str = "cluster.sync_bytes";
-    /// Counter: nanoseconds machines spent idle waiting for a bucket.
+    /// Counter: nanoseconds ranks spent idle waiting for a bucket.
     pub const CLUSTER_IDLE_NS: &str = "cluster.idle_ns";
     /// Histogram: per-acquire lock-server wait, nanoseconds.
     pub const CLUSTER_ACQUIRE_WAIT_NS: &str = "cluster.acquire_wait_ns";
@@ -64,11 +65,8 @@ pub mod names {
     /// Counter: bucket-steps skipped on resume (already trained before
     /// the checkpoint being resumed from).
     pub const TRAINER_RESUME_SKIPPED_STEPS: &str = "trainer.resume_skipped_steps";
-    /// Counter: distsim buckets reassigned after a lease expired.
+    /// Counter: cluster buckets reassigned after a lease expired.
     pub const CLUSTER_RECOVERED_BUCKETS: &str = "cluster.recovered_buckets";
-    /// Counter: distsim client operations retried after an injected
-    /// transfer failure or parameter-server timeout.
-    pub const CLUSTER_RETRIES: &str = "cluster.retries";
     /// Counter: partition check-ins discarded because the holder's lease
     /// was revoked (fencing-token mismatch).
     pub const CLUSTER_STALE_CHECKINS: &str = "cluster.stale_checkins";
@@ -79,8 +77,8 @@ pub mod names {
     pub const NET_BYTES_RECEIVED: &str = "net.bytes_received";
     /// Histogram: networked RPC round-trip latency in nanoseconds.
     pub const NET_RPC_LATENCY_NS: &str = "net.rpc_latency_ns";
-    /// Counter: networked client operations retried (reconnects and
-    /// injected transfer failures).
+    /// Counter: cluster client operations retried (reconnects, failed
+    /// partition transfers, timed-out parameter syncs).
     pub const NET_RPC_RETRIES: &str = "net.rpc_retries";
     /// Counter: requests handled by a networked server (all roles).
     pub const NET_REQUESTS_HANDLED: &str = "net.requests_handled";
@@ -113,9 +111,9 @@ pub mod names {
     pub const SERVE_MAPPED_BYTES: &str = "serve.mapped_bytes";
 
     /// Every canonical metric name with its exposition help text, for
-    /// `# HELP` lines and the format-lint test. Dynamic per-machine
-    /// names (`rank{N}.*`, `machine{N}.*`) are not listed; they get no
-    /// HELP line, which the exposition format permits.
+    /// `# HELP` lines and the format-lint test. Dynamic per-rank names
+    /// (`rank{N}.*`) are not listed; they get no HELP line, which the
+    /// exposition format permits.
     pub const ALL: &[(&str, &str)] = &[
         (
             STORE_SWAP_INS,
@@ -157,23 +155,20 @@ pub mod names {
         ),
         (TRAINER_EDGES, "Edges trained"),
         (TRAINER_BUCKETS, "Buckets trained"),
-        (CLUSTER_EDGES, "Distsim edges trained across machines"),
+        (CLUSTER_EDGES, "Edges trained by cluster ranks"),
         (
             CLUSTER_LOCK_WAITS,
-            "Distsim bucket-acquire attempts that had to wait",
+            "Cluster bucket-acquire attempts that had to wait",
         ),
         (
             CLUSTER_PREFETCH_HITS,
-            "Distsim loads served by a prefetched partition",
+            "Cluster loads served by a prefetched partition",
         ),
         (CLUSTER_NET_BYTES, "Bytes moved over the simulated network"),
-        (
-            CLUSTER_SYNC_BYTES,
-            "Bytes of relation-parameter sync traffic",
-        ),
+        (CLUSTER_SYNC_BYTES, "Bytes of shared-parameter sync traffic"),
         (
             CLUSTER_IDLE_NS,
-            "Nanoseconds machines spent idle waiting for a bucket",
+            "Nanoseconds ranks spent idle waiting for a bucket",
         ),
         (
             CLUSTER_ACQUIRE_WAIT_NS,
@@ -187,11 +182,7 @@ pub mod names {
         ),
         (
             CLUSTER_RECOVERED_BUCKETS,
-            "Distsim buckets reassigned after a lease expired",
-        ),
-        (
-            CLUSTER_RETRIES,
-            "Distsim client operations retried after injected faults",
+            "Cluster buckets reassigned after a lease expired",
         ),
         (
             CLUSTER_STALE_CHECKINS,
@@ -209,7 +200,7 @@ pub mod names {
             NET_RPC_LATENCY_NS,
             "Networked RPC round-trip latency in nanoseconds",
         ),
-        (NET_RPC_RETRIES, "Networked client operations retried"),
+        (NET_RPC_RETRIES, "Cluster client operations retried"),
         (
             NET_REQUESTS_HANDLED,
             "Requests handled by a networked server",

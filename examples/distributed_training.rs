@@ -1,6 +1,7 @@
-//! Distributed training (§4.2): machines-as-threads through the lock
-//! server / partition server / parameter server protocol, plus the
-//! discrete-event projection of the same run at full Freebase scale.
+//! Distributed training (§4.2): machines-as-threads, each running the
+//! same rank driver a networked cluster runs, against in-process lock /
+//! partition / parameter servers — plus the discrete-event projection of
+//! the same run at full Freebase scale.
 //!
 //! ```sh
 //! cargo run --release --example distributed_training

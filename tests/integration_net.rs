@@ -354,3 +354,108 @@ fn stale_fenced_checkin_is_rejected_over_tcp() {
     // the state machine behind the socket agrees with the wire result
     assert!(servers.partition_state.stored_bytes() > 0);
 }
+
+/// Unpartitioned entity types live on the parameter server (paper
+/// §4.2): a user → item graph whose items are one shared table trains
+/// across two ranks over real sockets, each rank syncing its local copy
+/// of the table through `push_pull` like a relation operator.
+#[test]
+fn unpartitioned_entity_type_trains_over_tcp_via_the_parameter_server() {
+    pin_scalar_kernels();
+    use pbg::distsim::paramserver::ParamKey;
+    use pbg::graph::schema::{EntityTypeDef, RelationTypeDef};
+
+    const USER_PARTS: u32 = 4;
+    let mut rng = Xoshiro256::seed_from_u64(8);
+    let mut edges = EdgeList::new();
+    for _ in 0..4000 {
+        let user = rng.gen_index(200) as u32;
+        let item = (user % 20 + (rng.gen_index(3) as u32) * 20) % 40;
+        edges.push(Edge::new(user, 0u32, item));
+    }
+    let schema = GraphSchema::builder()
+        .entity_type(EntityTypeDef::new("user", 200).with_partitions(USER_PARTS))
+        .entity_type(EntityTypeDef::new("item", 40))
+        .relation_type(RelationTypeDef::new("clicks", 0u32, 1u32))
+        .build()
+        .expect("schema");
+
+    // trains `epochs` epochs on fresh servers; returns the mean loss per
+    // edge, the snapshot, and the item table the parameter server holds
+    let train = |epochs: usize| {
+        let cfg = PbgConfig::builder()
+            .dim(16)
+            .epochs(epochs)
+            .batch_size(250)
+            .chunk_size(25)
+            .uniform_negatives(25)
+            .threads(1)
+            .build()
+            .expect("config");
+        let layout = Model::new(schema.clone(), cfg.clone())
+            .expect("model")
+            .store_layout();
+        let net = Arc::new(NetworkModel::new(1e9, 0.0));
+        let lock = Arc::new(EpochLock::new(LockServer::new(), epochs, USER_PARTS, 1));
+        let partition_state = Arc::new(PartitionServer::new(layout, 2, Arc::clone(&net)));
+        let param_state = Arc::new(ParameterServer::new(1, net));
+        let servers = Servers {
+            lock: NetServer::lock("127.0.0.1:0", lock).expect("bind lock"),
+            partitions: NetServer::partitions("127.0.0.1:0", Arc::clone(&partition_state))
+                .expect("bind partitions"),
+            params: NetServer::params("127.0.0.1:0", Arc::clone(&param_state))
+                .expect("bind params"),
+            partition_state,
+        };
+        let stats: Vec<RankStats> = std::thread::scope(|scope| {
+            let ranks: Vec<_> = (0..2)
+                .map(|rank| {
+                    let (schema, edges, cfg, servers) = (&schema, &edges, cfg.clone(), &servers);
+                    scope.spawn(move || {
+                        let telemetry = Registry::new();
+                        let services = rank_services(servers, &telemetry);
+                        let run = RankConfig::new(rank);
+                        train_rank(schema, edges, cfg, &services, &run, &telemetry)
+                            .expect("train_rank")
+                    })
+                })
+                .collect();
+            ranks.into_iter().map(|h| h.join().expect("rank")).collect()
+        });
+        let trained: usize = stats.iter().map(|s| s.edges).sum();
+        assert_eq!(
+            trained,
+            epochs * edges.len(),
+            "every edge counted once per epoch"
+        );
+        let buckets: usize = stats.iter().map(|s| s.buckets_trained).sum();
+        assert_eq!(buckets, epochs * USER_PARTS as usize);
+        let telemetry = Registry::new();
+        let services = rank_services(&servers, &telemetry);
+        let snapshot =
+            snapshot_model(&schema, cfg, &services.partitions, &services.params).expect("snapshot");
+        let items = param_state.pull(ParamKey {
+            relation: 1,
+            side: ParamKey::ENTITY_TABLE,
+        });
+        let loss: f64 = stats.iter().map(|s| s.loss).sum();
+        (loss / trained as f64, snapshot, items)
+    };
+
+    let (first_epoch_loss, ..) = train(1);
+    let (mean_loss, snapshot, items_on_server) = train(3);
+    assert!(
+        mean_loss < first_epoch_loss,
+        "loss must fall: 3-epoch mean {mean_loss} vs first epoch {first_epoch_loss}"
+    );
+    assert_eq!(snapshot.embeddings.len(), 2);
+    assert_eq!(snapshot.embeddings[1].rows(), 40);
+    let item_table: Vec<f32> = (0..40)
+        .flat_map(|item| snapshot.embedding(1, item).to_vec())
+        .collect();
+    assert_eq!(
+        item_table, items_on_server,
+        "the snapshot's item table is the parameter server's"
+    );
+    assert!(item_table.iter().all(|v| v.is_finite()));
+}
