@@ -800,7 +800,7 @@ pub fn load_config(dir: impl AsRef<Path>) -> Result<PbgConfig> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::PbgConfig;
+    use crate::config::{PbgConfig, SimilarityKind};
     use crate::model::Model;
     use crate::storage::InMemoryStore;
     use pbg_graph::schema::{EntityTypeDef, OperatorKind, RelationTypeDef};
@@ -1208,6 +1208,47 @@ mod tests {
                     .unwrap();
                 let top = served.top_destinations(src, rel, 1);
                 assert_eq!(top[0].0, argmax, "{} src {src}", d.name);
+            }
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    #[test]
+    fn heap_and_mmap_score_are_bit_identical_for_every_pair() {
+        // offline `score` runs the same gathered path as the served one
+        // and as a batched row, so one edge has one score everywhere
+        for sim in [SimilarityKind::Dot, SimilarityKind::Cosine] {
+            let mut snap = snapshot();
+            snap.similarity = sim;
+            let mut rng = pbg_tensor::rng::Xoshiro256::seed_from_u64(3);
+            for r in &mut snap.relations {
+                r.forward.iter_mut().for_each(|p| *p = rng.gen_normal());
+            }
+            let dir = tmp(&format!("score_pairs_{sim:?}"));
+            save(&snap, &dir).unwrap();
+            let heap = load(&dir).unwrap();
+            let served = open_mmap(&dir).unwrap();
+            for rel in (0..2).map(pbg_graph::RelationTypeId) {
+                let rdef = heap.schema.relation_type(rel);
+                let n_src = heap.schema.entity_type(rdef.source_type()).num_entities();
+                let n_dst = heap.schema.entity_type(rdef.dest_type()).num_entities();
+                let all_dsts: Vec<u32> = (0..n_dst).collect();
+                for src in 0..n_src {
+                    let row = heap.score_against_destinations(src, rel, &all_dsts);
+                    for dst in 0..n_dst {
+                        let h = heap.score(src, rel, dst).to_bits();
+                        assert_eq!(
+                            h,
+                            served.score(src, rel, dst).to_bits(),
+                            "{sim:?} {rel:?} ({src}, {dst})"
+                        );
+                        assert_eq!(
+                            h,
+                            row[dst as usize].to_bits(),
+                            "{sim:?} {rel:?} ({src}, {dst})"
+                        );
+                    }
+                }
             }
             std::fs::remove_dir_all(&dir).ok();
         }

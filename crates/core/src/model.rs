@@ -9,15 +9,16 @@
 //! [`crate::storage::PartitionStore`], not here — that separation is what
 //! lets the same model run in-memory, disk-swapped, or distributed.
 
-use crate::config::PbgConfig;
+use crate::config::{PbgConfig, SimilarityKind};
 use crate::error::{PbgError, Result};
-use crate::operator;
+use crate::operator::{self, RowOperator};
 use crate::optimizer::HogwildAdagradDense;
-use crate::similarity::score_pairs;
 use crate::storage::{PartitionStore, StoreLayout};
 use pbg_graph::ids::RelationTypeId;
 use pbg_graph::schema::{GraphSchema, OperatorKind};
+use pbg_tensor::kernels::{self, DenseRows, GatherRows};
 use pbg_tensor::matrix::Matrix;
+use pbg_tensor::vecmath;
 
 /// Live (shared, lock-free) parameters of one relation type.
 #[derive(Debug)]
@@ -296,7 +297,7 @@ pub struct TrainedEmbeddings {
     /// Embedding dimension.
     pub dim: usize,
     /// Similarity the model was trained with (used for scoring).
-    pub similarity: crate::config::SimilarityKind,
+    pub similarity: SimilarityKind,
     /// The schema.
     pub schema: GraphSchema,
     /// One `num_entities × dim` matrix per entity type, global-id indexed.
@@ -315,25 +316,24 @@ impl TrainedEmbeddings {
         self.embeddings[entity_type].row(id as usize)
     }
 
-    /// Scores the edge `(src, rel, dst)` exactly as training does:
-    /// `sim(g(θ_src, θ_rel), θ_dst)`.
+    /// Scores the edge `(src, rel, dst)`: `sim(g(θ_src, θ_rel), θ_dst)`
+    /// through the same gathered path as every batched score, so it is
+    /// bit-identical to [`MmapEmbeddings::score`] and to an eval rank.
     ///
     /// # Panics
     ///
     /// Panics if indices are out of range.
     pub fn score(&self, src: u32, rel: RelationTypeId, dst: u32) -> f32 {
-        let r = &self.relations[rel.index()];
-        let rdef = self.schema.relation_type(rel);
-        let src_emb = self.embedding(rdef.source_type().index(), src);
-        let dst_emb = self.embedding(rdef.dest_type().index(), dst);
-        let src_m = Matrix::from_rows(&[src_emb]);
-        let transformed = operator::apply(r.op, &r.forward, &src_m);
-        let dst_m = Matrix::from_rows(&[dst_emb]);
-        score_pairs(self.similarity, &transformed, &dst_m)[0]
+        self.score_against_destinations(src, rel, &[dst])[0]
     }
 
-    /// Scores one source against many destination candidates as a batch
-    /// (the evaluation hot path).
+    /// Rows of entity type `t` as a gather source.
+    fn rows(&self, t: usize) -> DenseRows<'_> {
+        DenseRows::new(self.embeddings[t].as_slice(), self.dim, self.dim)
+    }
+
+    /// Scores one source against many destination candidates (the
+    /// evaluation hot path).
     ///
     /// # Panics
     ///
@@ -346,23 +346,36 @@ impl TrainedEmbeddings {
     ) -> Vec<f32> {
         let r = &self.relations[rel.index()];
         let rdef = self.schema.relation_type(rel);
-        let src_m = Matrix::from_rows(&[self.embedding(rdef.source_type().index(), src)]);
-        let transformed = operator::apply(r.op, &r.forward, &src_m);
-        let dst_type = rdef.dest_type().index();
-        let mut cands = Matrix::zeros(dst_candidates.len(), self.dim);
-        for (i, &d) in dst_candidates.iter().enumerate() {
-            cands
-                .row_mut(i)
-                .copy_from_slice(self.embedding(dst_type, d));
-        }
-        crate::similarity::score_matrix(self.similarity, &transformed, &cands)
-            .row(0)
-            .to_vec()
+        let query = transformed(
+            r.op,
+            &r.forward,
+            self.embedding(rdef.source_type().index(), src),
+        );
+        let rows = self.rows(rdef.dest_type().index());
+        gathered_scores(self.similarity, query, &rows, dst_candidates, None)
+    }
+
+    /// Scores entity `entity` of type `entity_type` against candidates of
+    /// the same type by the model's similarity alone (no relation
+    /// operator) — what nearest-neighbor queries rank by.
+    ///
+    /// # Panics
+    ///
+    /// Panics if indices are out of range.
+    pub(crate) fn score_against_entities(
+        &self,
+        entity_type: usize,
+        entity: u32,
+        candidates: &[u32],
+    ) -> Vec<f32> {
+        let query = self.embedding(entity_type, entity).to_vec();
+        let rows = self.rows(entity_type);
+        gathered_scores(self.similarity, query, &rows, candidates, None)
     }
 
     /// Scores one destination against many source candidates. Uses the
     /// reciprocal parameters when present (matching training), otherwise
-    /// transforms every candidate source.
+    /// transforms every candidate source as it is staged.
     ///
     /// # Panics
     ///
@@ -375,24 +388,23 @@ impl TrainedEmbeddings {
     ) -> Vec<f32> {
         let r = &self.relations[rel.index()];
         let rdef = self.schema.relation_type(rel);
-        let src_type = rdef.source_type().index();
-        let mut cands = Matrix::zeros(src_candidates.len(), self.dim);
-        for (i, &s) in src_candidates.iter().enumerate() {
-            cands
-                .row_mut(i)
-                .copy_from_slice(self.embedding(src_type, s));
-        }
-        let dst_m = Matrix::from_rows(&[self.embedding(rdef.dest_type().index(), dst)]);
-        if let Some(recip) = &r.reciprocal {
-            let transformed_dst = operator::apply(r.op, recip, &dst_m);
-            crate::similarity::score_matrix(self.similarity, &transformed_dst, &cands)
-                .row(0)
-                .to_vec()
-        } else {
-            let transformed_cands = operator::apply(r.op, &r.forward, &cands);
-            crate::similarity::score_matrix(self.similarity, &dst_m, &transformed_cands)
-                .row(0)
-                .to_vec()
+        let dst_row = self.embedding(rdef.dest_type().index(), dst);
+        let rows = self.rows(rdef.source_type().index());
+        match &r.reciprocal {
+            Some(recip) => {
+                let query = transformed(r.op, recip, dst_row);
+                gathered_scores(self.similarity, query, &rows, src_candidates, None)
+            }
+            None => {
+                let op = RowOperator::new(r.op, &r.forward, self.dim);
+                gathered_scores(
+                    self.similarity,
+                    dst_row.to_vec(),
+                    &rows,
+                    src_candidates,
+                    Some(op),
+                )
+            }
         }
     }
 
@@ -418,7 +430,7 @@ pub struct MmapEmbeddings {
     /// Embedding dimension.
     pub dim: usize,
     /// Similarity the model was trained with.
-    pub similarity: crate::config::SimilarityKind,
+    pub similarity: SimilarityKind,
     /// The schema.
     pub schema: GraphSchema,
     /// One mapped shard per entity type, global-id indexed.
@@ -439,14 +451,12 @@ impl MmapEmbeddings {
         self.shards[entity_type].row(id as usize)
     }
 
-    /// The operator-transformed query row `g(θ_src, θ_rel)` (one `dim`
-    /// vector on the heap — the only per-request allocation).
-    fn transformed_query(&self, src: u32, rel: RelationTypeId) -> Matrix {
+    /// The operator-transformed query row `g(θ_src, θ_rel)`.
+    fn transformed_query(&self, src: u32, rel: RelationTypeId) -> Vec<f32> {
         let r = &self.relations[rel.index()];
         let rdef = self.schema.relation_type(rel);
         let src_row = self.embedding(rdef.source_type().index(), src);
-        let src_m = Matrix::from_rows(&[&src_row]);
-        operator::apply(r.op, &r.forward, &src_m)
+        transformed(r.op, &r.forward, &src_row)
     }
 
     /// Scores the edge `(src, rel, dst)` through the batched path.
@@ -458,8 +468,8 @@ impl MmapEmbeddings {
         self.score_against_destinations(src, rel, &[dst])[0]
     }
 
-    /// Scores one source against the given destination candidates
-    /// (gathers only the requested rows; identical float path to
+    /// Scores one source against the given destination candidates,
+    /// fetching only the requested rows (identical float path to
     /// [`TrainedEmbeddings::score_against_destinations`]).
     ///
     /// # Panics
@@ -471,17 +481,15 @@ impl MmapEmbeddings {
         rel: RelationTypeId,
         dst_candidates: &[u32],
     ) -> Vec<f32> {
-        let transformed = self.transformed_query(src, rel);
-        let dst_type = self.schema.relation_type(rel).dest_type().index();
-        let mut cands = Matrix::zeros(dst_candidates.len(), self.dim);
-        for (i, &d) in dst_candidates.iter().enumerate() {
-            cands
-                .row_mut(i)
-                .copy_from_slice(&self.embedding(dst_type, d));
+        let query = self.transformed_query(src, rel);
+        let shard = &self.shards[self.schema.relation_type(rel).dest_type().index()];
+        match shard.payload() {
+            Ok(payload) => {
+                let rows = DenseRows::new(payload, self.dim, self.dim);
+                gathered_scores(self.similarity, query, &rows, dst_candidates, None)
+            }
+            Err(_) => gathered_scores(self.similarity, query, shard, dst_candidates, None),
         }
-        crate::similarity::score_matrix(self.similarity, &transformed, &cands)
-            .row(0)
-            .to_vec()
     }
 
     /// The `k` best destinations for `(src, rel)` over the *entire*
@@ -499,15 +507,15 @@ impl MmapEmbeddings {
         let shard = &self.shards[self.schema.relation_type(rel).dest_type().index()];
         let mut acc = topk::TopK::new(k);
         let cosine_q = match self.similarity {
-            crate::config::SimilarityKind::Dot => None,
-            crate::config::SimilarityKind::Cosine => {
-                let mut q = transformed.row(0).to_vec();
-                pbg_tensor::vecmath::normalize(&mut q);
+            SimilarityKind::Dot => None,
+            SimilarityKind::Cosine => {
+                let mut q = transformed.clone();
+                vecmath::normalize(&mut q);
                 Some(q)
             }
         };
         let score_block = |block: &[f32], base: usize, acc: &mut topk::TopK| match &cosine_q {
-            None => topk::accumulate_dot(transformed.row(0), block, self.dim, base, acc),
+            None => topk::accumulate_dot(&transformed, block, self.dim, base, acc),
             Some(q) => topk::accumulate_cosine(q, block, self.dim, base, acc),
         };
         if shard.precision() == pbg_tensor::Precision::F32 {
@@ -539,10 +547,47 @@ impl MmapEmbeddings {
     }
 }
 
+/// `g(row, params)` as an owned query vector.
+fn transformed(op: OperatorKind, params: &[f32], row: &[f32]) -> Vec<f32> {
+    let mut query = row.to_vec();
+    RowOperator::new(op, params, row.len()).apply_in_place(&mut query);
+    query
+}
+
+/// The one scoring path behind both model types: `query` against the
+/// candidate rows `ids` of `rows`, gathered through
+/// [`kernels::gathered_nt`] with `cand_op` applied to each staged block
+/// and, under cosine, both sides normalized — bit-identical to gathering
+/// the candidates into a matrix and calling
+/// [`crate::similarity::score_matrix`].
+fn gathered_scores<R: GatherRows + ?Sized>(
+    sim: SimilarityKind,
+    mut query: Vec<f32>,
+    rows: &R,
+    ids: &[u32],
+    mut cand_op: Option<RowOperator<'_>>,
+) -> Vec<f32> {
+    let cosine = sim == SimilarityKind::Cosine;
+    if cosine {
+        vecmath::normalize(&mut query);
+    }
+    let dim = query.len().max(1);
+    let mut out = vec![0.0f32; ids.len()];
+    let stage = |block: &mut [f32]| {
+        if let Some(op) = cand_op.as_mut() {
+            op.apply_in_place(block);
+        }
+        if cosine {
+            block.chunks_exact_mut(dim).for_each(vecmath::normalize);
+        }
+    };
+    kernels::gathered_nt(&query, rows, ids, stage, &mut out);
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SimilarityKind;
     use crate::storage::InMemoryStore;
     use pbg_graph::schema::{EntityTypeDef, RelationTypeDef};
 

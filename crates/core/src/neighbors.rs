@@ -8,6 +8,7 @@
 
 use crate::model::TrainedEmbeddings;
 use pbg_graph::RelationTypeId;
+use pbg_tensor::topk::TopK;
 
 /// A scored neighbor.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -33,20 +34,10 @@ pub fn nearest_entities(
     k: usize,
 ) -> Vec<Neighbor> {
     assert!(k > 0, "k must be positive");
-    let emb = &model.embeddings[entity_type];
-    let query = emb.row(entity as usize);
-    let scored = (0..emb.rows() as u32).filter(|&e| e != entity).map(|e| {
-        let score = match model.similarity {
-            crate::config::SimilarityKind::Dot => {
-                pbg_tensor::vecmath::dot(query, emb.row(e as usize))
-            }
-            crate::config::SimilarityKind::Cosine => {
-                pbg_tensor::vecmath::cosine(query, emb.row(e as usize))
-            }
-        };
-        Neighbor { entity: e, score }
-    });
-    top_k(scored, k)
+    let n = model.embeddings[entity_type].rows() as u32;
+    let candidates: Vec<u32> = (0..n).filter(|&e| e != entity).collect();
+    let scores = model.score_against_entities(entity_type, entity, &candidates);
+    top_k(&candidates, &scores, k)
 }
 
 /// Top-k most likely destinations of an edge `(source, relation, ?)` —
@@ -69,32 +60,30 @@ pub fn top_destinations(
     let same_type = rdef.source_type() == rdef.dest_type();
     let candidates: Vec<u32> = (0..n).filter(|&d| !(same_type && d == source)).collect();
     let scores = model.score_against_destinations(source, relation, &candidates);
-    top_k(
-        candidates
-            .into_iter()
-            .zip(scores)
-            .map(|(entity, score)| Neighbor { entity, score }),
-        k,
-    )
+    top_k(&candidates, &scores, k)
 }
 
-/// Selects the k highest-scoring neighbors, descending, ties by id.
-fn top_k(items: impl Iterator<Item = Neighbor>, k: usize) -> Vec<Neighbor> {
-    let mut all: Vec<Neighbor> = items.collect();
-    all.sort_by(|a, b| {
-        b.score
-            .partial_cmp(&a.score)
-            .expect("finite scores")
-            .then(a.entity.cmp(&b.entity))
-    });
-    all.truncate(k);
-    all
+/// The k highest-scoring candidates, best first, in [`TopK`]'s order:
+/// `total_cmp` on the score, ties to the lower id — so a NaN score sorts
+/// deterministically instead of panicking.
+fn top_k(ids: &[u32], scores: &[f32], k: usize) -> Vec<Neighbor> {
+    let mut acc = TopK::new(k);
+    for (&id, &score) in ids.iter().zip(scores) {
+        acc.push(id as usize, score);
+    }
+    acc.into_sorted()
+        .into_iter()
+        .map(|s| Neighbor {
+            entity: s.index as u32,
+            score: s.score,
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::PbgConfig;
+    use crate::config::{PbgConfig, SimilarityKind};
     use crate::trainer::Trainer;
     use pbg_graph::edges::{Edge, EdgeList};
     use pbg_graph::schema::GraphSchema;
@@ -158,5 +147,34 @@ mod tests {
         let model = trained_ring(16);
         let top = top_destinations(&model, 4, RelationTypeId(0), 15);
         assert!(top.iter().all(|n| n.entity != 4));
+    }
+
+    #[test]
+    fn a_nan_row_orders_like_topk_instead_of_panicking() {
+        let mut model = trained_ring(16);
+        model.embeddings[0].row_mut(9).fill(f32::NAN);
+        for sim in [SimilarityKind::Dot, SimilarityKind::Cosine] {
+            model.similarity = sim;
+            let all: Vec<u32> = (0..16).filter(|&d| d != 4).collect();
+            let scores = model.score_against_destinations(4, RelationTypeId(0), &all);
+            let mut want = TopK::new(5);
+            for (&d, &s) in all.iter().zip(&scores) {
+                want.push(d as usize, s);
+            }
+            let want: Vec<(u32, u32)> = want
+                .into_sorted()
+                .iter()
+                .map(|s| (s.index as u32, s.score.to_bits()))
+                .collect();
+            let got: Vec<(u32, u32)> = top_destinations(&model, 4, RelationTypeId(0), 5)
+                .iter()
+                .map(|n| (n.entity, n.score.to_bits()))
+                .collect();
+            assert_eq!(got, want, "{sim:?}");
+            // the NaN query itself: every score is NaN, ties go to the lower id
+            let nn = nearest_entities(&model, 0, 9, 3);
+            assert!(nn.iter().all(|n| n.score.is_nan()), "{nn:?}");
+            assert_eq!(nn.iter().map(|n| n.entity).collect::<Vec<_>>(), [0, 1, 2]);
+        }
     }
 }

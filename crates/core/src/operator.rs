@@ -9,6 +9,7 @@
 
 use pbg_graph::schema::OperatorKind;
 use pbg_tensor::complex::{complex_hadamard, complex_hadamard_conj};
+use pbg_tensor::kernels::{self, PackedNt};
 use pbg_tensor::matrix::Matrix;
 
 /// Initial parameter values for `op` at dimension `dim`: every operator
@@ -46,42 +47,106 @@ pub fn init_params(op: OperatorKind, dim: usize) -> Vec<f32> {
 ///
 /// Panics if `params.len() != op.param_count(input.cols())`.
 pub fn apply(op: OperatorKind, params: &[f32], input: &Matrix) -> Matrix {
-    let d = input.cols();
-    assert_eq!(
-        params.len(),
-        op.param_count(d),
-        "operator {op} expects {} params for dim {d}, got {}",
-        op.param_count(d),
-        params.len()
-    );
-    match op {
-        OperatorKind::Identity => input.clone(),
-        OperatorKind::Translation => {
-            let mut out = input.clone();
-            for i in 0..out.rows() {
-                pbg_tensor::vecmath::axpy(1.0, params, out.row_mut(i));
+    let rows = RowOperator::new(op, params, input.cols());
+    if op == OperatorKind::Identity {
+        return input.clone();
+    }
+    let mut out = Matrix::zeros(input.rows(), input.cols());
+    rows.apply_into(input.as_slice(), out.as_mut_slice());
+    out
+}
+
+/// `g(·, params)` prepared for repeated application to blocks of rows:
+/// [`apply`] runs on it, and so does the gathered scorer, which rewrites
+/// each staged block of candidates in place. The linear operator's matrix
+/// is packed once, not per block.
+#[derive(Debug)]
+pub(crate) struct RowOperator<'a> {
+    op: OperatorKind,
+    params: &'a [f32],
+    dim: usize,
+    linear: Option<PackedNt>,
+    scratch: Vec<f32>,
+}
+
+impl<'a> RowOperator<'a> {
+    /// Prepares `op` with `params` for rows of `dim` floats.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `params.len() != op.param_count(dim)`.
+    pub(crate) fn new(op: OperatorKind, params: &'a [f32], dim: usize) -> Self {
+        assert_eq!(
+            params.len(),
+            op.param_count(dim),
+            "operator {op} expects {} params for dim {dim}, got {}",
+            op.param_count(dim),
+            params.len()
+        );
+        // params is A (d×d, row-major); row-vector form: out = x · Aᵀ
+        let linear = (op == OperatorKind::Linear).then(|| PackedNt::pack(dim, dim, params, dim));
+        RowOperator {
+            op,
+            params,
+            dim,
+            linear,
+            scratch: Vec::new(),
+        }
+    }
+
+    /// Writes `g(row, params)` for every `dim`-float row of `input` into
+    /// the matching row of `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input` and `out` differ in length or are not whole rows.
+    pub(crate) fn apply_into(&self, input: &[f32], out: &mut [f32]) {
+        let d = self.dim;
+        assert_eq!(input.len(), out.len(), "RowOperator: length mismatch");
+        if d == 0 {
+            return;
+        }
+        assert!(input.len().is_multiple_of(d), "RowOperator: partial row");
+        let rows = out.chunks_exact_mut(d).zip(input.chunks_exact(d));
+        match self.op {
+            OperatorKind::Identity => out.copy_from_slice(input),
+            OperatorKind::Translation => {
+                for (o, x) in rows {
+                    o.copy_from_slice(x);
+                    pbg_tensor::vecmath::axpy(1.0, self.params, o);
+                }
             }
-            out
-        }
-        OperatorKind::Diagonal => {
-            let mut out = Matrix::zeros(input.rows(), d);
-            for i in 0..input.rows() {
-                pbg_tensor::vecmath::hadamard(input.row(i), params, out.row_mut(i));
+            OperatorKind::Diagonal => {
+                for (o, x) in rows {
+                    pbg_tensor::vecmath::hadamard(x, self.params, o);
+                }
             }
-            out
-        }
-        OperatorKind::ComplexDiagonal => {
-            let mut out = Matrix::zeros(input.rows(), d);
-            for i in 0..input.rows() {
-                complex_hadamard(input.row(i), params, out.row_mut(i));
+            OperatorKind::ComplexDiagonal => {
+                for (o, x) in rows {
+                    complex_hadamard(x, self.params, o);
+                }
             }
-            out
+            OperatorKind::Linear => {
+                let packed = self.linear.as_ref().expect("packed at construction");
+                kernels::matmul_nt_packed(input.len() / d, d, input, d, packed, out, d);
+            }
         }
-        OperatorKind::Linear => {
-            // params is A (d×d, row-major); row-vector form: out = x · Aᵀ
-            let a = Matrix::from_vec(d, d, params.to_vec());
-            input.matmul_nt(&a)
+    }
+
+    /// [`RowOperator::apply_into`] with `rows` as both input and output.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` is not whole rows.
+    pub(crate) fn apply_in_place(&mut self, rows: &mut [f32]) {
+        if self.op == OperatorKind::Identity {
+            return;
         }
+        let mut input = std::mem::take(&mut self.scratch);
+        input.clear();
+        input.extend_from_slice(rows);
+        self.apply_into(&input, rows);
+        self.scratch = input;
     }
 }
 
@@ -252,6 +317,53 @@ mod tests {
                 assert!(
                     (fd - an).abs() < 1e-2 * (1.0 + an.abs()),
                     "{op} grad_params[{k}]: fd={fd} analytic={an}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn row_operator_matches_the_per_operator_formulas_bitwise() {
+        // `apply` and the gathered scorer's staged blocks both run on
+        // `RowOperator`; it must give every row the arithmetic of the
+        // textbook formulation, whatever the block size
+        let mut rng = Xoshiro256::seed_from_u64(4);
+        let d = 6;
+        let x = random_matrix(11, d, &mut rng);
+        for op in OPS {
+            let params = random_params(op, d, &mut rng);
+            let want = match op {
+                OperatorKind::Identity => x.clone(),
+                OperatorKind::Linear => x.matmul_nt(&Matrix::from_vec(d, d, params.clone())),
+                _ => {
+                    let mut out = Matrix::zeros(x.rows(), d);
+                    for i in 0..x.rows() {
+                        let o = out.row_mut(i);
+                        match op {
+                            OperatorKind::Translation => {
+                                o.copy_from_slice(x.row(i));
+                                pbg_tensor::vecmath::axpy(1.0, &params, o);
+                            }
+                            OperatorKind::Diagonal => {
+                                pbg_tensor::vecmath::hadamard(x.row(i), &params, o)
+                            }
+                            _ => complex_hadamard(x.row(i), &params, o),
+                        }
+                    }
+                    out
+                }
+            };
+            assert_eq!(apply(op, &params, &x), want, "{op} apply");
+            let mut prepared = RowOperator::new(op, &params, d);
+            for block in [1, 3, 8] {
+                let mut rows = x.as_slice().to_vec();
+                rows.chunks_mut(block * d)
+                    .for_each(|b| prepared.apply_in_place(b));
+                assert!(
+                    rows.iter()
+                        .zip(want.as_slice())
+                        .all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "{op} in place, blocks of {block}"
                 );
             }
         }

@@ -1147,6 +1147,15 @@ impl MmapPartition {
     }
 }
 
+/// Quantized shards decode each gathered row on fetch; f32 shards are
+/// better read through [`pbg_tensor::kernels::DenseRows`] over
+/// [`MmapPartition::payload`], which also prefetches.
+impl pbg_tensor::kernels::GatherRows for MmapPartition {
+    fn copy_row(&self, id: u32, dst: &mut [f32]) {
+        self.decode_rows_into(id as usize, 1, dst);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

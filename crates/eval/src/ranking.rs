@@ -66,16 +66,18 @@ impl RankingAccumulator {
     /// Computes the rank of `positive_score` among `candidate_scores`
     /// (higher score = better) and records it. Ties take the average rank.
     pub fn push_scores(&mut self, positive_score: f32, candidate_scores: &[f32]) {
-        let better = candidate_scores
-            .iter()
-            .filter(|&&s| s > positive_score)
-            .count();
-        let ties = candidate_scores
-            .iter()
-            .filter(|&&s| s == positive_score)
-            .count();
-        let rank = better as f64 + 1.0 + ties as f64 / 2.0;
-        self.push(rank);
+        self.push(Self::rank_of(positive_score, candidate_scores));
+    }
+
+    /// The rank [`RankingAccumulator::push_scores`] records, for callers
+    /// that rank in parallel and push in order.
+    pub fn rank_of(positive_score: f32, candidate_scores: &[f32]) -> f64 {
+        let (mut better, mut ties) = (0usize, 0usize);
+        for &s in candidate_scores {
+            better += usize::from(s > positive_score);
+            ties += usize::from(s == positive_score);
+        }
+        better as f64 + 1.0 + ties as f64 / 2.0
     }
 
     /// Number of recorded ranks.

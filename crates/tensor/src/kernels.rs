@@ -18,6 +18,10 @@
 //!   detection, overridable with `PBG_KERNEL`, and per-call via the
 //!   `*_with` entry points. Flop accounting sits *above* the dispatch
 //!   point, so every variant reports identical counts.
+//! - **Gathered `q·Bᵀ`** ([`gathered_nt`]): one query row against
+//!   candidate rows fetched by id through [`GatherRows`], staged and
+//!   packed `NR` at a time in L1 — the read-side scorer, bit-identical to
+//!   gather + [`matmul_nt`].
 //! - **Blocked `A·B`** ([`matmul`]): k-unrolled row-accumulator form used
 //!   by gradient products and the RESCAL operator.
 //! - **Fused score+grad** ([`score_grads`]): given the loss gradient `G`
@@ -1069,6 +1073,157 @@ pub fn matmul_nt_auto(
         matmul_nt_packed_threaded(m, k, a, lda, &packed, out, ldo, threads);
     } else {
         matmul_nt_packed(m, k, a, lda, &packed, out, ldo);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Gathered A·Bᵀ (one query against candidate rows fetched by id)
+// ---------------------------------------------------------------------------
+
+/// A table of rows the gathered scorer fetches candidates from by id:
+/// heap matrices and mapped f32 shards ([`DenseRows`]) or quantized
+/// shards that decode on fetch.
+pub trait GatherRows {
+    /// Copies row `id` into `dst` (exactly one row's floats).
+    ///
+    /// # Panics
+    ///
+    /// Implementations panic if `id` is out of range.
+    fn copy_row(&self, id: u32, dst: &mut [f32]);
+
+    /// Hints that row `id` is copied soon. The default does nothing.
+    fn prefetch(&self, _id: u32) {}
+}
+
+/// `rows × k` floats in one row-major slice with stride `ld`.
+#[derive(Debug, Clone, Copy)]
+pub struct DenseRows<'a> {
+    data: &'a [f32],
+    k: usize,
+    ld: usize,
+}
+
+impl<'a> DenseRows<'a> {
+    /// Views `data` as rows of `k` floats, `ld` apart.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ld < k`.
+    pub fn new(data: &'a [f32], k: usize, ld: usize) -> Self {
+        assert!(ld >= k, "DenseRows: stride {ld} < row length {k}");
+        DenseRows { data, k, ld }
+    }
+
+    fn row(&self, id: u32) -> Option<&'a [f32]> {
+        let start = id as usize * self.ld;
+        self.data.get(start..start + self.k)
+    }
+}
+
+impl GatherRows for DenseRows<'_> {
+    fn copy_row(&self, id: u32, dst: &mut [f32]) {
+        dst.copy_from_slice(self.row(id).expect("DenseRows: row id out of range"));
+    }
+
+    fn prefetch(&self, id: u32) {
+        if let Some(row) = self.row(id) {
+            prefetch_row(row);
+        }
+    }
+}
+
+/// Asks the cache hierarchy to start loading `row` (one hint per 64-byte
+/// line). A no-op off x86_64.
+#[inline]
+fn prefetch_row(row: &[f32]) {
+    #[cfg(target_arch = "x86_64")]
+    for line in row.chunks(16) {
+        // SAFETY: `_mm_prefetch` is a hint that never faults, and the
+        // pointer comes from a live slice; SSE is baseline on x86_64.
+        unsafe {
+            std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T0 }>(
+                line.as_ptr().cast(),
+            )
+        };
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = row;
+}
+
+/// `out[j] = query · row(ids[j])` for every `j`: the scorer behind link
+/// prediction, `/score` and neighbor queries.
+///
+/// Candidates are fetched [`NR`] at a time into an L1 staging block (the
+/// next group's rows prefetched meanwhile), handed to `stage` — which may
+/// rewrite each staged row in place, e.g. apply a relation operator or
+/// normalize for cosine — then packed into one panel and scored by the
+/// dispatched register tile. Each output lane depends only on the query
+/// and its own row, so the result is bit-identical to gathering the rows
+/// into a matrix, applying `stage` to it, and calling [`matmul_nt`] with
+/// `m = 1`. Counts `2·n·k` flops.
+///
+/// # Panics
+///
+/// Panics if `out.len() != ids.len()` or `rows` rejects an id.
+pub fn gathered_nt<R: GatherRows + ?Sized>(
+    query: &[f32],
+    rows: &R,
+    ids: &[u32],
+    stage: impl FnMut(&mut [f32]),
+    out: &mut [f32],
+) {
+    gathered_nt_with(dispatch::active(), query, rows, ids, stage, out);
+}
+
+/// [`gathered_nt`] under an explicit microkernel [`Variant`]; the flop
+/// count is recorded here, above the dispatch point.
+///
+/// # Panics
+///
+/// Panics if `out.len() != ids.len()` or `rows` rejects an id.
+pub fn gathered_nt_with<R: GatherRows + ?Sized>(
+    v: Variant,
+    query: &[f32],
+    rows: &R,
+    ids: &[u32],
+    mut stage: impl FnMut(&mut [f32]),
+    out: &mut [f32],
+) {
+    let v = v.for_call();
+    let (n, k) = (ids.len(), query.len());
+    assert_eq!(out.len(), n, "gathered_nt: out length != candidate count");
+    if n == 0 {
+        return;
+    }
+    if k == 0 {
+        out.iter_mut().for_each(|o| *o = 0.0);
+        return;
+    }
+    count_flops(2 * (n as u64) * (k as u64));
+    let mut apanel = vec![0.0f32; k * MR];
+    pack_a_group(query, k, k, 0, 1, &mut apanel);
+    let mut staged = vec![0.0f32; NR * k];
+    // lanes past a short final group keep stale values; every lane is
+    // independent in the tile, and their outputs are never read
+    let mut bpanel = vec![0.0f32; k * NR];
+    ids[..NR.min(n)].iter().for_each(|&id| rows.prefetch(id));
+    for (g, group) in ids.chunks(NR).enumerate() {
+        let j0 = g * NR;
+        ids[(j0 + NR).min(n)..(j0 + 2 * NR).min(n)]
+            .iter()
+            .for_each(|&id| rows.prefetch(id));
+        let jn = group.len();
+        for (dst, &id) in staged.chunks_exact_mut(k).zip(group) {
+            rows.copy_row(id, dst);
+        }
+        stage(&mut staged[..jn * k]);
+        for (jj, row) in staged.chunks_exact(k).take(jn).enumerate() {
+            for (kk, &x) in row.iter().enumerate() {
+                bpanel[kk * NR + jj] = x;
+            }
+        }
+        let acc = micro_nt_v(v, k, &apanel, &bpanel);
+        out[j0..j0 + jn].copy_from_slice(&acc[0][..jn]);
     }
 }
 

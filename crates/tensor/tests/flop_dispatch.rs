@@ -4,8 +4,9 @@
 //! if the SIMD paths counted work differently from scalar the gauge would
 //! silently change meaning with `PBG_KERNEL`. Counting happens in the
 //! `_with` entry points *above* the variant dispatch, so every variant
-//! reports the same exact `2·m·n·k` (matmul) and `4·k·nnz` (score_grads)
-//! totals by construction — this binary pins that down.
+//! reports the same exact `2·m·n·k` (matmul), `4·k·nnz` (score_grads) and
+//! `2·n·k` (gathered scorer) totals by construction — this binary pins that
+//! down.
 //!
 //! This lives in its own test binary because the counter is process-global:
 //! the library's unit tests run kernels concurrently and would pollute the
@@ -37,6 +38,9 @@ fn flops_for(v: Variant) -> u64 {
     kernels::matmul_nt_with(v, m, n, k, &a, k, &bt, k, &mut out, n);
     kernels::matmul_with(v, m, n, k, &a, k, &b, n, &mut out, n);
     kernels::score_grads_with(v, m, n, k, &a, k, &bt, k, &g, n, &mut ga, k, &mut gb, k);
+    let ids: Vec<u32> = (0..n as u32).rev().collect();
+    let rows = kernels::DenseRows::new(&bt, k, k);
+    kernels::gathered_nt_with(v, &a[..k], &rows, &ids, |_| {}, &mut out[..n]);
     kernels::flops_executed() - before
 }
 
@@ -50,7 +54,8 @@ fn flop_counter_is_identical_across_all_variants() {
     };
     let expected = 2 * m * n * k  // matmul_nt
         + 2 * m * n * k           // matmul
-        + 4 * k * nnz; // score_grads: dot + two axpys per nonzero
+        + 4 * k * nnz             // score_grads: dot + two axpys per nonzero
+        + 2 * n * k; // gathered scorer: one query against n rows
 
     // Every variant — including ones this CPU can't run, which degrade to
     // scalar per call — must report the exact analytic count.

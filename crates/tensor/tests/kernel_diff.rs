@@ -14,9 +14,10 @@
 //! each dimension and dropping stride padding while the failure still
 //! reproduces — and panics with the minimal failing case.
 
-use pbg_tensor::kernels::{self, reference, ScoreGrad, Variant};
+use pbg_tensor::kernels::{self, reference, DenseRows, ScoreGrad, Variant};
 use pbg_tensor::matrix::Matrix;
 use pbg_tensor::rng::Xoshiro256;
+use pbg_tensor::vecmath;
 
 // ---------------------------------------------------------------------------
 // ULP-aware comparator
@@ -622,6 +623,66 @@ fn golden_covered_shapes_are_bit_identical_across_non_fma_variants() {
             };
             if let Some(err) = check_bit_identical_pair(Variant::Scalar, Variant::Sse2, &case) {
                 panic!("golden shape {m}x{n}x{k} pad={pad}: {err}");
+            }
+        }
+    }
+}
+
+/// The gathered scorer (one query against candidate rows fetched by id,
+/// staged and packed `NR` at a time) against gathering the same rows into
+/// a matrix and calling `matmul_nt` with `m = 1`: bit for bit, under every
+/// supported variant, on candidate counts that are not a multiple of `NR`,
+/// odd `k`, strided tables, repeated ids, and with a staging hook that
+/// rewrites the rows (cosine normalization) as well as without one.
+#[test]
+fn gathered_scorer_is_bit_identical_to_gather_then_matmul_nt() {
+    let shapes = [
+        (1, 1),
+        (7, 5),
+        (8, 16),
+        (9, 33),
+        (61, 127),
+        (200, 64),
+        (1001, 129),
+    ];
+    for v in Variant::supported_variants() {
+        for (idx, &(n, k)) in shapes.iter().enumerate() {
+            let mut rng = Xoshiro256::seed_from_u64(0x6a7e + idx as u64);
+            let (table_rows, ld) = (50, k + 3);
+            let table: Vec<f32> = (0..table_rows * ld).map(|_| rng.gen_normal()).collect();
+            let query: Vec<f32> = (0..k).map(|_| rng.gen_normal()).collect();
+            // 50 table rows: longer id lists repeat ids
+            let ids: Vec<u32> = (0..n).map(|_| rng.gen_index(table_rows) as u32).collect();
+            for normalize in [false, true] {
+                let stage = |rows: &mut [f32]| {
+                    if normalize {
+                        rows.chunks_exact_mut(k).for_each(vecmath::normalize);
+                    }
+                };
+                let mut got = vec![0.0f32; n];
+                kernels::gathered_nt_with(
+                    v,
+                    &query,
+                    &DenseRows::new(&table, k, ld),
+                    &ids,
+                    stage,
+                    &mut got,
+                );
+                let mut gathered = vec![0.0f32; n * k];
+                for (dst, &id) in gathered.chunks_exact_mut(k).zip(&ids) {
+                    dst.copy_from_slice(&table[id as usize * ld..][..k]);
+                }
+                stage(&mut gathered);
+                let mut want = vec![0.0f32; n];
+                kernels::matmul_nt_with(v, 1, n, k, &query, k, &gathered, k, &mut want, n);
+                let got_bits: Vec<u32> = got.iter().map(|x| x.to_bits()).collect();
+                let want_bits: Vec<u32> = want.iter().map(|x| x.to_bits()).collect();
+                assert_eq!(
+                    got_bits,
+                    want_bits,
+                    "{} n={n} k={k} normalize={normalize}",
+                    v.name()
+                );
             }
         }
     }
