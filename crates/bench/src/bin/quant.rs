@@ -3,7 +3,8 @@
 //!
 //! Trains one model, writes it at every precision, and reports:
 //!
-//! - embedding shard bytes on disk per precision (and the ratio to f32)
+//! - partition shard bytes on disk per precision (rows plus their f32
+//!   accumulator column; and the ratio to f32)
 //! - predicted wire bytes for a full checkout+checkin round trip of the
 //!   largest partition, from the `wirecost` closed forms (which the
 //!   loopback reconciliation tests pin to measured socket bytes)
@@ -30,14 +31,18 @@ use pbg_graph::split::EdgeSplit;
 use pbg_tensor::Precision;
 use serde_json::json;
 
-/// Total size of the embedding shards under a checkpoint dir.
+/// Total size of the partition shards (rows plus their f32 accumulator
+/// column) under a checkpoint dir; never zero, so the size bar below
+/// cannot pass vacuously.
 fn shard_bytes(dir: &std::path::Path) -> u64 {
-    std::fs::read_dir(dir)
+    let total = std::fs::read_dir(dir)
         .expect("checkpoint dir")
         .filter_map(|e| e.ok())
-        .filter(|e| e.file_name().to_string_lossy().starts_with("embeddings_"))
+        .filter(|e| e.file_name().to_string_lossy().ends_with(".shard"))
         .map(|e| e.metadata().expect("metadata").len())
-        .sum()
+        .sum();
+    assert!(total > 0, "no partition shards under {}", dir.display());
+    total
 }
 
 fn main() {

@@ -1,9 +1,13 @@
-//! Crash-consistent model checkpointing (v2).
+//! Crash-consistent model checkpointing.
 //!
 //! "Model checkpoints are occasionally written to the shared filesystem
 //! from the trainers" (Figure 2). A checkpoint directory holds the schema
-//! and config as JSON plus one binary file per entity type (embeddings)
-//! and one for all relation parameters.
+//! and model metadata as JSON, one [`crate::shard`] per `(entity type,
+//! partition)` — rows plus their Adagrad accumulators, the same bytes a
+//! [`crate::storage::DiskStore`] swaps and `pbg serve` maps — and
+//! `relations.bin`, a one-column shard of every relation's parameters
+//! with their accumulators. A checkpoint therefore holds the whole
+//! training state: a resumed run is the run it resumes.
 //!
 //! Checkpoints are the only recovery mechanism a multi-day training run
 //! has, so every file is written crash-consistently: bytes go to a
@@ -17,36 +21,23 @@
 //! complete checkpoint or a clean [`PbgError::Checkpoint`], never a
 //! mixed-version load.
 
-use crate::config::PbgConfig;
+use crate::config::{PbgConfig, SimilarityKind};
 use crate::error::{PbgError, Result};
-use crate::model::{RelationSnapshot, TrainedEmbeddings};
-use bytes::{Buf, BufMut, BytesMut};
-use pbg_graph::schema::GraphSchema;
-use pbg_tensor::matrix::Matrix;
-use pbg_tensor::quant::{self, Precision};
+use crate::model::{MmapEmbeddings, Model, RelationSnapshot, TrainedEmbeddings};
+use crate::shard::{self, Shard};
+use crate::storage::{partition_keys, MmapPartition, PartitionKey, PartitionStore};
+use pbg_graph::partition::EntityPartitioning;
+use pbg_graph::schema::{GraphSchema, OperatorKind};
+use pbg_tensor::quant::Precision;
 use serde::{Deserialize, Serialize};
 use std::io::Write;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
-const MAGIC: &[u8; 4] = b"PBGC";
-/// Binary format version written by [`save`]: float payloads are
-/// little-endian, so the serving tier can memory-map embedding shards
-/// and reinterpret the payload as `&[f32]` in place on little-endian
-/// hosts. Integer header fields are big-endian. (Version 1, which
-/// stored floats big-endian, is no longer read.)
-const VERSION: u8 = 2;
-/// Version 3 marks a *quantized* embedding shard: the previously
-/// reserved u16 at offset 6 carries the [`Precision`] tag and the float
-/// payload is the corresponding [`pbg_tensor::quant`] block encoding.
-/// v3 is written only when the save precision is not f32, so default
-/// checkpoints stay byte-identical to v2.
-const VERSION_QUANT: u8 = 3;
-/// Byte offset of the float payload in a matrix file: 8-byte common
-/// header plus `rows`/`cols` u64s. 4-byte aligned, so a page-aligned
-/// mmap base keeps the payload aligned for `f32` access.
-pub(crate) const MATRIX_PAYLOAD_OFFSET: usize = 24;
-/// Manifest schema version (the "checkpoint v2" format marker).
-pub const MANIFEST_VERSION: u32 = 2;
+pub use crate::shard::checksum;
+
+/// Manifest schema version: 3 marks the per-partition shard layout.
+/// Older manifests are refused ("re-save"), never upgraded.
+pub const MANIFEST_VERSION: u32 = 3;
 /// Name of the manifest file, written last during [`save`].
 pub const MANIFEST_NAME: &str = "MANIFEST.json";
 
@@ -70,7 +61,7 @@ pub struct ManifestFile {
     pub name: String,
     /// Exact size in bytes.
     pub bytes: u64,
-    /// FNV-1a 64-bit content checksum, lowercase hex.
+    /// [`checksum`] of the whole file, lowercase hex.
     pub checksum: String,
 }
 
@@ -84,17 +75,6 @@ pub struct Manifest {
     pub progress: TrainProgress,
     /// Every data file with its size and checksum.
     pub files: Vec<ManifestFile>,
-}
-
-/// FNV-1a 64-bit checksum of `bytes` (no external hash dependency; the
-/// adversary here is a torn write, not an attacker forging collisions).
-pub fn checksum(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// How checkpoint bytes reach the filesystem. The production
@@ -172,10 +152,9 @@ pub fn save_with_progress(
     save_with_io(model, dir, progress, &mut AtomicIo)
 }
 
-/// [`save_with_progress`] at a storage [`Precision`]: `F32` writes v2
-/// shards byte-identical to [`save`]; `F16`/`Int8` write v3 shards with
-/// quantized embedding payloads (relation parameters stay f32 — they
-/// are tiny and shared, so compressing them buys nothing).
+/// [`save_with_progress`] at a storage [`Precision`] for the embedding
+/// rows (accumulators and relation parameters stay f32 — they are small,
+/// and accumulators overflow f16 and collapse under int8).
 ///
 /// # Errors
 ///
@@ -186,7 +165,7 @@ pub fn save_with_precision(
     progress: TrainProgress,
     precision: Precision,
 ) -> Result<()> {
-    save_impl(model, dir.as_ref(), progress, precision, &mut AtomicIo)
+    save_dense(model, dir.as_ref(), progress, precision, &mut AtomicIo)
 }
 
 /// [`save_with_progress`] with an explicit [`CheckpointIo`] — the
@@ -201,143 +180,204 @@ pub fn save_with_io(
     progress: TrainProgress,
     io: &mut dyn CheckpointIo,
 ) -> Result<()> {
-    save_impl(model, dir.as_ref(), progress, Precision::F32, io)
+    save_dense(model, dir.as_ref(), progress, Precision::F32, io)
 }
 
-fn save_impl(
+/// A dense model carries no optimizer state, so its shards and
+/// relations get the fresh-init accumulator value, 0.
+fn save_dense(
     model: &TrainedEmbeddings,
     dir: &Path,
     progress: TrainProgress,
     precision: Precision,
     io: &mut dyn CheckpointIo,
 ) -> Result<()> {
+    let relations = model.relations.iter().map(|r| {
+        let len = r.forward.len() + r.reciprocal.as_ref().map_or(0, Vec::len);
+        (r.clone(), vec![0.0; len])
+    });
+    let relations: SavedRelations = relations.collect();
+    let types = model.schema.entity_types();
+    let shard = |key: PartitionKey, rows: usize, out: &mut Vec<u8>| {
+        let def = &types[key.entity_type.index()];
+        let parts = EntityPartitioning::new(def.num_entities(), def.num_partitions());
+        let table = &model.embeddings[key.entity_type.index()];
+        let global = |i: usize| parts.global_of(key.partition, i as u32).index();
+        let row = |i: usize, buf: &mut [f32]| buf.copy_from_slice(table.row(global(i)));
+        shard::encode(precision, rows, model.dim, row, &vec![0.0; rows], out)
+    };
+    let meta = (model.dim, model.similarity);
+    write_files(dir, io, meta, &relations, &model.schema, progress, shard).map(drop)
+}
+
+/// Writes a checkpoint of a live model straight from its partition
+/// store, one partition at a time (load, encode, release) — no dense
+/// copy of the model exists at any point. Embedding rows are stored at
+/// the model's configured precision. Returns the bytes written.
+///
+/// # Errors
+///
+/// Propagates I/O failures.
+pub fn save_store(
+    model: &Model,
+    store: &dyn PartitionStore,
+    dir: impl AsRef<Path>,
+    progress: TrainProgress,
+) -> Result<u64> {
+    let relations = model.relations().iter().map(|r| {
+        let sides = std::iter::once(&r.forward).chain(&r.reciprocal);
+        (
+            r.snapshot(),
+            sides.flat_map(|p| p.accumulator_snapshot()).collect(),
+        )
+    });
+    let config = model.config();
+    let relations: SavedRelations = relations.collect();
+    let shard = |key: PartitionKey, _: usize, out: &mut Vec<u8>| {
+        let data = store.load(key);
+        let sum = shard::encode_partition(&data, config.precision, out);
+        drop(data);
+        store.release(key);
+        sum
+    };
+    let (dir, meta) = (dir.as_ref(), (config.dim, config.similarity));
+    write_files(
+        dir,
+        &mut AtomicIo,
+        meta,
+        &relations,
+        model.schema(),
+        progress,
+        shard,
+    )
+}
+
+/// `meta.json`: what the binary files hold.
+#[derive(Debug, Serialize, Deserialize)]
+struct Meta {
+    dim: usize,
+    similarity: SimilarityKind,
+    num_entity_types: usize,
+    /// Per relation, in order, the rows of `relations.bin` it owns.
+    relations: Vec<RelationLayout>,
+}
+
+/// Relation parameters with their accumulators (forward, then
+/// reciprocal): what `relations.bin` holds.
+type SavedRelations = Vec<(RelationSnapshot, Vec<f32>)>;
+
+/// One relation's entry in `meta.json`.
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+struct RelationLayout {
+    op: OperatorKind,
+    weight: f32,
+    forward: usize,
+    reciprocal: Option<usize>,
+}
+
+impl RelationLayout {
+    fn of(r: &RelationSnapshot) -> Self {
+        RelationLayout {
+            op: r.op,
+            weight: r.weight,
+            forward: r.forward.len(),
+            reciprocal: r.reciprocal.as_ref().map(Vec::len),
+        }
+    }
+}
+
+/// Writes every checkpoint file through `io` — meta, schema, the shards
+/// `shard(key, rows, buf)` encodes in layout order, relations — then the
+/// manifest, whose atomic rename is the commit point. Returns the data
+/// bytes written.
+fn write_files(
+    dir: &Path,
+    io: &mut dyn CheckpointIo,
+    (dim, similarity): (usize, SimilarityKind),
+    relations: &SavedRelations,
+    schema: &GraphSchema,
+    progress: TrainProgress,
+    mut shard: impl FnMut(PartitionKey, usize, &mut Vec<u8>) -> u64,
+) -> Result<u64> {
     std::fs::create_dir_all(dir)?;
     let mut files: Vec<ManifestFile> = Vec::new();
-    let mut put = |io: &mut dyn CheckpointIo, name: String, bytes: &[u8]| -> Result<()> {
+    let mut put = |io: &mut dyn CheckpointIo, name: String, bytes: &[u8], sum: u64| {
         io.persist(&dir.join(&name), bytes)?;
+        let (bytes, checksum) = (bytes.len() as u64, format!("{sum:016x}"));
         files.push(ManifestFile {
             name,
-            bytes: bytes.len() as u64,
-            checksum: format!("{:016x}", checksum(bytes)),
+            bytes,
+            checksum,
         });
-        Ok(())
+        Result::Ok(())
     };
-    let meta = serde_json::json!({
-        "dim": model.dim,
-        "similarity": model.similarity,
-        "num_entity_types": model.embeddings.len(),
-    });
-    put(
-        io,
-        "meta.json".into(),
-        serde_json::to_string_pretty(&meta)
-            .expect("meta serializes")
-            .as_bytes(),
-    )?;
-    put(
-        io,
-        "schema.json".into(),
-        serde_json::to_string_pretty(&model.schema)
-            .expect("schema serializes")
-            .as_bytes(),
-    )?;
-    for (t, emb) in model.embeddings.iter().enumerate() {
-        let mut buf = BytesMut::new();
-        buf.put_slice(MAGIC);
-        // f32 saves stay on v2 so the default path is byte-identical to
-        // pre-quantization checkpoints; v3 exists only for lossy shards
-        if precision == Precision::F32 {
-            buf.put_u8(VERSION);
-            buf.put_u8(0);
-            buf.put_u16(0);
-        } else {
-            buf.put_u8(VERSION_QUANT);
-            buf.put_u8(0);
-            buf.put_u16(u16::from(precision.tag()));
-        }
-        buf.put_u64(emb.rows() as u64);
-        buf.put_u64(emb.cols() as u64);
-        let mut payload = Vec::new();
-        quant::encode_rows(
-            precision,
-            emb.as_slice(),
-            emb.rows(),
-            emb.cols(),
-            &mut payload,
-        );
-        buf.put_slice(&payload);
-        put(io, format!("embeddings_{t}.bin"), &buf)?;
+    let num_entity_types = schema.entity_types().len();
+    let layout = relations
+        .iter()
+        .map(|(r, _)| RelationLayout::of(r))
+        .collect();
+    let meta = Meta {
+        dim,
+        similarity,
+        num_entity_types,
+        relations: layout,
+    };
+    let meta_json = serde_json::to_string_pretty(&meta).expect("meta serializes");
+    let schema_json = serde_json::to_string_pretty(schema).expect("schema serializes");
+    for (name, text) in [("meta.json", meta_json), ("schema.json", schema_json)] {
+        put(io, name.into(), text.as_bytes(), checksum(text.as_bytes()))?;
     }
-    let mut buf = BytesMut::new();
-    buf.put_slice(MAGIC);
-    buf.put_u8(VERSION);
-    buf.put_u8(1); // relations payload
-    buf.put_u16(0);
-    buf.put_u64(model.relations.len() as u64);
-    for r in &model.relations {
-        buf.put_u8(op_code(r.op));
-        buf.put_slice(&r.weight.to_le_bytes());
-        buf.put_u64(r.forward.len() as u64);
-        for &v in &r.forward {
-            buf.put_slice(&v.to_le_bytes());
-        }
-        match &r.reciprocal {
-            Some(inv) => {
-                buf.put_u8(1);
-                buf.put_u64(inv.len() as u64);
-                for &v in inv {
-                    buf.put_slice(&v.to_le_bytes());
-                }
-            }
-            None => buf.put_u8(0),
-        }
+    let mut buf = Vec::new();
+    for (key, rows) in partition_keys(schema) {
+        let sum = shard(key, rows, &mut buf);
+        put(io, shard::file_name(key), &buf, sum)?;
     }
-    put(io, "relations.bin".into(), &buf)?;
-    // the manifest lands last: its atomic rename is the commit point
+    // every relation's forward then reciprocal parameters, one per row
+    let (mut params, mut acc) = (Vec::new(), Vec::new());
+    for (r, a) in relations {
+        params.extend(r.forward.iter().chain(r.reciprocal.iter().flatten()));
+        acc.extend(a);
+    }
+    let row = |i: usize, row: &mut [f32]| row[0] = params[i];
+    let sum = shard::encode(Precision::F32, params.len(), 1, row, &acc, &mut buf);
+    put(io, RELATIONS.into(), &buf, sum)?;
     let manifest = Manifest {
         version: MANIFEST_VERSION,
         progress,
         files,
     };
-    io.persist(
-        &dir.join(MANIFEST_NAME),
-        serde_json::to_string_pretty(&manifest)
-            .expect("manifest serializes")
-            .as_bytes(),
-    )?;
-    Ok(())
+    let json = serde_json::to_string_pretty(&manifest).expect("manifest serializes");
+    io.persist(&dir.join(MANIFEST_NAME), json.as_bytes())?;
+    Ok(manifest.files.iter().map(|f| f.bytes).sum())
 }
+
+/// The relation parameters' shard.
+const RELATIONS: &str = "relations.bin";
 
 /// Reads and parses the manifest of the checkpoint at `dir`.
 ///
 /// # Errors
 ///
 /// Returns [`PbgError::Checkpoint`] when the manifest is missing from an
-/// otherwise-present checkpoint (a torn save or a pre-v2 directory) or
-/// malformed; a directory with no checkpoint at all surfaces as
-/// [`PbgError::Io`].
+/// otherwise-present checkpoint (a torn save) or malformed, or records
+/// an older format ("re-save"); a directory with no checkpoint at all
+/// surfaces as [`PbgError::Io`].
 pub fn read_manifest(dir: impl AsRef<Path>) -> Result<Manifest> {
     let dir = dir.as_ref();
     let text = match std::fs::read_to_string(dir.join(MANIFEST_NAME)) {
         Ok(text) => text,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            // distinguish "no checkpoint here" (plain I/O error) from
-            // "data files without a manifest" (torn or pre-v2: refuse)
-            return if dir.join("meta.json").exists() {
-                Err(PbgError::Checkpoint(
-                    "MANIFEST.json missing (incomplete save or pre-v2 checkpoint)".into(),
-                ))
-            } else {
-                Err(PbgError::Io(e))
-            };
+        // distinguish "no checkpoint here" (plain I/O error) from "data
+        // files without a manifest" (torn save: refuse)
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound && dir.join("meta.json").exists() => {
+            return Err(bad("MANIFEST.json missing (incomplete save)".into()));
         }
         Err(e) => return Err(e.into()),
     };
-    let manifest: Manifest = serde_json::from_str(&text)
-        .map_err(|e| PbgError::Checkpoint(format!("bad {MANIFEST_NAME}: {e}")))?;
+    let manifest: Manifest =
+        serde_json::from_str(&text).map_err(|e| bad(format!("bad {MANIFEST_NAME}: {e}")))?;
     if manifest.version != MANIFEST_VERSION {
-        return Err(PbgError::Checkpoint(format!(
-            "unsupported manifest version {}",
+        return Err(bad(format!(
+            "unsupported checkpoint version {}; re-save",
             manifest.version
         )));
     }
@@ -354,422 +394,269 @@ pub fn load(dir: impl AsRef<Path>) -> Result<TrainedEmbeddings> {
     Ok(load_with_manifest(dir)?.0)
 }
 
-/// Loads a checkpoint plus its manifest (for mid-epoch resume).
+/// Loads a checkpoint plus its manifest into a dense model, one shard at
+/// a time. Accumulators are dropped: a dense model has none.
 ///
 /// Every file listed in the manifest is verified against its recorded
-/// size and checksum before any parsing, and every parsed shape is
-/// verified against the schema — so stale files left by an older save
-/// over the same directory are detected instead of silently loaded.
+/// size and checksum, and every shape against the schema — so stale
+/// files left by an older save over the same directory are detected
+/// instead of silently loaded.
 ///
 /// # Errors
 ///
 /// Returns [`PbgError::Checkpoint`] for corrupt, incomplete, or
 /// shape-inconsistent checkpoints, and propagates I/O failures.
 pub fn load_with_manifest(dir: impl AsRef<Path>) -> Result<(TrainedEmbeddings, Manifest)> {
-    let dir = dir.as_ref();
-    let manifest = read_manifest(dir)?;
-    let mut verified: std::collections::HashMap<&str, Vec<u8>> = std::collections::HashMap::new();
-    for f in &manifest.files {
-        let bytes = read_listed(dir, f)?;
-        verify_against(f, &bytes)?;
-        verified.insert(f.name.as_str(), bytes);
-    }
-    let take = |name: &str, verified: &mut std::collections::HashMap<&str, Vec<u8>>| {
-        verified
-            .remove(name)
-            .ok_or_else(|| PbgError::Checkpoint(format!("{name} not listed in manifest")))
+    let reader = Reader::open(dir.as_ref())?;
+    let dim = reader.meta.dim;
+    let embeddings = crate::model::dense_tables(&reader.schema, dim, |key, rows| {
+        Ok(reader.shard(&shard::file_name(key), rows, dim)?.embeddings)
+    })?;
+    let relations = reader.relations()?.into_iter().map(|(r, _)| r).collect();
+    let similarity = reader.meta.similarity;
+    let schema = reader.schema;
+    let model = TrainedEmbeddings {
+        dim,
+        similarity,
+        schema,
+        embeddings,
+        relations,
     };
-    let meta_bytes = take("meta.json", &mut verified)?;
-    let meta = parse_meta(&meta_bytes)?;
-    let schema_bytes = take("schema.json", &mut verified)?;
-    let schema = parse_schema(&schema_bytes)?;
-    let CheckpointMeta {
-        dim,
-        similarity,
-        num_types,
-    } = meta;
-    if num_types != schema.entity_types().len() {
-        return Err(PbgError::Checkpoint(format!(
-            "meta lists {num_types} entity types, schema has {}",
-            schema.entity_types().len()
-        )));
-    }
-    let mut embeddings = Vec::with_capacity(num_types.min(schema.entity_types().len()));
-    for (t, def) in schema.entity_types().iter().enumerate() {
-        let bytes = take(&format!("embeddings_{t}.bin"), &mut verified)?;
-        let m = read_matrix(&bytes).map_err(|e| in_file(&format!("embeddings_{t}.bin"), e))?;
-        // stale-file guard: shapes must match the schema this checkpoint
-        // claims to describe, not whatever an older save left behind
-        if m.cols() != dim {
-            return Err(PbgError::Checkpoint(format!(
-                "embeddings_{t}.bin: {} cols != dim {dim}",
-                m.cols()
-            )));
-        }
-        if m.rows() != def.num_entities() as usize {
-            return Err(PbgError::Checkpoint(format!(
-                "embeddings_{t}.bin: {} rows != {} entities in schema",
-                m.rows(),
-                def.num_entities()
-            )));
-        }
-        embeddings.push(m);
-    }
-    let rel_bytes = take("relations.bin", &mut verified)?;
-    let relations = read_relations(&rel_bytes).map_err(|e| in_file("relations.bin", e))?;
-    if relations.len() != schema.num_relation_types() {
-        return Err(PbgError::Checkpoint(format!(
-            "relations.bin has {} relations, schema has {}",
-            relations.len(),
-            schema.num_relation_types()
-        )));
-    }
-    Ok((
-        TrainedEmbeddings {
-            dim,
-            similarity,
-            schema,
-            embeddings,
-            relations,
-        },
-        manifest,
-    ))
+    Ok((model, reader.manifest))
 }
 
-/// Parsed `meta.json` contents.
-struct CheckpointMeta {
-    dim: usize,
-    similarity: crate::config::SimilarityKind,
-    num_types: usize,
+/// Writes the checkpoint at `dir` into a freshly built `model` and its
+/// `store` — every partition's rows and Adagrad accumulators, every
+/// relation's parameters and accumulators — one partition at a time,
+/// and returns the progress it records. The inverse of [`save_store`].
+///
+/// # Errors
+///
+/// Returns [`PbgError::Checkpoint`] when the checkpoint is corrupt or
+/// disagrees with the model's schema or shapes.
+pub fn restore(
+    dir: impl AsRef<Path>,
+    model: &Model,
+    store: &dyn PartitionStore,
+) -> Result<TrainProgress> {
+    let reader = Reader::open(dir.as_ref())?;
+    let live = model.relations();
+    let layout: Vec<_> = live
+        .iter()
+        .map(|r| RelationLayout::of(&r.snapshot()))
+        .collect();
+    let fits = reader.schema == *model.schema() && reader.meta.dim == model.config().dim;
+    if !fits || reader.meta.relations != layout {
+        return Err(bad(
+            "checkpoint schema, dim or relations do not match the model".into(),
+        ));
+    }
+    for (live, (saved, acc)) in live.iter().zip(reader.relations()?) {
+        let (forward_acc, reciprocal_acc) = acc.split_at(saved.forward.len());
+        live.forward.restore(&saved.forward, forward_acc);
+        if let (Some(live), Some(params)) = (&live.reciprocal, &saved.reciprocal) {
+            live.restore(params, reciprocal_acc);
+        }
+    }
+    for &(key, rows) in model.store_layout().keys() {
+        let shard = reader.shard(&shard::file_name(key), rows, reader.meta.dim)?;
+        let data = store.load(key);
+        data.embeddings.copy_from_slice(&shard.embeddings);
+        data.adagrad.restore(&shard.accumulators);
+        drop(data);
+        store.mark_dirty(key);
+        store.release(key);
+    }
+    Ok(reader.manifest.progress)
 }
 
-fn parse_meta(bytes: &[u8]) -> Result<CheckpointMeta> {
-    let meta: serde_json::Value = std::str::from_utf8(bytes)
-        .map_err(|e| PbgError::Checkpoint(format!("bad meta.json: {e}")))
-        .and_then(|s| {
-            serde_json::from_str(s).map_err(|e| PbgError::Checkpoint(format!("bad meta.json: {e}")))
-        })?;
-    let dim = meta["dim"]
-        .as_u64()
-        .ok_or_else(|| PbgError::Checkpoint("meta.json missing dim".into()))?
-        as usize;
-    let similarity: crate::config::SimilarityKind =
-        serde_json::from_value(meta["similarity"].clone())
-            .map_err(|e| PbgError::Checkpoint(format!("bad similarity: {e}")))?;
-    let num_types = meta["num_entity_types"]
-        .as_u64()
-        .ok_or_else(|| PbgError::Checkpoint("meta.json missing num_entity_types".into()))?
-        as usize;
-    Ok(CheckpointMeta {
-        dim,
-        similarity,
-        num_types,
+/// Opens a checkpoint for serving: relation parameters and metadata on
+/// the heap, partition shards memory-mapped in place. Every shard's
+/// checksum is verified over the mapped bytes — never copied to heap —
+/// against its trailer and the manifest, and every shape against the
+/// schema, exactly like [`load`].
+///
+/// # Errors
+///
+/// Returns [`PbgError::Checkpoint`] for corrupt, incomplete,
+/// shape-inconsistent, or older-format checkpoints, and propagates I/O
+/// failures.
+pub fn open_mmap(dir: impl AsRef<Path>) -> Result<MmapEmbeddings> {
+    let reader = Reader::open(dir.as_ref())?;
+    let mut shards = Vec::new();
+    for (key, rows) in partition_keys(&reader.schema) {
+        let name = shard::file_name(key);
+        let f = entry(&reader.manifest, &name)?;
+        let path = reader.dir.join(&name);
+        if !path.exists() {
+            return Err(missing(&name));
+        }
+        let (shard, sum) = MmapPartition::open(&path)?;
+        verify_against(f, shard.mapped_bytes(), sum)?;
+        check_shape(&name, (shard.rows(), shard.cols()), (rows, reader.meta.dim))?;
+        shards.push(shard);
+    }
+    let relations = reader.relations()?.into_iter().map(|(r, _)| r).collect();
+    let Reader { meta, schema, .. } = reader;
+    Ok(MmapEmbeddings {
+        dim: meta.dim,
+        similarity: meta.similarity,
+        schema,
+        shards,
+        relations,
     })
 }
 
-fn parse_schema(bytes: &[u8]) -> Result<GraphSchema> {
-    std::str::from_utf8(bytes)
-        .map_err(|e| PbgError::Checkpoint(format!("bad schema.json: {e}")))
-        .and_then(|s| {
-            serde_json::from_str(s)
-                .map_err(|e| PbgError::Checkpoint(format!("bad schema.json: {e}")))
-        })
+/// An opened checkpoint: manifest, meta and schema read and verified;
+/// every further file is checked against the manifest as it is read.
+struct Reader {
+    dir: PathBuf,
+    manifest: Manifest,
+    meta: Meta,
+    schema: GraphSchema,
 }
 
-/// Reads a manifest-listed file, mapping a missing file to a checkpoint
-/// error (the manifest promised it exists).
-fn read_listed(dir: &Path, f: &ManifestFile) -> Result<Vec<u8>> {
-    match std::fs::read(dir.join(&f.name)) {
-        Ok(bytes) => Ok(bytes),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Err(PbgError::Checkpoint(format!(
-            "{} listed in manifest but missing",
-            f.name
-        ))),
-        Err(e) => Err(e.into()),
+impl Reader {
+    fn open(dir: &Path) -> Result<Reader> {
+        let manifest = read_manifest(dir)?;
+        let json = |name: &str| -> Result<String> {
+            let (f, bytes) = read_sized(dir, &manifest, name)?;
+            verify_against(f, bytes.len(), checksum(&bytes))?;
+            String::from_utf8(bytes).map_err(|e| bad(format!("bad {name}: {e}")))
+        };
+        let meta: Meta = serde_json::from_str(&json("meta.json")?)
+            .map_err(|e| bad(format!("bad meta.json: {e}")))?;
+        let schema: GraphSchema = serde_json::from_str(&json("schema.json")?)
+            .map_err(|e| bad(format!("bad schema.json: {e}")))?;
+        let types = schema.entity_types().len();
+        let relations = schema.num_relation_types();
+        if (meta.num_entity_types, meta.relations.len()) != (types, relations) {
+            return Err(bad(format!(
+                "meta lists {} entity types and {} relations, schema has {types} and {relations}",
+                meta.num_entity_types,
+                meta.relations.len()
+            )));
+        }
+        let dir = dir.to_path_buf();
+        Ok(Reader {
+            dir,
+            manifest,
+            meta,
+            schema,
+        })
+    }
+
+    /// Decodes shard `name` (checksummed in the decoding pass) and checks
+    /// it against the manifest and the `rows × cols` it must hold.
+    fn shard(&self, name: &str, rows: usize, cols: usize) -> Result<Shard> {
+        let (f, bytes) = read_sized(&self.dir, &self.manifest, name)?;
+        let shard = shard::decode(&bytes).map_err(|e| in_file(name, e))?;
+        verify_against(f, bytes.len(), shard.file_checksum)?;
+        check_shape(name, (shard.header.rows, shard.header.cols), (rows, cols))?;
+        Ok(shard)
+    }
+
+    /// Every relation's parameters and accumulators, split out of
+    /// `relations.bin` by the layout in `meta.json`.
+    fn relations(&self) -> Result<SavedRelations> {
+        let layout = &self.meta.relations;
+        let rows = layout.iter().try_fold(0usize, |n, l| {
+            n.checked_add(l.forward)?
+                .checked_add(l.reciprocal.unwrap_or(0))
+        });
+        let rows =
+            rows.ok_or_else(|| bad("meta.json: relation parameter count overflows".into()))?;
+        let shard = self.shard(RELATIONS, rows, 1)?;
+        let mut at = 0;
+        let mut take = |n: usize| {
+            at += n;
+            at - n..at
+        };
+        let split = |l: &RelationLayout| {
+            let (forward, reciprocal) = (take(l.forward), l.reciprocal.map(&mut take));
+            let acc = forward.start..reciprocal.as_ref().map_or(forward.end, |r| r.end);
+            let params = |r: std::ops::Range<usize>| shard.embeddings[r].to_vec();
+            let (op, weight) = (l.op, l.weight);
+            let snap = RelationSnapshot {
+                op,
+                weight,
+                forward: params(forward),
+                reciprocal: reciprocal.map(params),
+            };
+            (snap, shard.accumulators[acc].to_vec())
+        };
+        Ok(layout.iter().map(split).collect())
     }
 }
 
-/// Verifies `bytes` against a manifest entry's recorded size and
-/// checksum. Works equally on heap buffers and memory-mapped files —
-/// the hash runs over the bytes in place.
-fn verify_against(f: &ManifestFile, bytes: &[u8]) -> Result<()> {
-    if bytes.len() as u64 != f.bytes {
-        return Err(PbgError::Checkpoint(format!(
-            "{}: size {} != manifest {}",
-            f.name,
-            bytes.len(),
-            f.bytes
+fn bad(msg: String) -> PbgError {
+    PbgError::Checkpoint(msg)
+}
+
+fn missing(name: &str) -> PbgError {
+    bad(format!("{name} listed in manifest but missing"))
+}
+
+fn entry<'a>(manifest: &'a Manifest, name: &str) -> Result<&'a ManifestFile> {
+    let mut files = manifest.files.iter();
+    files
+        .find(|f| f.name == name)
+        .ok_or_else(|| bad(format!("{name} not listed in manifest")))
+}
+
+/// Reads a listed file, failing cheaply on a size mismatch before the
+/// content is hashed or parsed.
+fn read_sized<'a>(
+    dir: &Path,
+    manifest: &'a Manifest,
+    name: &str,
+) -> Result<(&'a ManifestFile, Vec<u8>)> {
+    let f = entry(manifest, name)?;
+    let bytes = match std::fs::read(dir.join(name)) {
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Err(missing(name)),
+        read => read?,
+    };
+    verify_against(f, bytes.len(), None)?;
+    Ok((f, bytes))
+}
+
+/// Checks a file's size — and, when given, its whole-file checksum —
+/// against its manifest entry.
+fn verify_against(f: &ManifestFile, len: usize, sum: impl Into<Option<u64>>) -> Result<()> {
+    if len as u64 != f.bytes {
+        return Err(bad(format!(
+            "{}: size {len} != manifest {}",
+            f.name, f.bytes
         )));
     }
-    let sum = format!("{:016x}", checksum(bytes));
-    if sum != f.checksum {
-        return Err(PbgError::Checkpoint(format!(
+    match sum.into().map(|sum| format!("{sum:016x}")) {
+        Some(sum) if sum != f.checksum => Err(bad(format!(
             "{}: checksum {sum} != manifest {}",
             f.name, f.checksum
-        )));
+        ))),
+        _ => Ok(()),
+    }
+}
+
+/// Stale-file guard: a shard's shape must match what the schema says
+/// this checkpoint holds, not whatever an older save left behind.
+fn check_shape(name: &str, (rows, cols): (usize, usize), want: (usize, usize)) -> Result<()> {
+    if cols != want.1 {
+        return Err(bad(format!("{name}: {cols} cols != dim {}", want.1)));
+    }
+    if rows != want.0 {
+        return Err(bad(format!("{name}: {rows} rows != {} expected", want.0)));
     }
     Ok(())
 }
 
 /// Prefixes a parse error with the checkpoint file it came from, so a
 /// truncated or malformed partition file is diagnosable by name.
-fn in_file(name: &str, e: PbgError) -> PbgError {
+pub(crate) fn in_file(name: &str, e: PbgError) -> PbgError {
     match e {
         PbgError::Checkpoint(msg) => PbgError::Checkpoint(format!("{name}: {msg}")),
         other => other,
     }
-}
-
-/// Parsed common header of a supported format version: the payload
-/// kind byte and the storage precision (always [`Precision::F32`] for
-/// v2 files; carried in the formerly reserved u16 for v3).
-pub(crate) struct BinHeader {
-    pub kind: u8,
-    pub precision: Precision,
-}
-
-pub(crate) fn read_header(data: &mut &[u8]) -> Result<BinHeader> {
-    if data.remaining() < 8 {
-        return Err(PbgError::Checkpoint("file truncated".into()));
-    }
-    let mut magic = [0u8; 4];
-    data.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
-        return Err(PbgError::Checkpoint("bad magic".into()));
-    }
-    let version = data.get_u8();
-    if version != VERSION && version != VERSION_QUANT {
-        return Err(PbgError::Checkpoint(format!(
-            "unsupported version {version}"
-        )));
-    }
-    let kind = data.get_u8();
-    let reserved = data.get_u16();
-    let precision = if version == VERSION_QUANT {
-        u8::try_from(reserved)
-            .ok()
-            .and_then(Precision::from_tag)
-            .ok_or_else(|| {
-                PbgError::Checkpoint(format!("unknown precision tag {reserved} in v3 file"))
-            })?
-    } else {
-        // v2 files predate the tag; the field was written as zero and
-        // is deliberately ignored, matching the old readers
-        Precision::F32
-    };
-    Ok(BinHeader { kind, precision })
-}
-
-/// Reads one little-endian f32. Caller has already bounds-checked 4
-/// bytes.
-fn get_f32_le(data: &mut &[u8]) -> f32 {
-    let mut raw = [0u8; 4];
-    data.copy_to_slice(&mut raw);
-    f32::from_le_bytes(raw)
-}
-
-fn read_matrix(mut data: &[u8]) -> Result<Matrix> {
-    let total = data.len();
-    let header = read_header(&mut data)?;
-    if header.kind != 0 {
-        return Err(PbgError::Checkpoint("not a matrix payload".into()));
-    }
-    if data.remaining() < 16 {
-        return Err(PbgError::Checkpoint("matrix header truncated".into()));
-    }
-    let rows = data.get_u64() as usize;
-    let cols = data.get_u64() as usize;
-    // checked: rows and cols come off the wire, so the payload size is
-    // attacker-influenced and must not wrap past the bounds check; the
-    // element width comes from the header so v3 shortfalls report the
-    // true byte counts, not a 4-bytes-per-element guess
-    let payload = header
-        .precision
-        .payload_bytes(rows, cols)
-        .ok_or_else(|| PbgError::Checkpoint("matrix dimensions overflow".into()))?;
-    if data.remaining() < payload {
-        // shape mismatch, not a generic read error: the header promised
-        // rows×cols but the file does not hold that many elements
-        return Err(PbgError::Checkpoint(format!(
-            "matrix shape {rows}x{cols} needs {} bytes, file has {total} \
-             ({} payload bytes short)",
-            MATRIX_PAYLOAD_OFFSET + payload,
-            payload - data.remaining()
-        )));
-    }
-    if header.precision != Precision::F32 {
-        let values = quant::decode_rows(header.precision, &data[..payload], rows, cols)
-            .map_err(PbgError::Checkpoint)?;
-        return Ok(Matrix::from_vec(rows, cols, values));
-    }
-    let count = rows * cols;
-    let mut values = Vec::with_capacity(count.min(data.remaining() / 4));
-    for _ in 0..count {
-        values.push(get_f32_le(&mut data));
-    }
-    Ok(Matrix::from_vec(rows, cols, values))
-}
-
-fn read_relations(mut data: &[u8]) -> Result<Vec<RelationSnapshot>> {
-    let header = read_header(&mut data)?;
-    if header.kind != 1 {
-        return Err(PbgError::Checkpoint("not a relations payload".into()));
-    }
-    if data.remaining() < 8 {
-        return Err(PbgError::Checkpoint("relations header truncated".into()));
-    }
-    let n = data.get_u64() as usize;
-    // capacity capped by what the buffer could possibly hold (each entry
-    // is at least 14 bytes): a forged count cannot drive allocation
-    let mut out = Vec::with_capacity(n.min(data.remaining() / 14));
-    for _ in 0..n {
-        if data.remaining() < 13 {
-            return Err(PbgError::Checkpoint("relation entry truncated".into()));
-        }
-        let op = op_from_code(data.get_u8())?;
-        let weight = get_f32_le(&mut data);
-        let flen = data.get_u64() as usize;
-        let fbytes = flen
-            .checked_mul(4)
-            .and_then(|b| b.checked_add(1))
-            .ok_or_else(|| PbgError::Checkpoint("relation param length overflow".into()))?;
-        if data.remaining() < fbytes {
-            return Err(PbgError::Checkpoint("relation params truncated".into()));
-        }
-        let forward: Vec<f32> = (0..flen).map(|_| get_f32_le(&mut data)).collect();
-        let reciprocal = if data.get_u8() == 1 {
-            if data.remaining() < 8 {
-                return Err(PbgError::Checkpoint("reciprocal header truncated".into()));
-            }
-            let ilen = data.get_u64() as usize;
-            let ibytes = ilen
-                .checked_mul(4)
-                .ok_or_else(|| PbgError::Checkpoint("reciprocal length overflow".into()))?;
-            if data.remaining() < ibytes {
-                return Err(PbgError::Checkpoint("reciprocal params truncated".into()));
-            }
-            Some((0..ilen).map(|_| get_f32_le(&mut data)).collect())
-        } else {
-            None
-        };
-        out.push(RelationSnapshot {
-            op,
-            weight,
-            forward,
-            reciprocal,
-        });
-    }
-    Ok(out)
-}
-
-fn op_code(op: pbg_graph::schema::OperatorKind) -> u8 {
-    use pbg_graph::schema::OperatorKind::*;
-    match op {
-        Identity => 0,
-        Translation => 1,
-        Diagonal => 2,
-        Linear => 3,
-        ComplexDiagonal => 4,
-    }
-}
-
-fn op_from_code(code: u8) -> Result<pbg_graph::schema::OperatorKind> {
-    use pbg_graph::schema::OperatorKind::*;
-    Ok(match code {
-        0 => Identity,
-        1 => Translation,
-        2 => Diagonal,
-        3 => Linear,
-        4 => ComplexDiagonal,
-        other => {
-            return Err(PbgError::Checkpoint(format!(
-                "unknown operator code {other}"
-            )))
-        }
-    })
-}
-
-/// Opens a checkpoint for serving: relation parameters and metadata on
-/// the heap, embedding shards memory-mapped in place. Every shard is
-/// verified against the manifest's size and checksum — the hash runs
-/// over the mapped bytes, so validation never copies a shard to heap —
-/// and every shape against the schema, exactly like [`load`].
-///
-/// # Errors
-///
-/// Returns [`PbgError::Checkpoint`] for corrupt, incomplete,
-/// shape-inconsistent, or pre-v2 (big-endian) checkpoints, and
-/// propagates I/O failures.
-pub fn open_mmap(dir: impl AsRef<Path>) -> Result<crate::model::MmapEmbeddings> {
-    let dir = dir.as_ref();
-    let manifest = read_manifest(dir)?;
-    let entry = |name: &str| -> Result<&ManifestFile> {
-        manifest
-            .files
-            .iter()
-            .find(|f| f.name == name)
-            .ok_or_else(|| PbgError::Checkpoint(format!("{name} not listed in manifest")))
-    };
-    let small = |name: &str| -> Result<Vec<u8>> {
-        let f = entry(name)?;
-        let bytes = read_listed(dir, f)?;
-        verify_against(f, &bytes)?;
-        Ok(bytes)
-    };
-    let CheckpointMeta {
-        dim,
-        similarity,
-        num_types,
-    } = parse_meta(&small("meta.json")?)?;
-    let schema = parse_schema(&small("schema.json")?)?;
-    if num_types != schema.entity_types().len() {
-        return Err(PbgError::Checkpoint(format!(
-            "meta lists {num_types} entity types, schema has {}",
-            schema.entity_types().len()
-        )));
-    }
-    let mut shards = Vec::with_capacity(schema.entity_types().len());
-    for (t, def) in schema.entity_types().iter().enumerate() {
-        let name = format!("embeddings_{t}.bin");
-        let f = entry(&name)?;
-        if !dir.join(&name).exists() {
-            return Err(PbgError::Checkpoint(format!(
-                "{name} listed in manifest but missing"
-            )));
-        }
-        let shard = crate::storage::MmapPartition::open(&dir.join(&name))?;
-        verify_against(f, shard.file_bytes())?;
-        if shard.cols() != dim {
-            return Err(PbgError::Checkpoint(format!(
-                "{name}: {} cols != dim {dim}",
-                shard.cols()
-            )));
-        }
-        if shard.rows() != def.num_entities() as usize {
-            return Err(PbgError::Checkpoint(format!(
-                "{name}: {} rows != {} entities in schema",
-                shard.rows(),
-                def.num_entities()
-            )));
-        }
-        shards.push(shard);
-    }
-    let rel_bytes = small("relations.bin")?;
-    let relations = read_relations(&rel_bytes).map_err(|e| in_file("relations.bin", e))?;
-    if relations.len() != schema.num_relation_types() {
-        return Err(PbgError::Checkpoint(format!(
-            "relations.bin has {} relations, schema has {}",
-            relations.len(),
-            schema.num_relation_types()
-        )));
-    }
-    Ok(crate::model::MmapEmbeddings {
-        dim,
-        similarity,
-        schema,
-        shards,
-        relations,
-    })
 }
 
 /// Saves a config alongside a checkpoint (convenience for experiment
@@ -801,9 +688,9 @@ pub fn load_config(dir: impl AsRef<Path>) -> Result<PbgConfig> {
 mod tests {
     use super::*;
     use crate::config::{PbgConfig, SimilarityKind};
-    use crate::model::Model;
     use crate::storage::InMemoryStore;
-    use pbg_graph::schema::{EntityTypeDef, OperatorKind, RelationTypeDef};
+    use pbg_graph::schema::{EntityTypeDef, RelationTypeDef};
+    use pbg_graph::RelationTypeId;
 
     fn snapshot() -> TrainedEmbeddings {
         let schema = GraphSchema::builder()
@@ -833,6 +720,46 @@ mod tests {
         std::env::temp_dir().join(format!("pbg_ckpt_{name}_{}", std::process::id()))
     }
 
+    /// Rewrites `name` with `bytes` and re-points its manifest entry at
+    /// them, so only what the file *says* can be refused.
+    fn forge(dir: &Path, name: &str, bytes: &[u8]) {
+        std::fs::write(dir.join(name), bytes).unwrap();
+        let mut manifest = read_manifest(dir).unwrap();
+        for f in manifest.files.iter_mut().filter(|f| f.name == name) {
+            f.bytes = bytes.len() as u64;
+            f.checksum = format!("{:016x}", checksum(bytes));
+        }
+        std::fs::write(
+            dir.join(MANIFEST_NAME),
+            serde_json::to_string(&manifest).unwrap(),
+        )
+        .unwrap();
+    }
+
+    /// A well-formed shard of `rows × cols` zeros.
+    fn shard_bytes(rows: usize, cols: usize) -> Vec<u8> {
+        let mut out = Vec::new();
+        shard::encode(
+            Precision::F32,
+            rows,
+            cols,
+            |_, _| {},
+            &vec![0.0; rows],
+            &mut out,
+        );
+        out
+    }
+
+    fn error_of<T: std::fmt::Debug>(result: Result<T>) -> String {
+        match result {
+            Err(PbgError::Checkpoint(msg)) => msg,
+            other => panic!("accepted: {other:?}"),
+        }
+    }
+
+    /// `et0_p0.shard` of the test schema: type `a`, 5 of its 10 rows.
+    const SHARD: &str = "et0_p0.shard";
+
     #[test]
     fn roundtrip_preserves_everything() {
         let snap = snapshot();
@@ -843,6 +770,7 @@ mod tests {
         assert_eq!(back.schema, snap.schema);
         assert_eq!(back.embeddings.len(), 2);
         assert_eq!(back.embeddings[0], snap.embeddings[0]);
+        assert_eq!(back.embeddings[1], snap.embeddings[1]);
         assert_eq!(back.relations, snap.relations);
         assert!(back.relations[0].reciprocal.is_some());
         std::fs::remove_dir_all(&dir).ok();
@@ -907,10 +835,42 @@ mod tests {
         assert_eq!(manifest.version, MANIFEST_VERSION);
         assert_eq!(manifest.progress.epochs_done, 3);
         assert_eq!(manifest.progress.steps_done, 7);
-        // meta + schema + 2 embedding files + relations
-        assert_eq!(manifest.files.len(), 5);
+        // meta + schema + one shard per (type, partition) + relations
+        let names: Vec<&str> = manifest.files.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "meta.json",
+                "schema.json",
+                SHARD,
+                "et0_p1.shard",
+                "et1_p0.shard",
+                "relations.bin"
+            ]
+        );
         let (_, m) = load_with_manifest(&dir).unwrap();
         assert_eq!(m.progress.steps_done, 7);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn older_manifest_versions_are_refused_with_re_save() {
+        let dir = tmp("old_manifest");
+        save(&snapshot(), &dir).unwrap();
+        let text = std::fs::read_to_string(dir.join(MANIFEST_NAME)).unwrap();
+        let old = text.replace(
+            &format!("\"version\": {MANIFEST_VERSION}"),
+            "\"version\": 2",
+        );
+        assert_ne!(old, text);
+        std::fs::write(dir.join(MANIFEST_NAME), old).unwrap();
+        for result in [load(&dir).map(drop), open_mmap(&dir).map(drop)] {
+            let msg = error_of(result);
+            assert!(
+                msg.contains("unsupported checkpoint version 2; re-save"),
+                "{msg}"
+            );
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -929,230 +889,187 @@ mod tests {
 
     #[test]
     fn stale_embedding_file_rejected() {
-        // a checkpoint whose embeddings file disagrees with the schema's
-        // entity count (e.g. left over from a save of a smaller graph)
-        // must be refused even if internally well-formed
+        // a well-formed shard whose row count disagrees with the schema
+        // (e.g. left over from a save of a smaller graph) is refused even
+        // with its manifest entry re-pointed at it
         let dir = tmp("stale");
         let snap = snapshot();
         save(&snap, &dir).unwrap();
-        // forge embeddings_0.bin with the wrong row count but matching
-        // checksum bookkeeping (re-point the manifest at the forged file)
-        let mut buf = BytesMut::new();
-        buf.put_slice(MAGIC);
-        buf.put_u8(VERSION);
-        buf.put_u8(0);
-        buf.put_u16(0);
-        buf.put_u64(3); // schema says 10 entities
-        buf.put_u64(snap.dim as u64);
-        for _ in 0..3 * snap.dim {
-            buf.put_f32(0.5);
-        }
-        std::fs::write(dir.join("embeddings_0.bin"), &buf).unwrap();
-        let mut manifest = read_manifest(&dir).unwrap();
-        for f in &mut manifest.files {
-            if f.name == "embeddings_0.bin" {
-                f.bytes = buf.len() as u64;
-                f.checksum = format!("{:016x}", checksum(&buf));
-            }
-        }
-        std::fs::write(
-            dir.join(MANIFEST_NAME),
-            serde_json::to_string(&manifest).unwrap(),
-        )
-        .unwrap();
-        match load(&dir) {
-            Err(PbgError::Checkpoint(msg)) => assert!(msg.contains("rows"), "{msg}"),
-            other => panic!("stale file accepted: {other:?}"),
-        }
+        forge(&dir, SHARD, &shard_bytes(3, snap.dim));
+        let msg = error_of(load(&dir));
+        assert!(msg.contains(SHARD) && msg.contains("rows"), "{msg}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn wrong_dim_rejected() {
-        let dir = tmp("wrongdim");
-        let snap = snapshot();
-        save(&snap, &dir).unwrap();
-        // meta claiming a different dim must not load matrices of the old
-        // dim; rewrite meta.json (and its manifest entry) with dim+1
-        let meta = format!(
-            "{{\"dim\": {}, \"similarity\": \"Dot\", \"num_entity_types\": 2}}",
-            snap.dim + 1
-        );
-        std::fs::write(dir.join("meta.json"), &meta).unwrap();
-        let mut manifest = read_manifest(&dir).unwrap();
-        for f in &mut manifest.files {
-            if f.name == "meta.json" {
-                f.bytes = meta.len() as u64;
-                f.checksum = format!("{:016x}", checksum(meta.as_bytes()));
-            }
-        }
-        std::fs::write(
-            dir.join(MANIFEST_NAME),
-            serde_json::to_string(&manifest).unwrap(),
-        )
-        .unwrap();
-        match load(&dir) {
-            Err(PbgError::Checkpoint(msg)) => assert!(msg.contains("cols"), "{msg}"),
-            other => panic!("dim mismatch accepted: {other:?}"),
-        }
+        // meta claiming a different dim must not load shards of the old
+        // dim
+        let dir = forged_meta("wrongdim", "\"dim\": 6", "\"dim\": 7");
+        assert!(error_of(load(&dir)).contains("cols"));
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    fn matrix_payload(rows: u64, cols: u64, floats: usize) -> Vec<u8> {
-        let mut buf = BytesMut::new();
-        buf.put_slice(MAGIC);
-        buf.put_u8(VERSION);
-        buf.put_u8(0);
-        buf.put_u16(0);
-        buf.put_u64(rows);
-        buf.put_u64(cols);
-        for _ in 0..floats {
-            buf.put_f32(1.0);
-        }
-        buf.to_vec()
+    /// Runs the one shard decoder over forged bytes.
+    fn decoded(bytes: &[u8]) -> String {
+        error_of(shard::decode(bytes))
+    }
+
+    fn forged_header(rows: u64, cols: u64) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(shard::MAGIC);
+        bytes.extend_from_slice(&[shard::VERSION, Precision::F32.tag(), 0, 0]);
+        bytes.extend_from_slice(&rows.to_le_bytes());
+        bytes.extend_from_slice(&cols.to_le_bytes());
+        bytes
     }
 
     #[test]
     fn overflowing_matrix_dims_rejected() {
         // rows * cols * 4 wraps to something tiny on 64-bit if unchecked
-        let huge = (u64::MAX / 2) + 1;
-        let bytes = matrix_payload(huge, 8, 0);
-        match read_matrix(&bytes) {
-            Err(PbgError::Checkpoint(msg)) => assert!(msg.contains("overflow"), "{msg}"),
-            other => panic!("overflow accepted: {other:?}"),
-        }
+        let msg = decoded(&forged_header(u64::MAX / 2 + 1, 8));
+        assert!(msg.contains("overflow"), "{msg}");
     }
 
     #[test]
     fn oversized_matrix_count_rejected_without_allocating() {
-        // a huge-but-not-overflowing count must fail the bounds check
+        // a huge-but-not-overflowing count must fail the length check
         // before any proportional allocation
-        let bytes = matrix_payload(1 << 40, 4, 2);
-        assert!(matches!(read_matrix(&bytes), Err(PbgError::Checkpoint(_))));
+        let mut bytes = forged_header(1 << 40, 4);
+        bytes.resize(bytes.len() + 40, 0);
+        assert!(decoded(&bytes).contains("short"));
+    }
+
+    /// Saves the test model and rewrites `meta.json` with `from`
+    /// replaced by `to` once.
+    fn forged_meta(name: &str, from: &str, to: &str) -> std::path::PathBuf {
+        let dir = tmp(name);
+        save(&snapshot(), &dir).unwrap();
+        let meta = std::fs::read_to_string(dir.join("meta.json")).unwrap();
+        assert!(meta.contains(from), "{meta}");
+        forge(&dir, "meta.json", meta.replacen(from, to, 1).as_bytes());
+        dir
     }
 
     #[test]
     fn forged_relation_count_rejected_without_allocating() {
-        let mut buf = BytesMut::new();
-        buf.put_slice(MAGIC);
-        buf.put_u8(VERSION);
-        buf.put_u8(1);
-        buf.put_u16(0);
-        buf.put_u64(u64::MAX); // count an attacker controls
-        let bytes = buf.to_vec();
-        assert!(matches!(
-            read_relations(&bytes),
-            Err(PbgError::Checkpoint(_))
-        ));
+        // a relation count the schema does not have
+        let entry = r#"{"op": "Identity", "weight": 1.0, "forward": 0, "reciprocal": null}, "#;
+        let dir = forged_meta(
+            "rel_count",
+            "\"relations\": [",
+            &format!("\"relations\": [{entry}"),
+        );
+        assert!(error_of(load(&dir)).contains("3 relations"));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn forged_relation_param_length_rejected() {
+        // lengths an attacker controls are checked against the shard's
+        // own (file-bounded) row count before anything is split out
         for flen in [u64::MAX, u64::MAX / 4, 1 << 40] {
-            let mut buf = BytesMut::new();
-            buf.put_slice(MAGIC);
-            buf.put_u8(VERSION);
-            buf.put_u8(1);
-            buf.put_u16(0);
-            buf.put_u64(1);
-            buf.put_u8(1); // op: translation
-            buf.put_f32(1.0);
-            buf.put_u64(flen);
-            let bytes = buf.to_vec();
+            let forged = format!("\"forward\": {flen}");
+            let dir = forged_meta("rel_len", "\"forward\": 6", &forged);
             assert!(
-                matches!(read_relations(&bytes), Err(PbgError::Checkpoint(_))),
+                error_of(load(&dir)).contains("relation"),
                 "flen {flen} accepted"
             );
+            std::fs::remove_dir_all(&dir).ok();
         }
     }
 
     #[test]
     fn forged_reciprocal_length_rejected() {
-        let mut buf = BytesMut::new();
-        buf.put_slice(MAGIC);
-        buf.put_u8(VERSION);
-        buf.put_u8(1);
-        buf.put_u16(0);
-        buf.put_u64(1);
-        buf.put_u8(0); // identity, zero forward params
-        buf.put_f32(1.0);
-        buf.put_u64(0);
-        buf.put_u8(1); // claims a reciprocal follows
-        buf.put_u64(u64::MAX / 4 + 1); // ilen * 4 overflows
-        let bytes = buf.to_vec();
-        match read_relations(&bytes) {
-            Err(PbgError::Checkpoint(msg)) => assert!(msg.contains("overflow"), "{msg}"),
-            other => panic!("reciprocal overflow accepted: {other:?}"),
-        }
+        let forged = format!("\"reciprocal\": {}", u64::MAX);
+        let dir = forged_meta("rel_recip", "\"reciprocal\": 6", &forged);
+        assert!(error_of(load(&dir)).contains("overflow"));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn truncated_fields_rejected_at_each_boundary() {
-        // progressively truncate a valid relations payload: every prefix
-        // must be cleanly rejected, never OOB-read or mis-parsed
+        // progressively truncate the relations shard and a partition
+        // shard: every prefix must be cleanly rejected, never OOB-read or
+        // mis-parsed
         let dir = tmp("trunc_fields");
         save(&snapshot(), &dir).unwrap();
-        let full = std::fs::read(dir.join("relations.bin")).unwrap();
-        for cut in 0..full.len() {
-            let r = read_relations(&full[..cut]);
-            assert!(
-                matches!(r, Err(PbgError::Checkpoint(_))),
-                "truncation at {cut} not rejected"
-            );
+        for name in [RELATIONS, SHARD] {
+            let full = std::fs::read(dir.join(name)).unwrap();
+            for cut in 0..full.len() {
+                assert!(shard::decode(&full[..cut]).is_err(), "{name} cut at {cut}");
+            }
+            assert!(shard::decode(&full).is_ok());
         }
-        assert!(read_relations(&full).is_ok());
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn truncated_matrix_reports_shape_and_file() {
-        // chop the float payload of a valid embeddings file: the error
-        // must be a shape mismatch naming the file, not a generic read
-        // failure — this is what an operator sees after a torn copy
+        // chop the row block of a valid shard: the error must be a shape
+        // mismatch naming the file, not a generic read failure — this is
+        // what an operator sees after a torn copy
         let dir = tmp("trunc_shape");
         save(&snapshot(), &dir).unwrap();
-        let full = std::fs::read(dir.join("embeddings_0.bin")).unwrap();
+        let full = std::fs::read(dir.join(SHARD)).unwrap();
         let cut = &full[..full.len() - 5];
-        match read_matrix(cut) {
-            Err(PbgError::Checkpoint(msg)) => {
-                assert!(msg.contains("shape 10x6"), "{msg}");
-                assert!(msg.contains("short"), "{msg}");
-            }
-            other => panic!("truncated matrix accepted: {other:?}"),
-        }
+        let msg = decoded(cut);
+        assert!(msg.contains("shape 5x6") && msg.contains("short"), "{msg}");
         // through the manifest path the file name is prepended (the
         // manifest entry is re-pointed at the truncated bytes so the
         // size/checksum gate does not mask the parse error)
-        std::fs::write(dir.join("embeddings_0.bin"), cut).unwrap();
-        let mut manifest = read_manifest(&dir).unwrap();
-        for f in &mut manifest.files {
-            if f.name == "embeddings_0.bin" {
-                f.bytes = cut.len() as u64;
-                f.checksum = format!("{:016x}", checksum(cut));
-            }
+        forge(&dir, SHARD, cut);
+        for result in [load(&dir).map(drop), open_mmap(&dir).map(drop)] {
+            let msg = error_of(result);
+            assert!(msg.contains(SHARD) && msg.contains("shape 5x6"), "{msg}");
         }
-        std::fs::write(
-            dir.join(MANIFEST_NAME),
-            serde_json::to_string(&manifest).unwrap(),
-        )
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn dense_save_writes_fresh_accumulators_and_restore_installs_them() {
+        let snap = snapshot();
+        let dir = tmp("restore");
+        save(&snap, &dir).unwrap();
+        let model = Model::new(snap.schema.clone(), {
+            PbgConfig::builder()
+                .dim(6)
+                .batch_size(4)
+                .chunk_size(2)
+                .reciprocal_relations(true)
+                .build()
+                .unwrap()
+        })
         .unwrap();
-        match load(&dir) {
-            Err(PbgError::Checkpoint(msg)) => {
-                assert!(msg.contains("embeddings_0.bin"), "{msg}");
-                assert!(msg.contains("shape 10x6"), "{msg}");
-            }
-            other => panic!("truncated checkpoint accepted: {other:?}"),
-        }
+        let store = InMemoryStore::new(model.store_layout());
+        // dirty the live accumulators: restore must overwrite them
+        let key = PartitionKey::new(0u32, 1u32);
+        let _ = store.load(key).adagrad.step_size(0, &[1.0; 6]);
+        model
+            .relation(RelationTypeId(0))
+            .forward
+            .apply_grad(&[1.0; 6]);
+        assert_eq!(
+            restore(&dir, &model, &store).unwrap(),
+            TrainProgress::default()
+        );
+        assert!(store.load(key).adagrad.to_vec().iter().all(|&a| a == 0.0));
+        let rel = model.relation(RelationTypeId(0));
+        assert!(rel.forward.accumulator_snapshot().iter().all(|&a| a == 0.0));
+        let back = model.snapshot(&store);
+        assert_eq!(back.embeddings, snap.embeddings);
+        assert_eq!(back.relations, snap.relations);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn mmap_rows_byte_identical_to_heap_load_on_preset_shapes() {
         // every dataset preset's schema shape (single-relation social
-        // graphs, partitioned, multi-relation knowledge graphs with
-        // complex/translation operators): the mapped rows must be
-        // bit-identical to the heap loader's, and batched scores through
-        // both models must agree to the bit
+        // graphs, multi-relation knowledge graphs with complex/translation
+        // operators) at P = 3, so global id i lives at row i / 3 of shard
+        // i % 3: the mapped rows must be bit-identical to the heap
+        // loader's, and batched scores through both models must agree to
+        // the bit
         let presets = [
             pbg_datagen::presets::livejournal_like(0.00001, 3),
             pbg_datagen::presets::twitter_like(0.000001, 3),
@@ -1161,7 +1078,7 @@ mod tests {
             pbg_datagen::presets::freebase_like(0.0000005, 3),
         ];
         for (i, d) in presets.iter().enumerate() {
-            let schema = d.schema_with_partitions(2);
+            let schema = d.schema_with_partitions(3);
             let config = PbgConfig::builder()
                 .dim(8)
                 .batch_size(4)
@@ -1177,12 +1094,12 @@ mod tests {
             let served = open_mmap(&dir).unwrap();
             assert_eq!(served.dim, heap.dim, "{}", d.name);
             assert_eq!(served.relations, heap.relations, "{}", d.name);
+            assert_eq!(served.shards.len(), model.store_layout().keys().len());
             for (t, m) in heap.embeddings.iter().enumerate() {
-                assert_eq!(served.shards[t].rows(), m.rows(), "{}", d.name);
                 for r in 0..m.rows() {
                     let heap_bits: Vec<u32> = m.row(r).iter().map(|v| v.to_bits()).collect();
-                    let map_bits: Vec<u32> = served.shards[t]
-                        .row(r)
+                    let map_bits: Vec<u32> = served
+                        .embedding(t, r as u32)
                         .iter()
                         .map(|v| v.to_bits())
                         .collect();
@@ -1216,13 +1133,20 @@ mod tests {
     #[test]
     fn heap_and_mmap_score_are_bit_identical_for_every_pair() {
         // offline `score` runs the same gathered path as the served one
-        // and as a batched row, so one edge has one score everywhere
+        // and as a batched row, so one edge has one score everywhere —
+        // here with type `a` split over two shards
         for sim in [SimilarityKind::Dot, SimilarityKind::Cosine] {
             let mut snap = snapshot();
             snap.similarity = sim;
             let mut rng = pbg_tensor::rng::Xoshiro256::seed_from_u64(3);
             for r in &mut snap.relations {
                 r.forward.iter_mut().for_each(|p| *p = rng.gen_normal());
+            }
+            // rows 2..=7 of type `a` tie; they alternate between its two
+            // shards, so top-k must put the lower global ids first
+            let tied = snap.embeddings[0].row(2).to_vec();
+            for id in 3..=7 {
+                snap.embeddings[0].row_mut(id).copy_from_slice(&tied);
             }
             let dir = tmp(&format!("score_pairs_{sim:?}"));
             save(&snap, &dir).unwrap();
@@ -1248,6 +1172,18 @@ mod tests {
                             "{sim:?} {rel:?} ({src}, {dst})"
                         );
                     }
+                    // served top-k == offline order: score descending,
+                    // ties to the lower global id
+                    let mut want: Vec<u32> = all_dsts.clone();
+                    want.sort_by(|&a, &b| {
+                        row[b as usize].total_cmp(&row[a as usize]).then(a.cmp(&b))
+                    });
+                    let top: Vec<u32> = served
+                        .top_destinations(src, rel, n_dst as usize)
+                        .into_iter()
+                        .map(|(id, _)| id)
+                        .collect();
+                    assert_eq!(top, want, "{sim:?} {rel:?} src {src}");
                 }
             }
             std::fs::remove_dir_all(&dir).ok();
@@ -1258,62 +1194,38 @@ mod tests {
     fn mmap_refuses_corrupted_checksum() {
         let dir = tmp("mmap_corrupt");
         save(&snapshot(), &dir).unwrap();
-        // flip one payload byte without touching the manifest
-        let mut bytes = std::fs::read(dir.join("embeddings_1.bin")).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x40;
-        std::fs::write(dir.join("embeddings_1.bin"), &bytes).unwrap();
-        match open_mmap(&dir) {
-            Err(PbgError::Checkpoint(msg)) => {
-                assert!(msg.contains("embeddings_1.bin"), "{msg}");
-                assert!(msg.contains("checksum"), "{msg}");
-            }
-            other => panic!("corrupted shard accepted: {other:?}"),
-        }
+        // flip one row byte without touching the manifest
+        let name = "et1_p0.shard";
+        let mut bytes = std::fs::read(dir.join(name)).unwrap();
+        bytes[shard::HEADER_BYTES] ^= 0x40;
+        std::fs::write(dir.join(name), &bytes).unwrap();
+        let msg = error_of(open_mmap(&dir));
+        assert!(msg.contains(name) && msg.contains("checksum"), "{msg}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn mmap_refuses_v1_big_endian_shard() {
-        // a v1 shard stores floats big-endian: reading it as v2 would
-        // serve garbage, so both loaders must refuse it as an
+        // shards of older formats (v1 big-endian floats, v2/v3 per-type
+        // files) would serve garbage, so both loaders refuse them as an
         // unsupported version even when the manifest checks out
         let dir = tmp("mmap_v1");
-        let snap = snapshot();
-        save(&snap, &dir).unwrap();
-        let mut buf = BytesMut::new();
-        buf.put_slice(MAGIC);
-        buf.put_u8(1);
-        buf.put_u8(0);
-        buf.put_u16(0);
-        buf.put_u64(10);
-        buf.put_u64(snap.dim as u64);
-        for _ in 0..10 * snap.dim {
-            buf.put_f32(0.5);
-        }
-        std::fs::write(dir.join("embeddings_0.bin"), &buf).unwrap();
-        let mut manifest = read_manifest(&dir).unwrap();
-        for f in &mut manifest.files {
-            if f.name == "embeddings_0.bin" {
-                f.bytes = buf.len() as u64;
-                f.checksum = format!("{:016x}", checksum(&buf));
-            }
-        }
-        std::fs::write(
-            dir.join(MANIFEST_NAME),
-            serde_json::to_string(&manifest).unwrap(),
-        )
-        .unwrap();
-        for (loader, result) in [
-            ("load", load(&dir).map(drop)),
-            ("open_mmap", open_mmap(&dir).map(drop)),
-        ] {
-            match result {
-                Err(PbgError::Checkpoint(msg)) => {
-                    assert!(msg.contains("embeddings_0.bin"), "{loader}: {msg}");
-                    assert!(msg.contains("unsupported version 1"), "{loader}: {msg}");
-                }
-                other => panic!("{loader} accepted a v1 shard: {other:?}"),
+        save(&snapshot(), &dir).unwrap();
+        let current = std::fs::read(dir.join(SHARD)).unwrap();
+        for version in 1..shard::VERSION {
+            let mut old = current.clone();
+            old[4] = version;
+            forge(&dir, SHARD, &old);
+            for (loader, result) in [
+                ("load", load(&dir).map(drop)),
+                ("open_mmap", open_mmap(&dir).map(drop)),
+            ] {
+                let msg = error_of(result);
+                let want = format!("unsupported checkpoint version {version}; re-save");
+                assert!(
+                    msg.contains(SHARD) && msg.contains(&want),
+                    "{loader}: {msg}"
+                );
             }
         }
         std::fs::remove_dir_all(&dir).ok();
@@ -1321,7 +1233,7 @@ mod tests {
 
     #[test]
     fn checksum_is_stable() {
-        assert_eq!(checksum(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(checksum(b""), 0x872F_AE7B_0C21_86A7);
         assert_ne!(checksum(b"a"), checksum(b"b"));
     }
 

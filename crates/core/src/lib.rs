@@ -54,7 +54,7 @@
 //! | §4.1/4.2 training | [`trainer`] |
 //! | §5 evaluation | [`eval`] |
 //! | §4.2 featurized entities | [`features`] |
-//! | Figure 2 checkpoints | [`checkpoint`] |
+//! | Figure 2 checkpoints | [`checkpoint`], [`shard`] |
 
 pub mod batch;
 pub mod buffer;
@@ -69,6 +69,7 @@ pub mod negatives;
 pub mod neighbors;
 pub mod operator;
 pub mod optimizer;
+pub mod shard;
 pub mod similarity;
 pub mod stats;
 pub mod storage;

@@ -13,8 +13,9 @@ use crate::config::{PbgConfig, SimilarityKind};
 use crate::error::{PbgError, Result};
 use crate::operator::{self, RowOperator};
 use crate::optimizer::HogwildAdagradDense;
-use crate::storage::{PartitionStore, StoreLayout};
+use crate::storage::{partition_keys, MmapPartition, PartitionKey, PartitionStore, StoreLayout};
 use pbg_graph::ids::RelationTypeId;
+use pbg_graph::partition::EntityPartitioning;
 use pbg_graph::schema::{GraphSchema, OperatorKind};
 use pbg_tensor::kernels::{self, DenseRows, GatherRows};
 use pbg_tensor::matrix::Matrix;
@@ -42,6 +43,16 @@ impl RelationParams {
     /// The per-relation edge weight.
     pub fn weight(&self) -> f32 {
         self.weight
+    }
+
+    /// The current parameter values.
+    pub(crate) fn snapshot(&self) -> RelationSnapshot {
+        RelationSnapshot {
+            op: self.op,
+            weight: self.weight,
+            forward: self.forward.snapshot(),
+            reciprocal: self.reciprocal.as_ref().map(|p| p.snapshot()),
+        }
     }
 }
 
@@ -113,17 +124,14 @@ impl Model {
         &self.relations[r.index()]
     }
 
+    /// Live parameters of every relation, in schema order.
+    pub(crate) fn relations(&self) -> &[RelationParams] {
+        &self.relations
+    }
+
     /// Number of relation types.
     pub fn num_relations(&self) -> usize {
         self.relations.len()
-    }
-
-    /// Total bytes of relation parameters + their optimizer state.
-    pub fn relation_bytes(&self) -> usize {
-        self.relations
-            .iter()
-            .map(|r| r.forward.bytes() + r.reciprocal.as_ref().map_or(0, |p| p.bytes()))
-            .sum()
     }
 
     /// The storage layout implied by this model's schema and config,
@@ -148,37 +156,18 @@ impl Model {
     /// training, not the snapshot.
     pub fn snapshot(&self, store: &dyn PartitionStore) -> TrainedEmbeddings {
         let dim = self.config.dim;
-        let mut embeddings = Vec::new();
-        for (t, def) in self.schema.entity_types().iter().enumerate() {
-            let partitioning = pbg_graph::partition::EntityPartitioning::new(
-                def.num_entities(),
-                def.num_partitions(),
-            );
-            let mut m = Matrix::zeros(def.num_entities() as usize, dim);
-            for p in partitioning.partitions() {
-                let key = crate::storage::PartitionKey::new(t as u32, p);
-                let data = store.load(key);
-                let size = partitioning.partition_size(p);
-                let mut buf = vec![0.0f32; dim];
-                for off in 0..size {
-                    data.embeddings.read_row_into(off as usize, &mut buf);
-                    let global = partitioning.global_of(p, off);
-                    m.row_mut(global.index()).copy_from_slice(&buf);
-                }
-                drop(data);
-                store.release(key);
-            }
-            embeddings.push(m);
-        }
+        let embeddings = dense_tables(&self.schema, dim, |key, _| {
+            let data = store.load(key);
+            let rows = data.embeddings.to_vec();
+            drop(data);
+            store.release(key);
+            Ok(rows)
+        })
+        .expect("a store always yields its partitions");
         let relations = self
             .relations
             .iter()
-            .map(|r| RelationSnapshot {
-                op: r.op,
-                weight: r.weight,
-                forward: r.forward.snapshot(),
-                reciprocal: r.reciprocal.as_ref().map(|p| p.snapshot()),
-            })
+            .map(RelationParams::snapshot)
             .collect();
         TrainedEmbeddings {
             dim,
@@ -187,92 +176,6 @@ impl Model {
             embeddings,
             relations,
         }
-    }
-
-    /// Restores a trained snapshot into this model and `store` — the
-    /// inverse of [`Model::snapshot`], used by checkpoint resume. Entity
-    /// embeddings are scattered back to their partitions one at a time
-    /// (load, overwrite, release); relation parameters overwrite the live
-    /// values. Adagrad accumulators are not part of the snapshot format
-    /// and keep whatever values they currently have.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PbgError::Checkpoint`] when the snapshot's schema or
-    /// shapes disagree with this model.
-    pub fn restore(&self, snap: &TrainedEmbeddings, store: &dyn PartitionStore) -> Result<()> {
-        if snap.schema != self.schema {
-            return Err(PbgError::Checkpoint(
-                "checkpoint schema does not match the model schema".into(),
-            ));
-        }
-        if snap.dim != self.config.dim {
-            return Err(PbgError::Checkpoint(format!(
-                "checkpoint dim {} != config dim {}",
-                snap.dim, self.config.dim
-            )));
-        }
-        if snap.relations.len() != self.relations.len() {
-            return Err(PbgError::Checkpoint(format!(
-                "checkpoint has {} relations, model has {}",
-                snap.relations.len(),
-                self.relations.len()
-            )));
-        }
-        for (t, def) in self.schema.entity_types().iter().enumerate() {
-            let m = &snap.embeddings[t];
-            if m.rows() != def.num_entities() as usize || m.cols() != snap.dim {
-                return Err(PbgError::Checkpoint(format!(
-                    "checkpoint embeddings for type {t} are {}x{}, expected {}x{}",
-                    m.rows(),
-                    m.cols(),
-                    def.num_entities(),
-                    snap.dim
-                )));
-            }
-            let partitioning = pbg_graph::partition::EntityPartitioning::new(
-                def.num_entities(),
-                def.num_partitions(),
-            );
-            for p in partitioning.partitions() {
-                let key = crate::storage::PartitionKey::new(t as u32, p);
-                let data = store.load(key);
-                for off in 0..partitioning.partition_size(p) {
-                    let global = partitioning.global_of(p, off);
-                    data.embeddings
-                        .write_row(off as usize, m.row(global.index()));
-                }
-                drop(data);
-                store.mark_dirty(key);
-                store.release(key);
-            }
-        }
-        for (r, rs) in self.relations.iter().zip(&snap.relations) {
-            if rs.forward.len() != r.forward.len() {
-                return Err(PbgError::Checkpoint(
-                    "relation parameter length mismatch".into(),
-                ));
-            }
-            r.forward
-                .restore(&rs.forward, &r.forward.accumulator_snapshot());
-            match (&r.reciprocal, &rs.reciprocal) {
-                (Some(live), Some(saved)) => {
-                    if saved.len() != live.len() {
-                        return Err(PbgError::Checkpoint(
-                            "reciprocal parameter length mismatch".into(),
-                        ));
-                    }
-                    live.restore(saved, &live.accumulator_snapshot());
-                }
-                (None, None) => {}
-                _ => {
-                    return Err(PbgError::Checkpoint(
-                        "reciprocal parameter presence mismatch".into(),
-                    ));
-                }
-            }
-        }
-        Ok(())
     }
 }
 
@@ -422,9 +325,9 @@ impl TrainedEmbeddings {
 
 /// A trained model served straight from a memory-mapped checkpoint:
 /// relation parameters and schema on the heap, embedding rows read in
-/// place from [`crate::storage::MmapPartition`] shards. The scoring API
-/// mirrors [`TrainedEmbeddings`] and routes through the same kernels,
-/// so a served score is bit-identical to the offline one.
+/// place from [`MmapPartition`] shards. The scoring API mirrors
+/// [`TrainedEmbeddings`] and routes through the same kernels, so a
+/// served score is bit-identical to the offline one.
 #[derive(Debug)]
 pub struct MmapEmbeddings {
     /// Embedding dimension.
@@ -433,13 +336,42 @@ pub struct MmapEmbeddings {
     pub similarity: SimilarityKind,
     /// The schema.
     pub schema: GraphSchema,
-    /// One mapped shard per entity type, global-id indexed.
-    pub shards: Vec<crate::storage::MmapPartition>,
+    /// One mapped shard per `(entity type, partition)`, in
+    /// [`crate::storage::StoreLayout::keys`] order; an unpartitioned
+    /// type's single shard is its whole table in global-id order.
+    pub shards: Vec<MmapPartition>,
     /// Relation parameter snapshots.
     pub relations: Vec<RelationSnapshot>,
 }
 
+/// Global id `i` of a type split `P` ways is row `i / P` of partition
+/// `i % P`.
+fn locate<T>(parts: &[T], id: u32) -> (&T, u32) {
+    match parts {
+        [only] => (only, id),
+        _ => (&parts[id as usize % parts.len()], id / parts.len() as u32),
+    }
+}
+
+/// The shards of one entity type as one gather source, by global id.
+struct TypeRows<'a>(&'a [MmapPartition]);
+
+impl GatherRows for TypeRows<'_> {
+    fn copy_row(&self, id: u32, dst: &mut [f32]) {
+        let (shard, row) = locate(self.0, id);
+        shard.decode_rows_into(row as usize, 1, dst);
+    }
+}
+
 impl MmapEmbeddings {
+    /// The shards of entity type `t`, in partition order.
+    fn type_shards(&self, t: usize) -> &[MmapPartition] {
+        let parts = |def: &pbg_graph::schema::EntityTypeDef| def.num_partitions() as usize;
+        let types = self.schema.entity_types();
+        let start: usize = types[..t].iter().map(parts).sum();
+        &self.shards[start..start + parts(&types[t])]
+    }
+
     /// The embedding of entity `id` of type `entity_type`: borrowed
     /// zero-copy from the mapping for f32 shards, decoded to an owned
     /// f32 row for quantized shards.
@@ -448,7 +380,8 @@ impl MmapEmbeddings {
     ///
     /// Panics if indices are out of range.
     pub fn embedding(&self, entity_type: usize, id: u32) -> std::borrow::Cow<'_, [f32]> {
-        self.shards[entity_type].row(id as usize)
+        let (shard, row) = locate(self.type_shards(entity_type), id);
+        shard.row(row as usize)
     }
 
     /// The operator-transformed query row `g(θ_src, θ_rel)`.
@@ -482,21 +415,29 @@ impl MmapEmbeddings {
         dst_candidates: &[u32],
     ) -> Vec<f32> {
         let query = self.transformed_query(src, rel);
-        let shard = &self.shards[self.schema.relation_type(rel).dest_type().index()];
-        match shard.payload() {
-            Ok(payload) => {
-                let rows = DenseRows::new(payload, self.dim, self.dim);
+        let shards = self.type_shards(self.schema.relation_type(rel).dest_type().index());
+        // one f32 shard is the whole table in global-id order: read (and
+        // prefetch) its rows straight from the mapping
+        match (shards.len(), shards[0].payload()) {
+            (1, Ok(table)) => {
+                let rows = DenseRows::new(table, self.dim, self.dim);
                 gathered_scores(self.similarity, query, &rows, dst_candidates, None)
             }
-            Err(_) => gathered_scores(self.similarity, query, shard, dst_candidates, None),
+            _ => gathered_scores(
+                self.similarity,
+                query,
+                &TypeRows(shards),
+                dst_candidates,
+                None,
+            ),
         }
     }
 
     /// The `k` best destinations for `(src, rel)` over the *entire*
-    /// destination shard, streamed block-by-block through the score-only
-    /// top-k kernel — the shard is scored in place, never copied, and
-    /// only a k-entry heap is kept. Ties resolve to the lower entity id,
-    /// matching the offline argmax.
+    /// destination table, streamed shard by shard and block by block
+    /// through the score-only top-k kernel — scored in place, never
+    /// copied, and only k-entry heaps are kept. Ties resolve to the lower
+    /// global entity id, matching the offline argmax.
     ///
     /// # Panics
     ///
@@ -504,8 +445,7 @@ impl MmapEmbeddings {
     pub fn top_destinations(&self, src: u32, rel: RelationTypeId, k: usize) -> Vec<(u32, f32)> {
         use pbg_tensor::topk;
         let transformed = self.transformed_query(src, rel);
-        let shard = &self.shards[self.schema.relation_type(rel).dest_type().index()];
-        let mut acc = topk::TopK::new(k);
+        let shards = self.type_shards(self.schema.relation_type(rel).dest_type().index());
         let cosine_q = match self.similarity {
             SimilarityKind::Dot => None,
             SimilarityKind::Cosine => {
@@ -518,20 +458,28 @@ impl MmapEmbeddings {
             None => topk::accumulate_dot(&transformed, block, self.dim, base, acc),
             Some(q) => topk::accumulate_cosine(q, block, self.dim, base, acc),
         };
-        if shard.precision() == pbg_tensor::Precision::F32 {
-            score_block(shard.payload().expect("f32 shard payload"), 0, &mut acc);
-        } else {
-            // quantized shard: decode fixed-size row blocks into one
-            // scratch buffer and stream them through the same kernel,
-            // so only `QUANT_SCAN_ROWS × dim` floats are ever live
-            const QUANT_SCAN_ROWS: usize = 256;
-            let mut scratch = vec![0.0f32; QUANT_SCAN_ROWS.min(shard.rows().max(1)) * self.dim];
-            let mut base = 0;
-            while base < shard.rows() {
-                let n = QUANT_SCAN_ROWS.min(shard.rows() - base);
-                shard.decode_rows_into(base, n, &mut scratch[..n * self.dim]);
-                score_block(&scratch[..n * self.dim], base, &mut acc);
-                base += n;
+        let mut acc = topk::TopK::new(k);
+        for (p, shard) in shards.iter().enumerate() {
+            // a shard's own top k holds every global top-k row of it, and
+            // offsets order like global ids within one shard, so merging
+            // with ids mapped back keeps "ties to the lower id" exact
+            let mut part = topk::TopK::new(k);
+            if let Ok(payload) = shard.payload() {
+                score_block(payload, 0, &mut part);
+            } else {
+                // quantized shard: decode fixed-size row blocks into one
+                // scratch buffer and stream them through the same kernel,
+                // so only `QUANT_SCAN_ROWS × dim` floats are ever live
+                const QUANT_SCAN_ROWS: usize = 256;
+                let mut scratch = vec![0.0f32; QUANT_SCAN_ROWS.min(shard.rows().max(1)) * self.dim];
+                for base in (0..shard.rows()).step_by(QUANT_SCAN_ROWS) {
+                    let n = QUANT_SCAN_ROWS.min(shard.rows() - base);
+                    shard.decode_rows_into(base, n, &mut scratch[..n * self.dim]);
+                    score_block(&scratch[..n * self.dim], base, &mut part);
+                }
+            }
+            for s in part.into_sorted() {
+                acc.push(s.index * shards.len() + p, s.score);
             }
         }
         acc.into_sorted()
@@ -540,11 +488,36 @@ impl MmapEmbeddings {
             .collect()
     }
 
-    /// Total bytes of mapped shard files (resident only as far as the
-    /// page cache decides) — the number `/healthz` reports.
+    /// Bytes of embedding rows reachable through the mapped shards
+    /// (resident only as far as the page cache decides; the accumulator
+    /// column each shard also holds is never read when serving) — the
+    /// number `/healthz` reports.
     pub fn mapped_bytes(&self) -> usize {
-        self.shards.iter().map(|s| s.mapped_bytes()).sum()
+        self.shards.iter().map(|s| s.payload_bytes().len()).sum()
     }
+}
+
+/// Dense per-type tables in global-id order, gathered one partition at a
+/// time: `rows(key, n)` yields partition `key`'s `n` rows in offset order.
+pub(crate) fn dense_tables(
+    schema: &GraphSchema,
+    dim: usize,
+    mut rows: impl FnMut(PartitionKey, usize) -> Result<Vec<f32>>,
+) -> Result<Vec<Matrix>> {
+    let keys = partition_keys(schema);
+    let mut tables = Vec::new();
+    for (t, def) in schema.entity_types().iter().enumerate() {
+        let parts = EntityPartitioning::new(def.num_entities(), def.num_partitions());
+        let mut table = Matrix::zeros(def.num_entities() as usize, dim);
+        for &(key, n) in keys.iter().filter(|(key, _)| key.entity_type.index() == t) {
+            for (off, row) in rows(key, n)?.chunks_exact(dim.max(1)).enumerate() {
+                let global = parts.global_of(key.partition, off as u32);
+                table.row_mut(global.index()).copy_from_slice(row);
+            }
+        }
+        tables.push(table);
+    }
+    Ok(tables)
 }
 
 /// `g(row, params)` as an owned query vector.

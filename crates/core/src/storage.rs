@@ -13,6 +13,7 @@
 //! hot path, so bucket `k+1`'s swap overlaps bucket `k`'s compute.
 
 use crate::error::{PbgError, Result};
+use crate::shard;
 use crossbeam::channel;
 use parking_lot::{Condvar, Mutex};
 use pbg_graph::ids::{EntityTypeId, Partition};
@@ -145,6 +146,21 @@ pub trait PartitionStore: Send + Sync {
     }
 }
 
+/// Every `(key, rows)` of `schema`: entity types in order, partitions in
+/// order within each — the order of [`StoreLayout::keys`] and of a
+/// checkpoint's shards.
+pub fn partition_keys(schema: &GraphSchema) -> Vec<(PartitionKey, usize)> {
+    let mut keys = Vec::new();
+    for (t, def) in schema.entity_types().iter().enumerate() {
+        let partitioning = EntityPartitioning::new(def.num_entities(), def.num_partitions());
+        for p in partitioning.partitions() {
+            let rows = partitioning.partition_size(p) as usize;
+            keys.push((PartitionKey::new(t as u32, p), rows));
+        }
+    }
+    keys
+}
+
 /// Shape metadata shared by store implementations.
 #[derive(Debug, Clone)]
 pub struct StoreLayout {
@@ -169,18 +185,8 @@ impl StoreLayout {
         init_scale: f32,
         seed: u64,
     ) -> Self {
-        let mut keys = Vec::new();
-        for (t, def) in schema.entity_types().iter().enumerate() {
-            let partitioning = EntityPartitioning::new(def.num_entities(), def.num_partitions());
-            for p in partitioning.partitions() {
-                keys.push((
-                    PartitionKey::new(t as u32, p),
-                    partitioning.partition_size(p) as usize,
-                ));
-            }
-        }
         StoreLayout {
-            keys,
+            keys: partition_keys(schema),
             dim,
             lr,
             init_scale,
@@ -336,6 +342,10 @@ struct SwapState {
     /// dirty bit). Consumed by `release`: set → write back, unset → the
     /// disk copy (or the deterministic init) already matches, skip.
     mutated: HashSet<PartitionKey>,
+    /// Keys whose shard this store has written. Only these are ever read
+    /// back; every other key starts from its deterministic init, whatever
+    /// an earlier run left in the directory.
+    stored: HashSet<PartitionKey>,
 }
 
 /// State shared between the front end and the background I/O thread.
@@ -368,84 +378,89 @@ struct DiskShared {
 
 impl DiskShared {
     fn path_of(&self, key: PartitionKey) -> PathBuf {
-        self.dir
-            .join(format!("et{}_p{}.emb", key.entity_type, key.partition))
+        self.dir.join(shard::file_name(key))
     }
 
-    fn read_from_disk(&self, key: PartitionKey) -> Result<Option<PartitionData>> {
+    /// `key`'s partition: its shard if this store wrote one (`stored`),
+    /// else the deterministic init.
+    fn read_or_init(&self, key: PartitionKey, stored: bool) -> PartitionData {
+        if !stored {
+            return self.layout.init(key);
+        }
         let path = self.path_of(key);
-        if !path.exists() {
-            return Ok(None);
-        }
-        let bytes = std::fs::read(&path)?;
-        let rows = self.layout.rows_of(key);
-        let dim = self.layout.dim;
-        let precision = self.layout.precision;
-        // encoded embedding block (precision-dependent width) followed
-        // by the rows f32 Adagrad accumulators, which never quantize
-        let emb_bytes = precision
-            .payload_bytes(rows, dim)
-            .expect("partition shape overflows");
-        let expect = emb_bytes + rows * 4;
-        if bytes.len() != expect {
-            return Err(PbgError::Checkpoint(format!(
-                "partition file {} has {} bytes, expected {expect}",
-                path.display(),
-                bytes.len()
-            )));
-        }
-        self.swap_bytes.add(bytes.len() as u64);
-        let emb = quant::decode_rows(precision, &bytes[..emb_bytes], rows, dim)
-            .map_err(PbgError::Checkpoint)?;
-        let acc: Vec<f32> = bytes[emb_bytes..]
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-            .collect();
-        Ok(Some(PartitionData::from_parts(
+        let read = std::fs::read(&path)
+            .map_err(PbgError::from)
+            .and_then(|bytes| {
+                self.swap_bytes.add(bytes.len() as u64);
+                shard::decode(&bytes)
+            });
+        let shard =
+            read.unwrap_or_else(|e| panic!("swap shard {} unreadable: {e}", path.display()));
+        let (rows, cols, precision) = (
+            self.layout.rows_of(key),
+            self.layout.dim,
+            self.layout.precision,
+        );
+        let want = shard::Header {
             rows,
-            dim,
+            cols,
+            precision,
+        };
+        assert_eq!(
+            shard.header,
+            want,
+            "swap shard {} has another shape",
+            path.display()
+        );
+        PartitionData::from_parts(
+            rows,
+            cols,
             self.layout.lr,
-            emb,
-            &acc,
-        )))
+            shard.embeddings,
+            &shard.accumulators,
+        )
     }
 
-    fn read_or_init(&self, key: PartitionKey) -> PartitionData {
-        match self
-            .read_from_disk(key)
-            .expect("disk store read failed; inspect the store directory")
-        {
-            Some(d) => d,
-            None => self.layout.init(key),
-        }
-    }
-
-    fn write_to_disk(&self, key: PartitionKey, data: &PartitionData) -> Result<()> {
-        let rows = self.layout.rows_of(key);
-        let dim = self.layout.dim;
-        let emb = data.embeddings.to_vec();
+    /// Writes a released partition's shard, traced and counted.
+    fn write_back(&self, key: PartitionKey, data: &PartitionData) {
+        let mut span = self.span(span_name::WRITE_BACK, key);
+        span.field("queue", self.io_queue_depth.get());
         let mut bytes = Vec::new();
-        quant::encode_rows(self.layout.precision, &emb, rows, dim, &mut bytes);
-        for f in data.adagrad.to_vec() {
-            bytes.extend_from_slice(&f.to_le_bytes());
-        }
+        shard::encode_partition(data, self.layout.precision, &mut bytes);
         self.swap_bytes.add(bytes.len() as u64);
-        // write-then-rename so a crash mid-swap leaves the old complete
-        // partition file, never a torn one (`read_from_disk`'s size check
-        // would otherwise abort a restarted run pointed at this dir). No
-        // fsync: swap files are scratch state — durability is the
-        // checkpoint's job, and syncing every write-back would serialize
-        // the pipelined I/O thread on the disk.
+        // write-then-rename: the shard under its final name is always
+        // whole. No fsync: swap files are scratch state no later store
+        // reads — durability is the checkpoint's job, and syncing every
+        // write-back would serialize the pipelined I/O thread on the disk.
         let path = self.path_of(key);
-        let tmp = path.with_extension("emb.tmp");
-        std::fs::write(&tmp, bytes)?;
-        std::fs::rename(&tmp, &path)?;
-        Ok(())
+        let tmp = path.with_extension("shard.tmp");
+        std::fs::write(&tmp, bytes)
+            .and_then(|()| std::fs::rename(&tmp, &path))
+            .unwrap_or_else(|e| panic!("disk store write of {} failed: {e}", path.display()));
+        span.field("bytes", data.bytes() as u64);
+        self.bytes_written_back.add(data.bytes() as u64);
     }
 
-    fn track_load(&self, bytes: usize) {
-        self.resident_bytes.add(bytes as u64);
-        self.resident_partitions.add(1);
+    /// A span over `key`'s I/O while tracing, else a no-op guard.
+    fn span(&self, name: &'static str, key: PartitionKey) -> pbg_telemetry::SpanGuard {
+        if self.telemetry.tracing() {
+            self.telemetry.span_with(name, Self::key_fields(key))
+        } else {
+            pbg_telemetry::SpanGuard::noop()
+        }
+    }
+
+    /// Charges the hot path's wait for `key` since `t0` to the swap-wait
+    /// counter and, while tracing, a span: one measurement feeds both, so
+    /// trace and epoch totals reconcile.
+    fn waited(&self, t0: u64, key: PartitionKey) {
+        let waited = self.telemetry.now_ns().saturating_sub(t0);
+        self.swap_wait_ns.add(waited);
+        if self.telemetry.tracing() {
+            let fields = Self::key_fields(key);
+            self.telemetry
+                .record_span(span_name::SWAP_WAIT, t0, waited, fields);
+        }
     }
 
     /// Field list identifying a partition in trace events.
@@ -467,24 +482,10 @@ fn io_loop(shared: Arc<DiskShared>, rx: channel::Receiver<IoMsg>) {
         match msg {
             IoMsg::Shutdown => break,
             IoMsg::WriteBack(key, data) => {
-                let mut span = if shared.telemetry.tracing() {
-                    let mut s = shared
-                        .telemetry
-                        .span_with(span_name::WRITE_BACK, DiskShared::key_fields(key));
-                    s.field("queue", shared.io_queue_depth.get());
-                    s
-                } else {
-                    pbg_telemetry::SpanGuard::noop()
-                };
-                shared
-                    .write_to_disk(key, &data)
-                    .expect("disk store write failed; inspect the store directory");
-                let bytes = data.bytes() as u64;
-                span.field("bytes", bytes);
-                drop(span);
-                shared.bytes_written_back.add(bytes);
+                shared.write_back(key, &data);
                 shared.io_queue_depth.sub(1);
                 let mut st = shared.state.lock();
+                st.stored.insert(key);
                 let count = st
                     .pending_writes
                     .get_mut(&key)
@@ -498,18 +499,16 @@ fn io_loop(shared: Arc<DiskShared>, rx: channel::Receiver<IoMsg>) {
                 }
             }
             IoMsg::Prefetch(key) => {
-                if !shared.state.lock().inflight.contains(&key) {
+                let st = shared.state.lock();
+                if !st.inflight.contains(&key) {
+                    drop(st);
                     shared.io_queue_depth.sub(1);
                     continue; // satisfied or canceled in the meantime
                 }
-                let mut span = if shared.telemetry.tracing() {
-                    shared
-                        .telemetry
-                        .span_with(span_name::PREFETCH_READ, DiskShared::key_fields(key))
-                } else {
-                    pbg_telemetry::SpanGuard::noop()
-                };
-                let data = Arc::new(shared.read_or_init(key));
+                let stored = st.stored.contains(&key);
+                drop(st);
+                let mut span = shared.span(span_name::PREFETCH_READ, key);
+                let data = Arc::new(shared.read_or_init(key, stored));
                 span.field("bytes", data.bytes() as u64);
                 drop(span);
                 shared.io_queue_depth.sub(1);
@@ -666,13 +665,6 @@ impl DiskStore {
     pub fn is_pipelined(&self) -> bool {
         self.io.is_some()
     }
-
-    /// Encoded bytes actually moved to/from swap files so far (both
-    /// directions). At f32 precision this equals the float traffic; at
-    /// f16/int8 it is the compressed size.
-    pub fn swap_file_bytes(&self) -> u64 {
-        self.shared.swap_bytes.get()
-    }
 }
 
 impl Drop for DiskStore {
@@ -694,58 +686,31 @@ impl PartitionStore for DiskStore {
         }
         // Not logically resident: a swap-in however it gets served.
         shared.swap_ins.inc();
-        if let Some(data) = st.prefetched.remove(&key) {
-            shared.prefetch_hits.inc();
-            shared.track_load(data.bytes());
-            st.resident.insert(key, Arc::clone(&data));
-            return data;
-        }
         if st.inflight.contains(&key) {
             // The I/O thread is already reading it; waiting beats
-            // issuing a duplicate read. One measurement feeds both the
-            // counter and the span, so trace and epoch totals reconcile.
+            // issuing a duplicate read.
             let t0 = shared.telemetry.now_ns();
             while st.inflight.contains(&key) {
                 shared.ready.wait(&mut st);
             }
-            let waited = shared.telemetry.now_ns().saturating_sub(t0);
-            shared.swap_wait_ns.add(waited);
-            if shared.telemetry.tracing() {
-                shared.telemetry.record_span(
-                    span_name::SWAP_WAIT,
-                    t0,
-                    waited,
-                    DiskShared::key_fields(key),
-                );
-            }
-            if let Some(data) = st.prefetched.remove(&key) {
-                shared.prefetch_hits.inc();
-                shared.track_load(data.bytes());
-                st.resident.insert(key, Arc::clone(&data));
-                return data;
-            }
+            shared.waited(t0, key);
         }
-        if let Some(data) = st.dirty.remove(&key) {
+        let data = if let Some(data) = st.prefetched.remove(&key) {
+            shared.prefetch_hits.inc();
+            data
+        } else if let Some(data) = st.dirty.remove(&key) {
             // Steal back a partition still queued for write-back: its
             // memory copy is authoritative, no disk round-trip needed.
-            shared.track_load(data.bytes());
-            st.resident.insert(key, Arc::clone(&data));
-            return data;
-        }
-        // Synchronous fallback: the hot path pays for the read.
-        let t0 = shared.telemetry.now_ns();
-        let data = Arc::new(shared.read_or_init(key));
-        let waited = shared.telemetry.now_ns().saturating_sub(t0);
-        shared.swap_wait_ns.add(waited);
-        if shared.telemetry.tracing() {
-            shared.telemetry.record_span(
-                span_name::SWAP_WAIT,
-                t0,
-                waited,
-                DiskShared::key_fields(key),
-            );
-        }
-        shared.track_load(data.bytes());
+            data
+        } else {
+            // Synchronous fallback: the hot path pays for the read.
+            let t0 = shared.telemetry.now_ns();
+            let data = Arc::new(shared.read_or_init(key, st.stored.contains(&key)));
+            shared.waited(t0, key);
+            data
+        };
+        shared.resident_bytes.add(data.bytes() as u64);
+        shared.resident_partitions.add(1);
         st.resident.insert(key, Arc::clone(&data));
         data
     }
@@ -775,18 +740,8 @@ impl PartitionStore for DiskStore {
                         .expect("disk I/O thread alive");
                 }
                 None => {
-                    let mut span = if shared.telemetry.tracing() {
-                        shared
-                            .telemetry
-                            .span_with(span_name::WRITE_BACK, DiskShared::key_fields(key))
-                    } else {
-                        pbg_telemetry::SpanGuard::noop()
-                    };
-                    shared
-                        .write_to_disk(key, &data)
-                        .expect("disk store write failed; inspect the store directory");
-                    span.field("bytes", data.bytes() as u64);
-                    shared.bytes_written_back.add(data.bytes() as u64);
+                    shared.write_back(key, &data);
+                    st.stored.insert(key);
                 }
             }
         }
@@ -953,127 +908,83 @@ impl Drop for MapBacking {
     }
 }
 
-/// A read-only, memory-mapped embedding shard (one checkpoint
-/// `embeddings_{t}.bin`). f32 (v2) rows are served straight out of the
-/// mapping — no row is ever copied to the heap — so a model larger than
-/// RAM serves from one box, paging embeddings in on demand. Quantized
-/// (v3) rows decode on access: the *mapping* stays compressed, only the
-/// row being scored materializes as f32.
-///
-/// Checkpoint binary v2 and v3 payloads are little-endian, so the
-/// mapped bytes are directly addressable.
+/// A read-only, memory-mapped partition [`shard`] of a checkpoint. f32
+/// rows are served straight out of the mapping — no row is ever copied
+/// to the heap — so a model larger than RAM serves from one box, paging
+/// embeddings in on demand. Quantized rows decode on access: the
+/// *mapping* stays compressed, only the row being scored materializes
+/// as f32.
 #[derive(Debug)]
 pub struct MmapPartition {
     backing: MapBacking,
-    rows: usize,
-    cols: usize,
-    precision: Precision,
+    header: shard::Header,
 }
 
 impl MmapPartition {
-    /// Maps `path` and validates its header and size: magic, version,
-    /// matrix kind, and that the file holds exactly `rows × cols` floats
-    /// — a shard shorter than its own header's shape is refused with an
-    /// error naming the file.
+    /// Maps `path` and verifies it as a shard — header, exact size, and
+    /// checksum, hashed over the mapped bytes in place. Returns the
+    /// mapping and its whole-file checksum (what a manifest records).
     ///
     /// # Errors
     ///
-    /// Returns [`PbgError::Checkpoint`] for format violations and
-    /// propagates I/O failures.
-    pub fn open(path: &std::path::Path) -> Result<MmapPartition> {
+    /// Returns [`PbgError::Checkpoint`] naming the file for format
+    /// violations and propagates I/O failures.
+    pub fn open(path: &std::path::Path) -> Result<(MmapPartition, u64)> {
+        let backing = MapBacking::open(path)?;
         let name = path
             .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_else(|| path.display().to_string());
-        let backing = MapBacking::open(path)?;
-        let shard = Self::from_backing(backing)
-            .map_err(|e| PbgError::Checkpoint(format!("{name}: {e}")))?;
-        Ok(shard)
-    }
-
-    fn from_backing(backing: MapBacking) -> std::result::Result<MmapPartition, String> {
-        let bytes = backing.bytes();
-        let header_len = crate::checkpoint::MATRIX_PAYLOAD_OFFSET;
-        if bytes.len() < header_len {
-            return Err(format!(
-                "file truncated: {} bytes, matrix header needs {header_len}",
-                bytes.len()
-            ));
-        }
-        let mut head = &bytes[..header_len];
-        let header = crate::checkpoint::read_header(&mut head).map_err(|e| e.to_string())?;
-        if header.kind != 0 {
-            return Err("not a matrix payload".into());
-        }
-        let rows = u64::from_be_bytes(bytes[8..16].try_into().expect("8 bytes")) as usize;
-        let cols = u64::from_be_bytes(bytes[16..24].try_into().expect("8 bytes")) as usize;
-        // element width from the header, so v3 shards (2- and 1-byte
-        // elements plus the int8 scale block) size-check correctly and
-        // shortfalls report true byte counts
-        let payload = header
-            .precision
-            .payload_bytes(rows, cols)
-            .ok_or_else(|| "matrix dimensions overflow".to_string())?;
-        let expect = header_len + payload;
-        if bytes.len() != expect {
-            return Err(format!(
-                "matrix shape {rows}x{cols} needs {expect} bytes, file has {}",
-                bytes.len()
-            ));
-        }
-        Ok(MmapPartition {
-            backing,
-            rows,
-            cols,
-            precision: header.precision,
-        })
+            .unwrap_or(path.as_os_str())
+            .to_string_lossy();
+        let verified = shard::verify(backing.bytes());
+        let (header, sum) = verified.map_err(|e| crate::checkpoint::in_file(&name, e))?;
+        Ok((MmapPartition { backing, header }, sum))
     }
 
     /// Number of embedding rows.
     pub fn rows(&self) -> usize {
-        self.rows
+        self.header.rows
     }
 
     /// Embedding dimension.
     pub fn cols(&self) -> usize {
-        self.cols
+        self.header.cols
     }
 
     /// Storage precision of the mapped payload.
     pub fn precision(&self) -> Precision {
-        self.precision
+        self.header.precision
     }
 
-    /// The whole mapped file, for manifest checksum verification —
-    /// hashed in place, never copied.
-    pub fn file_bytes(&self) -> &[u8] {
-        self.backing.bytes()
-    }
-
-    /// The encoded payload bytes after the 24-byte header.
+    /// The encoded row block after the header.
     pub fn payload_bytes(&self) -> &[u8] {
-        &self.backing.bytes()[crate::checkpoint::MATRIX_PAYLOAD_OFFSET..]
+        let block = self.header.block_bytes();
+        &self.backing.bytes()[shard::HEADER_BYTES..shard::HEADER_BYTES + block]
     }
 
     /// All `rows × cols` floats, row-major, straight from the mapping.
-    /// Only f32 (v2) shards expose their payload this way; quantized
-    /// shards return an error and decode through [`MmapPartition::row`]
-    /// / [`MmapPartition::decode_rows_into`] instead.
+    /// Only f32 shards expose their payload this way; quantized shards
+    /// return an error and decode through [`MmapPartition::row`] /
+    /// [`MmapPartition::decode_rows_into`] instead.
     pub fn payload(&self) -> Result<&[f32]> {
-        if self.precision != Precision::F32 {
+        let shard::Header {
+            rows,
+            cols,
+            precision,
+        } = self.header;
+        if precision != Precision::F32 {
             return Err(PbgError::Checkpoint(format!(
-                "cannot reinterpret a {} shard as &[f32]; decode rows instead",
-                self.precision
+                "cannot reinterpret a {precision} shard as &[f32]; decode rows instead"
             )));
         }
-        let bytes = &self.backing.bytes()[crate::checkpoint::MATRIX_PAYLOAD_OFFSET..];
+        let bytes = self.payload_bytes();
         // a page-aligned mapping plus the 24-byte header keeps the
         // payload 4-byte aligned; the heap fallback re-checks at runtime
         debug_assert_eq!(bytes.as_ptr() as usize % std::mem::align_of::<f32>(), 0);
         if (bytes.as_ptr() as usize).is_multiple_of(std::mem::align_of::<f32>()) {
-            Ok(unsafe {
-                std::slice::from_raw_parts(bytes.as_ptr().cast::<f32>(), self.rows * self.cols)
-            })
+            // SAFETY: aligned just above, `bytes` holds exactly
+            // `rows × cols` f32s (verified at open), and the mapping is
+            // immutable for the lifetime of `self`
+            Ok(unsafe { std::slice::from_raw_parts(bytes.as_ptr().cast::<f32>(), rows * cols) })
         } else {
             // unreachable on unix (page alignment); on the heap fallback
             // Vec<u8> allocations are 4-aligned in practice, but the
@@ -1093,23 +1004,14 @@ impl MmapPartition {
     ///
     /// Panics if `i >= rows()`.
     pub fn row(&self, i: usize) -> Cow<'_, [f32]> {
-        assert!(i < self.rows, "row {i} out of range ({} rows)", self.rows);
-        if self.precision == Precision::F32 {
-            let payload = self.payload().expect("f32 shard payload");
-            Cow::Borrowed(&payload[i * self.cols..(i + 1) * self.cols])
-        } else {
-            let mut out = vec![0.0f32; self.cols];
-            quant::decode_row_into(
-                self.precision,
-                self.payload_bytes(),
-                self.rows,
-                self.cols,
-                i,
-                &mut out,
-            )
-            .expect("shard validated at open");
-            Cow::Owned(out)
+        let (rows, cols) = (self.header.rows, self.header.cols);
+        assert!(i < rows, "row {i} out of range ({rows} rows)");
+        if let Ok(payload) = self.payload() {
+            return Cow::Borrowed(&payload[i * cols..(i + 1) * cols]);
         }
+        let mut out = vec![0.0f32; cols];
+        self.decode_rows_into(i, 1, &mut out);
+        Cow::Owned(out)
     }
 
     /// Decodes rows `[start, start + n)` into `out` (`n * cols` floats),
@@ -1122,37 +1024,30 @@ impl MmapPartition {
     ///
     /// Panics if the range exceeds `rows()` or `out` is misshapen.
     pub fn decode_rows_into(&self, start: usize, n: usize, out: &mut [f32]) {
+        let shard::Header {
+            rows,
+            cols,
+            precision,
+        } = self.header;
         assert!(
-            start + n <= self.rows,
+            start + n <= rows,
             "rows {start}..{} out of range",
             start + n
         );
-        assert_eq!(out.len(), n * self.cols, "output buffer shape mismatch");
-        if self.precision == Precision::F32 {
-            let payload = self.payload().expect("f32 shard payload");
-            out.copy_from_slice(&payload[start * self.cols..(start + n) * self.cols]);
+        assert_eq!(out.len(), n * cols, "output buffer shape mismatch");
+        if let Ok(payload) = self.payload() {
+            out.copy_from_slice(&payload[start * cols..(start + n) * cols]);
             return;
         }
-        let bytes = self.payload_bytes();
-        for (j, row) in out.chunks_exact_mut(self.cols).enumerate() {
-            quant::decode_row_into(self.precision, bytes, self.rows, self.cols, start + j, row)
+        for (j, row) in (start..start + n).zip(out.chunks_mut(cols.max(1))) {
+            quant::decode_row_into(precision, self.payload_bytes(), rows, cols, j, row)
                 .expect("shard validated at open");
         }
     }
 
-    /// Bytes of embedding data reachable through this shard (the mapped
-    /// payload — resident only as far as the page cache decides).
+    /// Bytes of the whole mapped shard file.
     pub fn mapped_bytes(&self) -> usize {
         self.backing.bytes().len()
-    }
-}
-
-/// Quantized shards decode each gathered row on fetch; f32 shards are
-/// better read through [`pbg_tensor::kernels::DenseRows`] over
-/// [`MmapPartition::payload`], which also prefetches.
-impl pbg_tensor::kernels::GatherRows for MmapPartition {
-    fn copy_row(&self, id: u32, dst: &mut [f32]) {
-        self.decode_rows_into(id as usize, 1, dst);
     }
 }
 
@@ -1308,10 +1203,53 @@ mod tests {
             store.mark_dirty(key);
             store.release(key);
         } // drop joins the I/O thread after the queue drains
-        let store = DiskStore::new_sync(layout(2), &dir).unwrap();
-        assert!(!store.is_pipelined());
-        assert_eq!(store.load(key).embeddings.get(0, 3), 9.75);
-        assert_eq!(store.prefetch_hits(), 0, "sync mode never prefetches");
+        let bytes = std::fs::read(dir.join(shard::file_name(key))).unwrap();
+        let shard = shard::decode(&bytes).unwrap();
+        assert_eq!(
+            shard.embeddings[3], 9.75,
+            "row 0, col 3 of the flushed shard"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn fresh_store_ignores_stale_and_garbage_files() {
+        // an earlier run's trained shard, a shard of another shape and
+        // plain garbage: a new store reads none of them and starts every
+        // key from its init — it reads back only what it wrote itself
+        let dir = std::env::temp_dir().join(format!("pbg_disk_stale_{}", std::process::id()));
+        let (k0, k1, k2) = (
+            PartitionKey::new(0u32, 0u32),
+            PartitionKey::new(0u32, 1u32),
+            PartitionKey::new(0u32, 2u32),
+        );
+        {
+            let old = DiskStore::new_sync(layout(4), &dir).unwrap();
+            old.load(k0).embeddings.set(0, 0, 99.0);
+            old.mark_dirty(k0);
+            old.release(k0);
+        }
+        let mut other = Vec::new();
+        shard::encode(Precision::F16, 3, 5, |_, _| {}, &[0.0; 3], &mut other);
+        std::fs::write(dir.join(shard::file_name(k1)), other).unwrap();
+        std::fs::write(dir.join(shard::file_name(k2)), b"garbage").unwrap();
+        for store in [
+            DiskStore::new_sync(layout(4), &dir).unwrap(),
+            DiskStore::new(layout(4), &dir).unwrap(),
+        ] {
+            for key in [k0, k1, k2] {
+                store.prefetch(key);
+                let want = layout(4).init(key).embeddings.to_vec();
+                assert_eq!(store.load(key).embeddings.to_vec(), want, "{key:?}");
+                store.release(key);
+            }
+            // once it has written a key, that is what it reads back
+            store.load(k0).embeddings.set(1, 1, -7.0);
+            store.mark_dirty(k0);
+            store.release(k0);
+            assert_eq!(store.load(k0).embeddings.get(1, 1), -7.0);
+            store.release(k0);
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1349,7 +1287,7 @@ mod tests {
         assert_eq!(again.embeddings.to_vec(), reference.embeddings.to_vec());
         drop(store); // flush: nothing was queued, no file appears
         assert!(
-            !dir.join("et0_p0.emb").exists(),
+            !dir.join(shard::file_name(key)).exists(),
             "clean release must not touch disk"
         );
         std::fs::remove_dir_all(&dir).ok();

@@ -18,7 +18,7 @@ use crate::error::{PbgError, Result};
 use crate::model::{Model, TrainedEmbeddings};
 use crate::stats::{EpochAccumulator, EpochStats, IoStats};
 use crate::storage::{DiskStore, InMemoryStore, PartitionStore, StoreLayout};
-use pbg_graph::bucket::Buckets;
+use pbg_graph::bucket::{BucketId, Buckets};
 use pbg_graph::edges::EdgeList;
 use pbg_graph::partition::EntityPartitioning;
 use pbg_graph::schema::GraphSchema;
@@ -27,6 +27,7 @@ use pbg_telemetry::metrics::names as metric_name;
 use pbg_telemetry::trace::names as span_name;
 use pbg_telemetry::{span, FieldValue, Registry};
 use pbg_tensor::rng::Xoshiro256;
+use std::collections::HashMap;
 use std::path::Path;
 
 pub use bucket::{needed_keys, train_bucket};
@@ -66,6 +67,7 @@ pub struct Trainer {
     telemetry: Registry,
     checkpoint: Option<CheckpointPolicy>,
     checkpoint_error: Option<PbgError>,
+    schedule: Schedule,
     /// Bucket-steps of the next epoch already trained before the
     /// checkpoint this trainer resumed from; consumed by `train_epoch`.
     resume_skip: usize,
@@ -121,6 +123,7 @@ impl Trainer {
         let store = build_store(&model, storage, &telemetry)?;
         let buckets = bucketize(model.schema(), edges);
         Ok(Trainer {
+            schedule: Schedule::new(model.config(), &buckets),
             model,
             store,
             buckets,
@@ -134,13 +137,15 @@ impl Trainer {
         })
     }
 
-    /// Rebuilds a trainer from a crash-consistent checkpoint written by
-    /// [`checkpoint::save_with_progress`]: model state is restored from
-    /// the verified snapshot and the next [`Trainer::train_epoch`] skips
-    /// the bucket-steps the manifest records as already trained. Bucket
-    /// order within an epoch is a pure function of `(seed, epoch)`, so
-    /// the resumed epoch replays the original schedule and the skipped
-    /// prefix is exactly the set of buckets trained before the save.
+    /// Rebuilds a trainer from a crash-consistent checkpoint: embeddings,
+    /// relation parameters and every Adagrad accumulator are written
+    /// back into the new store ([`checkpoint::restore`]), each bucket's
+    /// edges are brought to the order the interrupted run left them in
+    /// ([`Schedule::replay`]), and the next [`Trainer::train_epoch`]
+    /// skips the bucket-steps the manifest records as already trained.
+    /// The schedule is a pure function of `(seed, epoch)`, so the
+    /// resumed run is bit-identical to the uninterrupted one at
+    /// `threads = 1`.
     ///
     /// # Errors
     ///
@@ -155,16 +160,20 @@ impl Trainer {
         telemetry: Registry,
         dir: impl AsRef<Path>,
     ) -> Result<Self> {
-        let (snap, manifest) = checkpoint::load_with_manifest(dir)?;
-        if snap.schema != schema {
-            return Err(PbgError::Checkpoint(
-                "checkpoint schema does not match the training schema".into(),
-            ));
-        }
         let mut t = Self::with_telemetry(schema, edges, config, storage, telemetry)?;
-        t.model.restore(&snap, t.store.as_ref())?;
-        t.epoch = manifest.progress.epochs_done;
-        t.resume_skip = manifest.progress.steps_done;
+        let progress = checkpoint::restore(dir, &t.model, t.store.as_ref())?;
+        (t.epoch, t.resume_skip) = (progress.epochs_done, progress.steps_done);
+        if t.model.config().bucket_passes == 1 {
+            // buckets are shuffled in place once per trained step: replay
+            // every epoch done, and the steps of the interrupted one
+            let next = progress.epochs_done + 1;
+            for bucket in t.buckets.ids() {
+                let step = t.schedule.step_of(next, bucket);
+                let through = next - usize::from(step >= progress.steps_done);
+                let edges = t.buckets.bucket_mut(bucket);
+                t.schedule.replay(bucket, edges, 0, through);
+            }
+        }
         t.telemetry.counter(metric_name::TRAINER_RESUMES).inc();
         Ok(t)
     }
@@ -234,13 +243,7 @@ impl Trainer {
         // bucket order is a pure function of (seed, epoch): a resumed run
         // replays the interrupted epoch's schedule, so skipping the first
         // `resume_skip` steps skips exactly the already-trained buckets
-        let mut order_rng = epoch_rng(config.seed, self.epoch);
-        let order = config.bucket_ordering.order_with_buffer(
-            self.buckets.src_parts(),
-            self.buckets.dst_parts(),
-            config.buffer_size,
-            &mut order_rng,
-        );
+        let order = self.schedule.order(self.epoch);
         let plan =
             EpochPlan::with_capacity(&order, |b| needed_keys(&self.model, b), config.buffer_size);
         let prefetch_depth = self.telemetry.histogram(metric_name::STORE_PREFETCH_DEPTH);
@@ -268,44 +271,28 @@ impl Trainer {
                     self.store.prefetch(key);
                     prefetch_depth.observe(plan_step.prefetch_depth[i]);
                 }
-                let seed = config
-                    .seed
-                    .wrapping_add((self.epoch as u64) << 32)
-                    .wrapping_add((pass as u64) << 16)
-                    .wrapping_add(step as u64);
-                // per-step shuffle rng (not threaded across steps) so a
-                // resumed epoch shuffles later buckets independently of
-                // whether the earlier ones were replayed or skipped
-                let mut shuffle_rng = Xoshiro256::seed_from_u64(seed ^ 0x5EED_CAFE);
-                let stats = if passes == 1 {
+                let seed = self.schedule.step_seed(self.epoch, pass, step);
+                let part;
+                let edges = if passes == 1 {
                     // shuffle in place: no per-epoch clone of the bucket
-                    self.buckets.bucket_mut(bucket_id).shuffle(&mut shuffle_rng);
-                    train_bucket(
-                        &self.model,
-                        self.store.as_ref(),
-                        bucket_id,
-                        self.buckets.bucket(bucket_id),
-                        seed,
-                        &self.telemetry,
-                    )
+                    let edges = self.buckets.bucket_mut(bucket_id);
+                    edges.shuffle(&mut shuffle_rng(seed));
+                    &*edges
                 } else {
                     // stratified sub-epoch: train 1/N of the bucket per
                     // pass (the chunk split is the one unavoidable copy)
-                    let mut part = self
+                    let mut chunk = self
                         .buckets
                         .bucket(bucket_id)
                         .chunks(passes)
                         .swap_remove(pass);
-                    part.shuffle(&mut shuffle_rng);
-                    train_bucket(
-                        &self.model,
-                        self.store.as_ref(),
-                        bucket_id,
-                        &part,
-                        seed,
-                        &self.telemetry,
-                    )
+                    chunk.shuffle(&mut shuffle_rng(seed));
+                    part = chunk;
+                    &part
                 };
+                let store = self.store.as_ref();
+                let stats =
+                    train_bucket(&self.model, store, bucket_id, edges, seed, &self.telemetry);
                 acc.add(&stats);
                 for &key in &plan_step.release {
                     self.store.release(key);
@@ -313,16 +300,12 @@ impl Trainer {
                 let done = flat + 1;
                 if let Some(policy) = &policy {
                     if policy.every_buckets > 0 && done.is_multiple_of(policy.every_buckets) {
-                        let progress = if done == total_steps {
-                            TrainProgress {
-                                epochs_done: self.epoch,
-                                steps_done: 0,
-                            }
-                        } else {
-                            TrainProgress {
-                                epochs_done: self.epoch - 1,
-                                steps_done: done,
-                            }
+                        // the epoch's last step is the next one's boundary
+                        let steps_done = done % total_steps;
+                        let epochs_done = self.epoch - usize::from(steps_done > 0);
+                        let progress = TrainProgress {
+                            epochs_done,
+                            steps_done,
                         };
                         if let Err(e) = self.write_checkpoint(policy, progress) {
                             self.checkpoint_error.get_or_insert(e);
@@ -343,48 +326,29 @@ impl Trainer {
         if self.telemetry.tracing() {
             // one point per epoch so `pbg trace summarize` can report the
             // buffer's behavior next to the bucket timeline
-            self.telemetry.point(
-                span_name::BUFFER_STATS,
-                vec![
-                    ("capacity", FieldValue::from(config.buffer_size as u64)),
-                    (
-                        "resident_peak",
-                        FieldValue::from(
-                            self.telemetry
-                                .gauge(metric_name::STORE_RESIDENT_PARTITIONS)
-                                .peak(),
-                        ),
-                    ),
-                    ("evictions", FieldValue::from(stats.evictions as u64)),
-                    (
-                        "skipped_bytes",
-                        FieldValue::from(stats.writeback_skipped_bytes),
-                    ),
-                    (
-                        "prefetch_hits",
-                        FieldValue::from(stats.prefetch_hits as u64),
-                    ),
-                ],
-            );
+            let peak = self.telemetry.gauge(metric_name::STORE_RESIDENT_PARTITIONS);
+            let fields: Vec<(&str, FieldValue)> = vec![
+                ("capacity", (config.buffer_size as u64).into()),
+                ("resident_peak", peak.peak().into()),
+                ("evictions", (stats.evictions as u64).into()),
+                ("skipped_bytes", stats.writeback_skipped_bytes.into()),
+                ("prefetch_hits", (stats.prefetch_hits as u64).into()),
+            ];
+            self.telemetry.point(span_name::BUFFER_STATS, fields);
         }
         stats
     }
 
-    /// Snapshots the model and writes a manifest-committed checkpoint,
-    /// emitting a `checkpoint_write` span and bumping the checkpoint
-    /// counter. Partitions the snapshot touches are released back to the
-    /// store (the next step reloads what it needs — correctness never
-    /// depends on residency, only the swap counters do).
+    /// Streams the model from the store into a manifest-committed
+    /// checkpoint ([`checkpoint::save_store`]), emitting a
+    /// `checkpoint_write` span and bumping the checkpoint counter.
+    /// Partitions the save touches are released back to the store (the
+    /// next step reloads what it needs — correctness never depends on
+    /// residency, only the swap counters do).
     fn write_checkpoint(&self, policy: &CheckpointPolicy, progress: TrainProgress) -> Result<()> {
         let t0 = self.telemetry.now_ns();
-        let snap = self.model.snapshot(self.store.as_ref());
-        let bytes = snap.bytes() as u64;
-        checkpoint::save_with_precision(
-            &snap,
-            &policy.dir,
-            progress,
-            self.model.config().precision,
-        )?;
+        let bytes =
+            checkpoint::save_store(&self.model, self.store.as_ref(), &policy.dir, progress)?;
         self.telemetry
             .counter(metric_name::TRAINER_CHECKPOINTS)
             .inc();
@@ -477,6 +441,87 @@ pub fn epoch_rng(seed: u64, epoch: usize) -> Xoshiro256 {
     Xoshiro256::seed_from_u64(
         seed ^ 0xB0C4_E77E ^ (epoch as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
     )
+}
+
+/// The rng of the in-place shuffle at the bucket-step seeded `seed`.
+fn shuffle_rng(seed: u64) -> Xoshiro256 {
+    Xoshiro256::seed_from_u64(seed ^ 0x5EED_CAFE)
+}
+
+/// The single-machine training schedule, as pure functions of `(seed,
+/// epoch)`: each epoch's bucket order, each bucket-step's train seed,
+/// and the in-place shuffle a bucket gets when it trains.
+///
+/// The trainer shuffles a bucket's edges in place every epoch (one pass
+/// per epoch), so epoch `e` trains the composition of `e` shuffles.
+/// [`Schedule::replay`] reproduces that composition from pristine edges —
+/// for a resumed trainer, and for a cluster rank that trains a bucket in
+/// epoch 3 having never touched it before.
+#[derive(Debug)]
+pub struct Schedule {
+    seed: u64,
+    ordering: pbg_graph::ordering::BucketOrdering,
+    buffer_size: usize,
+    grid: (u32, u32),
+    /// Each epoch's bucket → step index, computed on first use.
+    steps: HashMap<usize, HashMap<BucketId, usize>>,
+}
+
+impl Schedule {
+    /// The schedule of `config` over the bucket grid of `buckets`.
+    pub fn new(config: &PbgConfig, buckets: &Buckets) -> Self {
+        Schedule {
+            seed: config.seed,
+            ordering: config.bucket_ordering,
+            buffer_size: config.buffer_size,
+            grid: (buckets.src_parts(), buckets.dst_parts()),
+            steps: HashMap::new(),
+        }
+    }
+
+    /// Epoch `epoch`'s bucket order (1-based epochs).
+    pub fn order(&self, epoch: usize) -> Vec<BucketId> {
+        let mut rng = epoch_rng(self.seed, epoch);
+        let (src, dst) = self.grid;
+        self.ordering
+            .order_with_buffer(src, dst, self.buffer_size, &mut rng)
+    }
+
+    /// The train seed of bucket-step `step` of `pass` in `epoch`.
+    pub fn step_seed(&self, epoch: usize, pass: usize, step: usize) -> u64 {
+        self.seed
+            .wrapping_add((epoch as u64) << 32)
+            .wrapping_add((pass as u64) << 16)
+            .wrapping_add(step as u64)
+    }
+
+    /// `bucket`'s step index in epoch `epoch`'s order.
+    pub fn step_of(&mut self, epoch: usize, bucket: BucketId) -> usize {
+        if !self.steps.contains_key(&epoch) {
+            let order = self.order(epoch).into_iter().enumerate();
+            self.steps
+                .insert(epoch, order.map(|(i, b)| (b, i)).collect());
+        }
+        self.steps[&epoch][&bucket]
+    }
+
+    /// Shuffles `edges` — `bucket`'s edges as the single-machine trainer
+    /// held them after epoch `applied` — into its order for epoch
+    /// `through`, and returns the bucket's train seed in that epoch.
+    pub fn replay(
+        &mut self,
+        bucket: BucketId,
+        edges: &mut EdgeList,
+        applied: usize,
+        through: usize,
+    ) -> u64 {
+        for epoch in applied + 1..=through {
+            let step = self.step_of(epoch, bucket);
+            edges.shuffle(&mut shuffle_rng(self.step_seed(epoch, 0, step)));
+        }
+        let step = self.step_of(through, bucket);
+        self.step_seed(through, 0, step)
+    }
 }
 
 fn build_store(

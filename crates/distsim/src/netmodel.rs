@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 ///
 /// The constants here mirror `pbg-net`'s frame layout exactly — a
 /// versioned 20-byte header (magic, version, reserved, payload length,
-/// FNV-1a-64 payload checksum) followed by a tagged payload — and are
+/// 64-bit payload checksum) followed by a tagged payload — and are
 /// pinned against measured loopback traffic by the table-driven
 /// reconciliation test in `crates/net/tests/netmodel_recon.rs` (the
 /// dependency points net → distsim, so the cross-check lives there).
@@ -23,7 +23,7 @@ pub mod wirecost {
     use pbg_tensor::Precision;
 
     /// Frame header: magic u32 + version u16 + reserved u16 +
-    /// payload-length u32 + FNV-1a-64 checksum u64.
+    /// payload-length u32 + checksum u64.
     pub const FRAME_HEADER_BYTES: usize = 20;
     /// Floats per `PartChunk` frame when streaming a partition.
     pub const CHUNK_FLOATS: usize = 65_536;

@@ -9,8 +9,8 @@
 //! `pbg-net` TCP clients ([`train_rank`]).
 //!
 //! **Seeding** replays the single-machine schedule: the per-bucket train
-//! seed and shuffle are the exact ones `Trainer::train_epoch` would use
-//! at `threads = 1`, derived from `(seed, epoch, step)` where `step` is
+//! seed and shuffle come from the same [`Schedule`] `Trainer::train_epoch`
+//! uses at `threads = 1`, derived from `(seed, epoch, step)` where `step` is
 //! the bucket's position in that epoch's deterministic order. Which
 //! *rank* trains a bucket therefore does not affect the numbers — on a
 //! diagonal (conflict-free) bucket grid a cluster run over either
@@ -34,7 +34,7 @@ use pbg_core::config::PbgConfig;
 use pbg_core::model::{Model, TrainedEmbeddings};
 use pbg_core::optimizer::HogwildAdagradDense;
 use pbg_core::storage::{PartitionData, PartitionKey, PartitionStore};
-use pbg_core::trainer::{bucketize, epoch_rng, needed_keys, train_bucket, SwapPlanner};
+use pbg_core::trainer::{bucketize, needed_keys, train_bucket, Schedule, SwapPlanner};
 use pbg_graph::bucket::{BucketId, Buckets};
 use pbg_graph::edges::EdgeList;
 use pbg_graph::schema::GraphSchema;
@@ -43,7 +43,6 @@ use pbg_telemetry::metrics::names as metric;
 use pbg_telemetry::trace::names as span_name;
 use pbg_telemetry::{Counter, Gauge, Registry};
 use pbg_tensor::hogwild::HogwildArray;
-use pbg_tensor::rng::Xoshiro256;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -117,6 +116,10 @@ pub struct Rank {
     model: Model,
     shared: SharedTables,
     schedule: Schedule,
+    buckets: Arc<Buckets>,
+    /// Each bucket this rank trained, in its last-trained order, with
+    /// the epochs of shuffles that order has seen.
+    shuffled: HashMap<BucketId, (usize, EdgeList)>,
     tracker: DeltaTracker,
 }
 
@@ -143,7 +146,9 @@ impl Rank {
         let model = new_model(schema, config)?;
         Ok(Rank {
             shared: shared_tables(&model),
-            schedule: Schedule::new(model.config(), buckets),
+            schedule: Schedule::new(model.config(), &buckets),
+            buckets,
+            shuffled: HashMap::new(),
             tracker: DeltaTracker::new(run.param_sync_throttle),
             model,
             run,
@@ -190,6 +195,7 @@ impl Rank {
         self.register(&params)?;
         let (model, shared) = (&self.model, &self.shared);
         let (schedule, tracker) = (&mut self.schedule, &mut self.tracker);
+        let (buckets, shuffled) = (&self.buckets, &mut self.shuffled);
         let blocks = blocks(model, shared);
         let store = RankStore::for_training(&partitions, shared, model, rank, telemetry);
         let edges_total = telemetry.counter(metric::CLUSTER_EDGES);
@@ -259,8 +265,14 @@ impl Rank {
                         prefetch_hits.add(store.prefetch_hits() as u64);
                         return Ok(stats);
                     }
-                    let (seed, bucket_edges) = schedule.prepare(epoch, bucket);
-                    let bstats = train_bucket(model, &store, bucket, bucket_edges, seed, telemetry);
+                    // the single-machine trainer's seed and edge order for
+                    // this bucket in this epoch, brought forward from the
+                    // order this rank last trained it in
+                    let pristine = || (0, buckets.bucket(bucket).clone());
+                    let (applied, edges) = shuffled.entry(bucket).or_insert_with(pristine);
+                    let seed = schedule.replay(bucket, edges, *applied, epoch);
+                    *applied = epoch;
+                    let bstats = train_bucket(model, &store, bucket, edges, seed, telemetry);
                     store.check()?;
                     stats.buckets_trained += 1;
                     stats.edges += bstats.edges;
@@ -478,84 +490,6 @@ fn sync_blocks<Q: ParamService>(
         );
     }
     Ok(())
-}
-
-/// Stateless replay of the single-machine training schedule.
-///
-/// The single-machine trainer shuffles each bucket's edges **in place**
-/// every epoch, so epoch `e`'s edge order is the composition of shuffles
-/// `1..=e`. A rank may train a bucket in epoch 3 having never touched it
-/// before; to reproduce the exact floats it clones the pristine bucket
-/// and applies every missed epoch's shuffle (each derived from `(seed,
-/// epoch, step-in-epoch)`) before training.
-#[derive(Debug)]
-struct Schedule {
-    seed: u64,
-    ordering: pbg_graph::ordering::BucketOrdering,
-    buckets: Arc<Buckets>,
-    /// Per-bucket replay state: epochs applied so far + current order.
-    state: HashMap<BucketId, (usize, EdgeList)>,
-    /// Cache of each epoch's bucket → step-index map.
-    orders: HashMap<usize, HashMap<BucketId, usize>>,
-}
-
-impl Schedule {
-    fn new(config: &PbgConfig, buckets: Arc<Buckets>) -> Self {
-        Schedule {
-            seed: config.seed,
-            ordering: config.bucket_ordering,
-            buckets,
-            state: HashMap::new(),
-            orders: HashMap::new(),
-        }
-    }
-
-    /// Step index of `bucket` in epoch `epoch`'s deterministic order.
-    fn step_index(&mut self, epoch: usize, bucket: BucketId) -> usize {
-        let src = self.buckets.src_parts();
-        let dst = self.buckets.dst_parts();
-        let (seed, ordering) = (self.seed, self.ordering);
-        let order = self.orders.entry(epoch).or_insert_with(|| {
-            let mut rng = epoch_rng(seed, epoch);
-            ordering
-                .order(src, dst, &mut rng)
-                .into_iter()
-                .enumerate()
-                .map(|(i, b)| (b, i))
-                .collect()
-        });
-        order[&bucket]
-    }
-
-    /// The exact `(train_seed, shuffled_edges)` the single-machine
-    /// trainer would use for `bucket` in `epoch` (1-based).
-    fn prepare(&mut self, epoch: usize, bucket: BucketId) -> (u64, &EdgeList) {
-        let applied = self.state.get(&bucket).map_or(0, |(e, _)| *e);
-        // per-epoch shuffle seeds for every epoch not yet applied
-        let shuffle_seeds: Vec<u64> = (applied + 1..=epoch)
-            .map(|e| self.train_seed(e, bucket) ^ 0x5EED_CAFE)
-            .collect();
-        let train_seed = self.train_seed(epoch, bucket);
-        let entry = self
-            .state
-            .entry(bucket)
-            .or_insert_with(|| (0, self.buckets.bucket(bucket).clone()));
-        for seed in shuffle_seeds {
-            let mut rng = Xoshiro256::seed_from_u64(seed);
-            entry.1.shuffle(&mut rng);
-            entry.0 += 1;
-        }
-        debug_assert_eq!(entry.0, epoch);
-        (train_seed, &self.state[&bucket].1)
-    }
-
-    /// `Trainer::train_epoch`'s per-step seed (pass fixed at 0).
-    fn train_seed(&mut self, epoch: usize, bucket: BucketId) -> u64 {
-        let step = self.step_index(epoch, bucket) as u64;
-        self.seed
-            .wrapping_add((epoch as u64) << 32)
-            .wrapping_add(step)
-    }
 }
 
 /// One partition resident on a rank.

@@ -7,26 +7,27 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic        0x5042_4757 ("PBGW")
-//! 4       2     version      2
+//! 4       2     version      3
 //! 6       2     flags        bit 0 = trace context present; bit 1 =
 //!                            quantized chunk payload; other bits
 //!                            rejected (every header byte is checked)
 //! 8       4     payload_len  ≤ MAX_PAYLOAD_BYTES (excludes the context)
-//! 12      8     checksum     FNV-1a-64 of context ++ payload
+//! 12      8     checksum     checkpoint::checksum of context ++ payload
 //! 20      0|20  context      TraceContext (trace id, parent span, rank)
 //! 20|40   n     payload      tag u8 + body
 //! ```
 //!
-//! Version 1 used a zero `reserved` field where `flags` now sits; v2
-//! frames without a context are byte-identical to v1 frames except for
-//! the version number. The context rides *outside* `payload_len` and
-//! *inside* the checksum: a flipped flags bit either changes the frame's
-//! expected length (0→1 demands 20 bytes that are not there) or shifts
-//! the checksummed range (1→0 drops the context from it), so the
-//! bit-flip property suite holds over the new field too. Clients attach
-//! a context only while tracing is enabled — the untraced wire is
-//! byte-for-byte unchanged, which the netmodel byte-reconciliation
-//! tests rely on.
+//! Version 1 used a zero `reserved` field where `flags` now sits.
+//! Version 3 replaced v2's byte-serial FNV-1a checksum with the
+//! word-wise one every checkpoint and swap shard uses; a v2 peer is
+//! refused at the header, so mixed builds fail closed. The context
+//! rides *outside* `payload_len` and *inside* the checksum: a flipped
+//! flags bit either changes the frame's expected length (0→1 demands 20
+//! bytes that are not there) or shifts the checksummed range (1→0 drops
+//! the context from it), so the bit-flip property suite holds over the
+//! new field too. Clients attach a context only while tracing is
+//! enabled — the untraced wire is byte-for-byte unchanged, which the
+//! netmodel byte-reconciliation tests rely on.
 //!
 //! Decoding mirrors the checked-arithmetic style of the checkpoint
 //! readers: every length is validated before allocation (capacity capped
@@ -45,7 +46,7 @@ use std::io::{self, Read, Write};
 /// `"PBGW"` little-endian.
 pub const MAGIC: u32 = 0x5042_4757;
 /// Current protocol version.
-pub const VERSION: u16 = 2;
+pub const VERSION: u16 = 3;
 /// Header bytes before the (optional) context and payload.
 pub const FRAME_HEADER_BYTES: usize = 20;
 /// Flag bit: a [`TraceContext`] block follows the header.

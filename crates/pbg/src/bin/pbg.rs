@@ -349,16 +349,14 @@ fn cmd_train(flags: &Flags) -> Result<(), String> {
             "training interrupted by injected crash; resume with --resume {out}"
         ));
     }
-    checkpoint::save_with_precision(
-        &trainer.snapshot(),
-        out,
-        pbg::core::checkpoint::TrainProgress {
-            epochs_done: trainer.epochs_done(),
-            steps_done: 0,
-        },
-        trainer.model().config().precision,
-    )
-    .map_err(|e| e.to_string())?;
+    // streamed from the store, accumulators included: the final
+    // checkpoint is as complete as a periodic one
+    let progress = checkpoint::TrainProgress {
+        epochs_done: trainer.epochs_done(),
+        steps_done: 0,
+    };
+    checkpoint::save_store(trainer.model(), trainer.store(), out, progress)
+        .map_err(|e| e.to_string())?;
     checkpoint::save_config(trainer.model().config(), out).map_err(|e| e.to_string())?;
     eprintln!("checkpoint written to {out}");
     Ok(())

@@ -386,7 +386,7 @@ fn tampered_lengths_are_rejected() {
 
 /// Every bit of an encoded block is load-bearing: flipping any one bit
 /// changes some decoded value (the codecs are injective maps), so
-/// upstream checksums — FNV-1a on checkpoint files and wire frames —
+/// upstream checksums — on checkpoint shards and wire frames —
 /// see every corruption as a content change, never a silent no-op.
 #[test]
 fn every_encoded_bit_is_observable() {

@@ -71,7 +71,7 @@ fn edges_roundtrip_through_shared_filesystem_format() {
 }
 
 // ---------------------------------------------------------------------
-// Crash consistency: kill-point harness over checkpoint v2.
+// Crash consistency: kill-point harness over the shard checkpoint.
 // ---------------------------------------------------------------------
 
 use pbg::core::checkpoint::{CheckpointIo, TrainProgress};
@@ -228,8 +228,8 @@ fn truncated_final_files_are_always_rejected() {
 
 #[test]
 fn torn_matrix_adopted_at_kill_point_is_named_in_the_error() {
-    // a kill mid-write leaves `embeddings_0.bin.tmp` torn with an intact
-    // header but a short float payload. Rename atomicity means the live
+    // a kill mid-write leaves a shard's `.tmp` torn with an intact
+    // header but a short row block. Rename atomicity means the live
     // checkpoint never sees it — but if a broken recovery tool adopted
     // the torn temp and even fixed up the manifest entry (so the
     // size/checksum gate passes), the loader must still refuse with a
@@ -250,8 +250,8 @@ fn torn_matrix_adopted_at_kill_point_is_named_in_the_error() {
         let dir = tmp(&format!("torn_{kill}"));
         std::fs::remove_dir_all(&dir).ok();
         checkpoint::save_with_progress(&snap_a, &dir, prog_a).unwrap();
-        // 42 bytes: past the 24-byte header, mid-row for any dim — the
-        // worst torn write, structurally valid up to the cut
+        // 42 bytes: past the 24-byte shard header, mid-row for any dim —
+        // the worst torn write, structurally valid up to the cut
         let mut io = KillAfter {
             survive: kill,
             done: 0,
@@ -264,10 +264,14 @@ fn torn_matrix_adopted_at_kill_point_is_named_in_the_error() {
         let torn: Option<String> = std::fs::read_dir(&dir)
             .unwrap()
             .filter_map(|e| e.ok()?.file_name().into_string().ok())
-            .find(|n| n.starts_with("embeddings_") && n.ends_with(".tmp"));
+            .find(|n| n.ends_with(".shard.tmp"));
         if let Some(tmp_name) = torn {
             let final_name = tmp_name.trim_end_matches(".tmp").to_string();
             let bytes = std::fs::read(dir.join(&tmp_name)).unwrap();
+            // adopt it into an otherwise intact checkpoint A (shards of B
+            // written before the kill would fail first), so the torn
+            // shard is the only fault
+            checkpoint::save_with_progress(&snap_a, &dir, prog_a).unwrap();
             std::fs::write(dir.join(&final_name), &bytes).unwrap();
             let mut manifest = checkpoint::read_manifest(&dir).unwrap();
             for f in &mut manifest.files {
@@ -297,7 +301,7 @@ fn torn_matrix_adopted_at_kill_point_is_named_in_the_error() {
     }
     assert!(
         tore_a_matrix,
-        "no kill point ever tore an embeddings file; harness is vacuous"
+        "no kill point ever tore a partition shard; harness is vacuous"
     );
 }
 
@@ -360,4 +364,161 @@ fn resumed_run_matches_uninterrupted_bucket_count() {
     );
     assert_eq!(resumed.epochs_done(), 2);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The determinism suite's dataset and config at P = 4 (16 buckets per
+/// epoch), its one relation given a translation operator so relation
+/// parameters and their accumulators train too.
+fn social_at_p4() -> (GraphSchema, EdgeList, PbgConfig) {
+    use pbg::graph::schema::{EntityTypeDef, OperatorKind, RelationTypeDef};
+    let graph = pbg::datagen::social::SocialGraphConfig {
+        num_nodes: 200,
+        num_edges: 2_000,
+        num_communities: 8,
+        intra_prob: 0.8,
+        zipf_exponent: 1.0,
+        seed: 97,
+    };
+    let (edges, _) = graph.generate();
+    let config = PbgConfig::builder()
+        .dim(16)
+        .epochs(2)
+        .batch_size(200)
+        .chunk_size(25)
+        .uniform_negatives(25)
+        .threads(1)
+        .seed(1234)
+        .build()
+        .unwrap();
+    let schema = GraphSchema::builder()
+        .entity_type(EntityTypeDef::new("node", graph.num_nodes).with_partitions(4))
+        .relation_type(
+            RelationTypeDef::new("edge", 0u32, 0u32).with_operator(OperatorKind::Translation),
+        )
+        .build()
+        .unwrap();
+    (schema, edges, config)
+}
+
+/// Every bit of a trainer's state: each partition's rows and Adagrad
+/// accumulators, each relation's parameters and accumulators.
+fn state_bits(t: &Trainer) -> Vec<u32> {
+    let mut bits = Vec::new();
+    let mut put = |values: Vec<f32>| bits.extend(values.into_iter().map(f32::to_bits));
+    for &(key, _) in t.model().store_layout().keys() {
+        let data = t.store().load(key);
+        put(data.embeddings.to_vec());
+        put(data.adagrad.to_vec());
+        drop(data);
+        t.store().release(key);
+    }
+    for r in 0..t.model().num_relations() {
+        let rel = t.model().relation(pbg::graph::RelationTypeId(r as u32));
+        for params in std::iter::once(&rel.forward).chain(&rel.reciprocal) {
+            put(params.snapshot());
+            put(params.accumulator_snapshot());
+        }
+    }
+    bits
+}
+
+#[test]
+fn resume_after_every_bucket_is_bit_identical_to_the_uninterrupted_run() {
+    use pbg::core::trainer::Storage;
+    let (schema, edges, config) = social_at_p4();
+    let mut reference = Trainer::new(schema.clone(), &edges, config.clone()).unwrap();
+    let total: usize = reference.train().iter().map(|s| s.buckets).sum();
+    assert_eq!(total, 32);
+    let want = state_bits(&reference);
+    for disk in [false, true] {
+        for k in 1..total {
+            let ckpt = tmp(&format!("exact_{disk}_{k}"));
+            let swap = tmp(&format!("exact_swap_{disk}_{k}"));
+            std::fs::remove_dir_all(&ckpt).ok();
+            std::fs::remove_dir_all(&swap).ok();
+            let storage = || match disk {
+                true => Storage::Disk(swap.clone()),
+                false => Storage::InMemory,
+            };
+            let mut crashed =
+                Trainer::with_storage(schema.clone(), &edges, config.clone(), storage()).unwrap();
+            crashed.set_checkpoint_policy(pbg::core::CheckpointPolicy {
+                dir: ckpt.clone(),
+                every_buckets: 1,
+            });
+            crashed.inject_crash_after_buckets(k);
+            let before: usize = crashed.train().iter().map(|s| s.buckets).sum();
+            assert!(crashed.crashed() && crashed.checkpoint_error().is_none());
+            assert_eq!(before, k);
+            drop(crashed);
+            // the Disk case resumes over the crashed run's swap directory,
+            // whose shards are newer than the checkpoint
+            let mut resumed = Trainer::resume(
+                schema.clone(),
+                &edges,
+                config.clone(),
+                storage(),
+                pbg::telemetry::Registry::new(),
+                &ckpt,
+            )
+            .unwrap();
+            let after: usize = resumed.train().iter().map(|s| s.buckets).sum();
+            assert_eq!(before + after, total, "disk {disk}, crash after {k}");
+            assert!(
+                state_bits(&resumed) == want,
+                "disk {disk}: resumed after bucket {k} differs from the uninterrupted run"
+            );
+            drop(resumed);
+            std::fs::remove_dir_all(&ckpt).ok();
+            std::fs::remove_dir_all(&swap).ok();
+        }
+    }
+}
+
+#[test]
+fn fresh_disk_run_ignores_stale_and_garbage_swap_files() {
+    // `pbg train --disk DIR` over an old run's directory: its trained
+    // shards, a shard of another shape and plain garbage must neither
+    // seed nor panic the new run
+    use pbg::core::shard;
+    use pbg::core::storage::PartitionKey;
+    use pbg::core::trainer::Storage;
+    let (schema, edges, config) = social_at_p4();
+    let run = |dir: &std::path::Path| {
+        let disk = Storage::Disk(dir.to_path_buf());
+        let mut t = Trainer::with_storage(schema.clone(), &edges, config.clone(), disk).unwrap();
+        t.train();
+        state_bits(&t)
+    };
+    let (stale, empty) = (tmp("stale_swap"), tmp("empty_swap"));
+    for dir in [&stale, &empty] {
+        std::fs::remove_dir_all(dir).ok();
+    }
+    run(&stale);
+    let mut other = Vec::new();
+    shard::encode(
+        pbg::tensor::Precision::F16,
+        3,
+        5,
+        |_, _| {},
+        &[0.0; 3],
+        &mut other,
+    );
+    std::fs::write(
+        stale.join(shard::file_name(PartitionKey::new(0u32, 1u32))),
+        other,
+    )
+    .unwrap();
+    std::fs::write(
+        stale.join(shard::file_name(PartitionKey::new(0u32, 2u32))),
+        b"junk",
+    )
+    .unwrap();
+    assert!(
+        run(&stale) == run(&empty),
+        "a fresh run over stale swap files differs from one over an empty directory"
+    );
+    for dir in [&stale, &empty] {
+        std::fs::remove_dir_all(dir).ok();
+    }
 }

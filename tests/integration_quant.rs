@@ -73,9 +73,14 @@ fn eval_through_checkpoint(
     let shard_bytes: u64 = std::fs::read_dir(&dir)
         .unwrap()
         .filter_map(|e| e.ok())
-        .filter(|e| e.file_name().to_string_lossy().starts_with("embeddings_"))
+        .filter(|e| e.file_name().to_string_lossy().ends_with(".shard"))
         .map(|e| e.metadata().unwrap().len())
         .sum();
+    assert!(
+        shard_bytes > 0,
+        "no partition shards under {}",
+        dir.display()
+    );
     let reloaded = checkpoint::load(&dir).unwrap();
     let quant = eval.evaluate(&reloaded, &split.test, &split.train, &[]);
     std::fs::remove_dir_all(&dir).ok();
