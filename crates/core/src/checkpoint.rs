@@ -1134,8 +1134,11 @@ mod tests {
     fn heap_and_mmap_score_are_bit_identical_for_every_pair() {
         // offline `score` runs the same gathered path as the served one
         // and as a batched row, so one edge has one score everywhere —
-        // here with type `a` split over two shards
-        for sim in [SimilarityKind::Dot, SimilarityKind::Cosine] {
+        // here with type `a` split over two shards, served in place (f32)
+        // or decoded row by row (f16, int8) against the decoded heap load
+        let precisions = [Precision::F32, Precision::F16, Precision::Int8];
+        let sims = [SimilarityKind::Dot, SimilarityKind::Cosine];
+        for (sim, precision) in sims.into_iter().flat_map(|s| precisions.map(|p| (s, p))) {
             let mut snap = snapshot();
             snap.similarity = sim;
             let mut rng = pbg_tensor::rng::Xoshiro256::seed_from_u64(3);
@@ -1148,8 +1151,8 @@ mod tests {
             for id in 3..=7 {
                 snap.embeddings[0].row_mut(id).copy_from_slice(&tied);
             }
-            let dir = tmp(&format!("score_pairs_{sim:?}"));
-            save(&snap, &dir).unwrap();
+            let dir = tmp(&format!("score_pairs_{sim:?}_{precision}"));
+            save_with_precision(&snap, &dir, TrainProgress::default(), precision).unwrap();
             let heap = load(&dir).unwrap();
             let served = open_mmap(&dir).unwrap();
             for rel in (0..2).map(pbg_graph::RelationTypeId) {
@@ -1164,7 +1167,7 @@ mod tests {
                         assert_eq!(
                             h,
                             served.score(src, rel, dst).to_bits(),
-                            "{sim:?} {rel:?} ({src}, {dst})"
+                            "{sim:?} {precision} {rel:?} ({src}, {dst})"
                         );
                         assert_eq!(
                             h,
@@ -1183,7 +1186,7 @@ mod tests {
                         .into_iter()
                         .map(|(id, _)| id)
                         .collect();
-                    assert_eq!(top, want, "{sim:?} {rel:?} src {src}");
+                    assert_eq!(top, want, "{sim:?} {precision} {rel:?} src {src}");
                 }
             }
             std::fs::remove_dir_all(&dir).ok();

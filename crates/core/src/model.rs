@@ -344,22 +344,38 @@ pub struct MmapEmbeddings {
     pub relations: Vec<RelationSnapshot>,
 }
 
-/// Global id `i` of a type split `P` ways is row `i / P` of partition
-/// `i % P`.
-fn locate<T>(parts: &[T], id: u32) -> (&T, u32) {
-    match parts {
-        [only] => (only, id),
-        _ => (&parts[id as usize % parts.len()], id / parts.len() as u32),
+/// Global id `i` of a type split `p` ways is row `i / p` of partition
+/// `i % p`: `(partition, row)`.
+fn locate(p: usize, id: u32) -> (usize, usize) {
+    match p as u32 {
+        1 => (0, id as usize),
+        p => ((id % p) as usize, (id / p) as usize),
     }
 }
 
-/// The shards of one entity type as one gather source, by global id.
-struct TypeRows<'a>(&'a [MmapPartition]);
+/// One candidate row, found in its shard before the gather: an f32 row
+/// in place in the mapping, or a quantized shard and the row to decode.
+enum CandidateRow<'a> {
+    Mapped(&'a [f32]),
+    Quantized(&'a MmapPartition, usize),
+}
 
-impl GatherRows for TypeRows<'_> {
-    fn copy_row(&self, id: u32, dst: &mut [f32]) {
-        let (shard, row) = locate(self.0, id);
-        shard.decode_rows_into(row as usize, 1, dst);
+/// Candidates resolved to their rows once, fetched by position — so the
+/// gather pays no per-row routing whatever the partition count.
+struct Resolved<'a>(Vec<CandidateRow<'a>>);
+
+impl GatherRows for Resolved<'_> {
+    fn copy_row(&self, j: u32, dst: &mut [f32]) {
+        match self.0[j as usize] {
+            CandidateRow::Mapped(row) => dst.copy_from_slice(row),
+            CandidateRow::Quantized(shard, row) => shard.decode_rows_into(row, 1, dst),
+        }
+    }
+
+    fn prefetch(&self, j: u32) {
+        if let CandidateRow::Mapped(row) = self.0[j as usize] {
+            kernels::prefetch_row(row);
+        }
     }
 }
 
@@ -380,8 +396,9 @@ impl MmapEmbeddings {
     ///
     /// Panics if indices are out of range.
     pub fn embedding(&self, entity_type: usize, id: u32) -> std::borrow::Cow<'_, [f32]> {
-        let (shard, row) = locate(self.type_shards(entity_type), id);
-        shard.row(row as usize)
+        let shards = self.type_shards(entity_type);
+        let (part, row) = locate(shards.len(), id);
+        shards[part].row(row)
     }
 
     /// The operator-transformed query row `g(θ_src, θ_rel)`.
@@ -416,21 +433,17 @@ impl MmapEmbeddings {
     ) -> Vec<f32> {
         let query = self.transformed_query(src, rel);
         let shards = self.type_shards(self.schema.relation_type(rel).dest_type().index());
-        // one f32 shard is the whole table in global-id order: read (and
-        // prefetch) its rows straight from the mapping
-        match (shards.len(), shards[0].payload()) {
-            (1, Ok(table)) => {
-                let rows = DenseRows::new(table, self.dim, self.dim);
-                gathered_scores(self.similarity, query, &rows, dst_candidates, None)
+        let tables: Vec<_> = shards.iter().map(|s| s.payload().ok()).collect();
+        let resolve = |&id: &u32| {
+            let (part, row) = locate(shards.len(), id);
+            match tables[part] {
+                Some(table) => CandidateRow::Mapped(&table[row * self.dim..(row + 1) * self.dim]),
+                None => CandidateRow::Quantized(&shards[part], row),
             }
-            _ => gathered_scores(
-                self.similarity,
-                query,
-                &TypeRows(shards),
-                dst_candidates,
-                None,
-            ),
-        }
+        };
+        let rows = Resolved(dst_candidates.iter().map(resolve).collect());
+        let positions: Vec<u32> = (0..dst_candidates.len() as u32).collect();
+        gathered_scores(self.similarity, query, &rows, &positions, None)
     }
 
     /// The `k` best destinations for `(src, rel)` over the *entire*

@@ -35,10 +35,9 @@ pub(crate) const VERSION: u8 = 4;
 pub(crate) const HEADER_BYTES: usize = 24;
 /// The trailing checksum.
 const TRAILER_BYTES: usize = 8;
-/// Bytes of row block encoded or decoded between checksum updates.
-const GROUP_BYTES: usize = 64 << 10;
 
-/// File name of `key`'s shard, in a swap directory and a checkpoint alike.
+/// File name of `key`'s shard in a checkpoint (a swap store names the
+/// same bytes [`crate::storage::swap_file_name`]).
 pub fn file_name(key: PartitionKey) -> String {
     format!("et{}_p{}.shard", key.entity_type, key.partition)
 }
@@ -131,15 +130,9 @@ fn bad(msg: String) -> PbgError {
     PbgError::Checkpoint(msg)
 }
 
-/// Rows per encode/decode group (at least one).
-fn group_rows(cols: usize) -> usize {
-    (GROUP_BYTES / (cols * 4).max(1)).max(1)
-}
-
 /// Encodes a `rows × cols` partition into `out` (cleared first): row `i`
-/// comes from `row(i, buf)`, which is called once per row — twice for
-/// int8, whose scale column precedes the rows. Returns the whole-file
-/// [`checksum`].
+/// comes from `row(i, buf)`, as in [`quant::encode_rows_streamed`].
+/// Returns the whole-file [`checksum`].
 ///
 /// # Panics
 ///
@@ -148,7 +141,7 @@ pub fn encode(
     precision: Precision,
     rows: usize,
     cols: usize,
-    mut row: impl FnMut(usize, &mut [f32]),
+    row: impl FnMut(usize, &mut [f32]),
     acc: &[f32],
     out: &mut Vec<u8>,
 ) -> u64 {
@@ -167,35 +160,7 @@ pub fn encode(
     out.extend_from_slice(&(cols as u64).to_le_bytes());
     let mut sum = Checksum::new();
     sum.update(out);
-    let group = group_rows(cols);
-    let mut buf = vec![0.0f32; group * cols];
-    // int8 takes two passes: its scale column precedes the rows
-    let scale_passes: &[bool] = match precision {
-        Precision::Int8 => &[true, false],
-        _ => &[false],
-    };
-    for &scales in scale_passes {
-        for start in (0..rows).step_by(group) {
-            let n = group.min(rows - start);
-            for i in 0..n {
-                row(start + i, &mut buf[i * cols..(i + 1) * cols]);
-            }
-            let mark = out.len();
-            if precision != Precision::Int8 {
-                quant::encode_rows(precision, &buf[..n * cols], n, cols, out);
-            } else {
-                for r in (0..n).map(|i| &buf[i * cols..(i + 1) * cols]) {
-                    let scale = quant::int8_scale(r);
-                    if scales {
-                        out.extend_from_slice(&scale.to_le_bytes());
-                    } else {
-                        out.extend(r.iter().map(|&v| quant::int8_quantize(v, scale) as u8));
-                    }
-                }
-            }
-            sum.update(&out[mark..]);
-        }
-    }
+    quant::encode_rows_streamed(precision, rows, cols, row, out, |group| sum.update(group));
     let mark = out.len();
     acc.iter()
         .for_each(|a| out.extend_from_slice(&a.to_le_bytes()));
@@ -242,7 +207,7 @@ pub fn decode(bytes: &[u8]) -> Result<Shard> {
     let mut sum = Checksum::new();
     sum.update(&bytes[..rows_start]);
     let mut embeddings = vec![0.0f32; rows * cols];
-    let group = group_rows(cols);
+    let group = quant::group_rows(cols);
     for start in (0..rows).step_by(group) {
         let end = rows.min(start + group);
         sum.update(&bytes[rows_start + start * row_bytes..rows_start + end * row_bytes]);

@@ -376,9 +376,16 @@ struct DiskShared {
     swap_bytes: Counter,
 }
 
+/// File name of `key`'s swap shard: the bytes of [`shard::encode`] under
+/// a name no checkpoint uses, so one directory can hold a swap store and
+/// checkpoints without a write-back replacing a committed shard.
+pub fn swap_file_name(key: PartitionKey) -> String {
+    format!("et{}_p{}.swap", key.entity_type, key.partition)
+}
+
 impl DiskShared {
     fn path_of(&self, key: PartitionKey) -> PathBuf {
-        self.dir.join(shard::file_name(key))
+        self.dir.join(swap_file_name(key))
     }
 
     /// `key`'s partition: its shard if this store wrote one (`stored`),
@@ -433,7 +440,7 @@ impl DiskShared {
         // reads — durability is the checkpoint's job, and syncing every
         // write-back would serialize the pipelined I/O thread on the disk.
         let path = self.path_of(key);
-        let tmp = path.with_extension("shard.tmp");
+        let tmp = path.with_extension("swap.tmp");
         std::fs::write(&tmp, bytes)
             .and_then(|()| std::fs::rename(&tmp, &path))
             .unwrap_or_else(|e| panic!("disk store write of {} failed: {e}", path.display()));
@@ -1203,12 +1210,17 @@ mod tests {
             store.mark_dirty(key);
             store.release(key);
         } // drop joins the I/O thread after the queue drains
-        let bytes = std::fs::read(dir.join(shard::file_name(key))).unwrap();
+        let bytes = std::fs::read(dir.join(swap_file_name(key))).unwrap();
         let shard = shard::decode(&bytes).unwrap();
         assert_eq!(
             shard.embeddings[3], 9.75,
             "row 0, col 3 of the flushed shard"
         );
+        let store = DiskStore::new_sync(layout(2), &dir).unwrap();
+        assert!(!store.is_pipelined());
+        store.prefetch(key);
+        store.load(key);
+        assert_eq!(store.prefetch_hits(), 0, "sync mode never prefetches");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1231,8 +1243,8 @@ mod tests {
         }
         let mut other = Vec::new();
         shard::encode(Precision::F16, 3, 5, |_, _| {}, &[0.0; 3], &mut other);
-        std::fs::write(dir.join(shard::file_name(k1)), other).unwrap();
-        std::fs::write(dir.join(shard::file_name(k2)), b"garbage").unwrap();
+        std::fs::write(dir.join(swap_file_name(k1)), other).unwrap();
+        std::fs::write(dir.join(swap_file_name(k2)), b"garbage").unwrap();
         for store in [
             DiskStore::new_sync(layout(4), &dir).unwrap(),
             DiskStore::new(layout(4), &dir).unwrap(),
@@ -1287,7 +1299,7 @@ mod tests {
         assert_eq!(again.embeddings.to_vec(), reference.embeddings.to_vec());
         drop(store); // flush: nothing was queued, no file appears
         assert!(
-            !dir.join(shard::file_name(key)).exists(),
+            !dir.join(swap_file_name(key)).exists(),
             "clean release must not touch disk"
         );
         std::fs::remove_dir_all(&dir).ok();

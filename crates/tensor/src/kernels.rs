@@ -1135,7 +1135,7 @@ impl GatherRows for DenseRows<'_> {
 /// Asks the cache hierarchy to start loading `row` (one hint per 64-byte
 /// line). A no-op off x86_64.
 #[inline]
-fn prefetch_row(row: &[f32]) {
+pub fn prefetch_row(row: &[f32]) {
     #[cfg(target_arch = "x86_64")]
     for line in row.chunks(16) {
         // SAFETY: `_mm_prefetch` is a hint that never faults, and the

@@ -221,34 +221,69 @@ pub fn encode_rows(
     out: &mut Vec<u8>,
 ) {
     assert_eq!(values.len(), rows * cols, "block shape mismatch");
-    match precision {
-        Precision::F32 => {
-            out.reserve(values.len() * 4);
-            for &v in values {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-        }
-        Precision::F16 => {
-            out.reserve(values.len() * 2);
-            for &v in values {
-                out.extend_from_slice(&f16_from_f32(v).to_le_bytes());
-            }
-        }
-        Precision::Int8 => {
-            out.reserve(rows * 4 + values.len());
-            // iterate by index, not chunks_exact: a cols == 0 block still
-            // owes `rows` scale entries per `payload_bytes`
-            let mut scales = Vec::with_capacity(rows);
-            for i in 0..rows {
-                let s = int8_scale(&values[i * cols..(i + 1) * cols]);
-                scales.push(s);
-                out.extend_from_slice(&s.to_le_bytes());
-            }
-            for (i, &s) in scales.iter().enumerate() {
-                for &v in &values[i * cols..(i + 1) * cols] {
-                    out.push(int8_quantize(v, s) as u8);
+    encode_rows_streamed(
+        precision,
+        rows,
+        cols,
+        |i, buf| buf.copy_from_slice(&values[i * cols..(i + 1) * cols]),
+        out,
+        |_| {},
+    );
+}
+
+/// Rows per [`encode_rows_streamed`] group: 64 KiB of f32 rows, at
+/// least one.
+pub fn group_rows(cols: usize) -> usize {
+    ((64 << 10) / (cols * 4).max(1)).max(1)
+}
+
+/// Streaming form of [`encode_rows`]: row `i` is written into a one-row
+/// scratch buffer by `row(i, buf)` and encoded at once, and every
+/// [`group_rows`] rows the span appended to `out` is handed to `emitted`
+/// — so a caller can checksum the block in the same pass. int8 asks for
+/// each row twice: once for the scale column that leads the block, once
+/// for its bytes.
+pub fn encode_rows_streamed(
+    precision: Precision,
+    rows: usize,
+    cols: usize,
+    mut row: impl FnMut(usize, &mut [f32]),
+    out: &mut Vec<u8>,
+    mut emitted: impl FnMut(&[u8]),
+) {
+    out.reserve(
+        precision
+            .payload_bytes(rows, cols)
+            .expect("block shape overflows"),
+    );
+    let group = group_rows(cols);
+    let mut buf = vec![0.0f32; cols];
+    let passes: &[bool] = match precision {
+        Precision::Int8 => &[true, false],
+        _ => &[false],
+    };
+    for &scales in passes {
+        for start in (0..rows).step_by(group) {
+            let mark = out.len();
+            for i in start..rows.min(start + group) {
+                row(i, &mut buf);
+                match precision {
+                    Precision::F32 => buf
+                        .iter()
+                        .for_each(|v| out.extend_from_slice(&v.to_le_bytes())),
+                    Precision::F16 => buf
+                        .iter()
+                        .for_each(|&v| out.extend_from_slice(&f16_from_f32(v).to_le_bytes())),
+                    Precision::Int8 if scales => {
+                        out.extend_from_slice(&int8_scale(&buf).to_le_bytes())
+                    }
+                    Precision::Int8 => {
+                        let scale = int8_scale(&buf);
+                        out.extend(buf.iter().map(|&v| int8_quantize(v, scale) as u8));
+                    }
                 }
             }
+            emitted(&out[mark..]);
         }
     }
 }
@@ -435,6 +470,41 @@ mod tests {
             if p == Precision::F32 {
                 assert_eq!(full, values, "f32 must be lossless");
             }
+        }
+    }
+
+    #[test]
+    fn streamed_groups_concatenate_to_the_documented_layout() {
+        // 130 rows of 300 floats straddle three 64 KiB groups
+        let (rows, cols) = (130, 300);
+        assert!(group_rows(cols) < rows);
+        let values: Vec<f32> = (0..rows * cols)
+            .map(|i| (i as f32 * 0.37).sin() * 9.0)
+            .collect();
+        let row = |i: usize| &values[i * cols..(i + 1) * cols];
+        for p in [Precision::F32, Precision::F16, Precision::Int8] {
+            let mut want = Vec::new();
+            match p {
+                Precision::F32 => values.iter().for_each(|v| want.extend(v.to_le_bytes())),
+                Precision::F16 => values
+                    .iter()
+                    .for_each(|&v| want.extend(f16_from_f32(v).to_le_bytes())),
+                Precision::Int8 => {
+                    (0..rows).for_each(|i| want.extend(int8_scale(row(i)).to_le_bytes()));
+                    for i in 0..rows {
+                        let s = int8_scale(row(i));
+                        want.extend(row(i).iter().map(|&v| int8_quantize(v, s) as u8));
+                    }
+                }
+            }
+            let (mut out, mut spans) = (vec![7u8], vec![7u8]);
+            let copy = |i: usize, buf: &mut [f32]| buf.copy_from_slice(row(i));
+            encode_rows_streamed(p, rows, cols, copy, &mut out, |s| spans.extend(s));
+            assert_eq!(out[1..], want[..], "{p}");
+            assert_eq!(
+                spans, out,
+                "{p}: emitted spans cover the block once, in order"
+            );
         }
     }
 

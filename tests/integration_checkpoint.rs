@@ -476,12 +476,56 @@ fn resume_after_every_bucket_is_bit_identical_to_the_uninterrupted_run() {
 }
 
 #[test]
+fn disk_swap_and_checkpoint_can_share_one_directory() {
+    // `pbg train --disk D --output D --checkpoint-every 2`: the buckets
+    // trained after the last checkpoint write their partitions back to
+    // the swap store, and those write-backs must never replace the
+    // committed checkpoint's shards, or the resume fails its checksums
+    use pbg::core::trainer::Storage;
+    let (schema, edges, config) = social_at_p4();
+    let mut reference = Trainer::new(schema.clone(), &edges, config.clone()).unwrap();
+    reference.train();
+    let want = state_bits(&reference);
+    for k in [5, 19, 31] {
+        let dir = tmp(&format!("shared_dir_{k}"));
+        std::fs::remove_dir_all(&dir).ok();
+        let disk = || Storage::Disk(dir.clone());
+        let mut crashed =
+            Trainer::with_storage(schema.clone(), &edges, config.clone(), disk()).unwrap();
+        crashed.set_checkpoint_policy(pbg::core::CheckpointPolicy {
+            dir: dir.clone(),
+            every_buckets: 2,
+        });
+        crashed.inject_crash_after_buckets(k);
+        crashed.train();
+        assert!(crashed.crashed() && crashed.checkpoint_error().is_none());
+        drop(crashed);
+        let mut resumed = Trainer::resume(
+            schema.clone(),
+            &edges,
+            config.clone(),
+            disk(),
+            pbg::telemetry::Registry::new(),
+            &dir,
+        )
+        .unwrap_or_else(|e| panic!("resume after bucket {k}: {e}"));
+        resumed.train();
+        assert!(
+            state_bits(&resumed) == want,
+            "resumed after bucket {k} over a shared directory differs"
+        );
+        drop(resumed);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+#[test]
 fn fresh_disk_run_ignores_stale_and_garbage_swap_files() {
     // `pbg train --disk DIR` over an old run's directory: its trained
     // shards, a shard of another shape and plain garbage must neither
     // seed nor panic the new run
     use pbg::core::shard;
-    use pbg::core::storage::PartitionKey;
+    use pbg::core::storage::{swap_file_name, PartitionKey};
     use pbg::core::trainer::Storage;
     let (schema, edges, config) = social_at_p4();
     let run = |dir: &std::path::Path| {
@@ -505,12 +549,12 @@ fn fresh_disk_run_ignores_stale_and_garbage_swap_files() {
         &mut other,
     );
     std::fs::write(
-        stale.join(shard::file_name(PartitionKey::new(0u32, 1u32))),
+        stale.join(swap_file_name(PartitionKey::new(0u32, 1u32))),
         other,
     )
     .unwrap();
     std::fs::write(
-        stale.join(shard::file_name(PartitionKey::new(0u32, 2u32))),
+        stale.join(swap_file_name(PartitionKey::new(0u32, 2u32))),
         b"junk",
     )
     .unwrap();
