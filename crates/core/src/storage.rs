@@ -313,6 +313,10 @@ impl PartitionStore for InMemoryStore {
     fn load_all(&self) {}
 }
 
+/// Outcome of one swap read or write; the error names the file and the
+/// cause, and is what the store panics with.
+type IoResult<T> = std::result::Result<T, String>;
+
 /// Requests handled by the [`DiskStore`] background I/O thread.
 enum IoMsg {
     /// Read `key` from disk (or initialize it) into the prefetch buffer.
@@ -346,6 +350,19 @@ struct SwapState {
     /// back; every other key starts from its deterministic init, whatever
     /// an earlier run left in the directory.
     stored: HashSet<PartitionKey>,
+    /// The I/O thread's first read or write error. The thread exits on
+    /// it, and every later call on the store panics with it.
+    failed: Option<String>,
+}
+
+impl SwapState {
+    /// Panics with the I/O thread's error once it has failed, so the
+    /// caller fails on its own thread instead of waiting on a dead one.
+    fn check_io(&self) {
+        if let Some(e) = &self.failed {
+            panic!("{e}");
+        }
+    }
 }
 
 /// State shared between the front end and the background I/O thread.
@@ -389,20 +406,19 @@ impl DiskShared {
     }
 
     /// `key`'s partition: its shard if this store wrote one (`stored`),
-    /// else the deterministic init.
-    fn read_or_init(&self, key: PartitionKey, stored: bool) -> PartitionData {
+    /// else the deterministic init. The error names the file and cause.
+    fn read_or_init(&self, key: PartitionKey, stored: bool) -> IoResult<PartitionData> {
         if !stored {
-            return self.layout.init(key);
+            return Ok(self.layout.init(key));
         }
         let path = self.path_of(key);
-        let read = std::fs::read(&path)
+        let shard = std::fs::read(&path)
             .map_err(PbgError::from)
             .and_then(|bytes| {
                 self.swap_bytes.add(bytes.len() as u64);
                 shard::decode(&bytes)
-            });
-        let shard =
-            read.unwrap_or_else(|e| panic!("swap shard {} unreadable: {e}", path.display()));
+            })
+            .map_err(|e| format!("swap shard {} unreadable: {e}", path.display()))?;
         let (rows, cols, precision) = (
             self.layout.rows_of(key),
             self.layout.dim,
@@ -413,23 +429,25 @@ impl DiskShared {
             cols,
             precision,
         };
-        assert_eq!(
-            shard.header,
-            want,
-            "swap shard {} has another shape",
-            path.display()
-        );
-        PartitionData::from_parts(
+        if shard.header != want {
+            return Err(format!(
+                "swap shard {} has another shape: {:?}, want {want:?}",
+                path.display(),
+                shard.header
+            ));
+        }
+        Ok(PartitionData::from_parts(
             rows,
             cols,
             self.layout.lr,
             shard.embeddings,
             &shard.accumulators,
-        )
+        ))
     }
 
-    /// Writes a released partition's shard, traced and counted.
-    fn write_back(&self, key: PartitionKey, data: &PartitionData) {
+    /// Writes a released partition's shard, traced and counted. The
+    /// error names the file and cause.
+    fn write_back(&self, key: PartitionKey, data: &PartitionData) -> IoResult<()> {
         let mut span = self.span(span_name::WRITE_BACK, key);
         span.field("queue", self.io_queue_depth.get());
         let mut bytes = Vec::new();
@@ -443,9 +461,21 @@ impl DiskShared {
         let tmp = path.with_extension("swap.tmp");
         std::fs::write(&tmp, bytes)
             .and_then(|()| std::fs::rename(&tmp, &path))
-            .unwrap_or_else(|e| panic!("disk store write of {} failed: {e}", path.display()));
+            .map_err(|e| format!("disk store write of {} failed: {e}", path.display()))?;
         span.field("bytes", data.bytes() as u64);
         self.bytes_written_back.add(data.bytes() as u64);
+        Ok(())
+    }
+
+    /// Records the I/O thread's first error, clears the in-flight set
+    /// and wakes every waiting `load`, which then panics with the error
+    /// on its own thread. The I/O thread exits after this.
+    fn fail(&self, e: String) {
+        let mut st = self.state.lock();
+        st.failed = Some(e);
+        st.inflight.clear();
+        drop(st);
+        self.ready.notify_all();
     }
 
     /// A span over `key`'s I/O while tracing, else a no-op guard.
@@ -484,12 +514,16 @@ impl DiskShared {
 /// FIFO matters: a `WriteBack(k)` enqueued before a `Prefetch(k)` is
 /// always written before the prefetch reads the file, so a prefetch
 /// after a release observes the released data.
+///
+/// The loop ends at the first read or write error ([`DiskShared::fail`]).
 fn io_loop(shared: Arc<DiskShared>, rx: channel::Receiver<IoMsg>) {
     while let Ok(msg) = rx.recv() {
         match msg {
             IoMsg::Shutdown => break,
             IoMsg::WriteBack(key, data) => {
-                shared.write_back(key, &data);
+                if let Err(e) = shared.write_back(key, &data) {
+                    return shared.fail(e);
+                }
                 shared.io_queue_depth.sub(1);
                 let mut st = shared.state.lock();
                 st.stored.insert(key);
@@ -515,7 +549,10 @@ fn io_loop(shared: Arc<DiskShared>, rx: channel::Receiver<IoMsg>) {
                 let stored = st.stored.contains(&key);
                 drop(st);
                 let mut span = shared.span(span_name::PREFETCH_READ, key);
-                let data = Arc::new(shared.read_or_init(key, stored));
+                let data = match shared.read_or_init(key, stored) {
+                    Ok(data) => Arc::new(data),
+                    Err(e) => return shared.fail(e),
+                };
                 span.field("bytes", data.bytes() as u64);
                 drop(span);
                 shared.io_queue_depth.sub(1);
@@ -688,6 +725,7 @@ impl PartitionStore for DiskStore {
     fn load(&self, key: PartitionKey) -> Arc<PartitionData> {
         let shared = &self.shared;
         let mut st = shared.state.lock();
+        st.check_io();
         if let Some(data) = st.resident.get(&key) {
             return Arc::clone(data);
         }
@@ -701,6 +739,7 @@ impl PartitionStore for DiskStore {
                 shared.ready.wait(&mut st);
             }
             shared.waited(t0, key);
+            st.check_io();
         }
         let data = if let Some(data) = st.prefetched.remove(&key) {
             shared.prefetch_hits.inc();
@@ -712,7 +751,10 @@ impl PartitionStore for DiskStore {
         } else {
             // Synchronous fallback: the hot path pays for the read.
             let t0 = shared.telemetry.now_ns();
-            let data = Arc::new(shared.read_or_init(key, st.stored.contains(&key)));
+            let data = shared
+                .read_or_init(key, st.stored.contains(&key))
+                .unwrap_or_else(|e| panic!("{e}"));
+            let data = Arc::new(data);
             shared.waited(t0, key);
             data
         };
@@ -725,6 +767,7 @@ impl PartitionStore for DiskStore {
     fn release(&self, key: PartitionKey) {
         let shared = &self.shared;
         let mut st = shared.state.lock();
+        st.check_io();
         if let Some(data) = st.resident.remove(&key) {
             shared.resident_bytes.sub(data.bytes() as u64);
             shared.resident_partitions.sub(1);
@@ -736,6 +779,12 @@ impl PartitionStore for DiskStore {
                 // Snapshot and evaluation passes release every partition
                 // through here without costing a single disk write.
                 shared.writeback_skipped.add(data.bytes() as u64);
+                if st.pending_writes.contains_key(&key) {
+                    // Loaded back from the write-back queue: the file is
+                    // not written yet, so this copy stays the one a later
+                    // load claims until the write lands.
+                    st.dirty.insert(key, data);
+                }
                 return;
             }
             match &self.io {
@@ -747,7 +796,9 @@ impl PartitionStore for DiskStore {
                         .expect("disk I/O thread alive");
                 }
                 None => {
-                    shared.write_back(key, &data);
+                    shared
+                        .write_back(key, &data)
+                        .unwrap_or_else(|e| panic!("{e}"));
                     st.stored.insert(key);
                 }
             }
@@ -759,6 +810,7 @@ impl PartitionStore for DiskStore {
             return; // synchronous mode: loads do the work
         };
         let mut st = self.shared.state.lock();
+        st.check_io();
         if st.resident.contains_key(&key)
             || st.prefetched.contains_key(&key)
             || st.inflight.contains(&key)
@@ -1262,6 +1314,69 @@ mod tests {
             assert_eq!(store.load(k0).embeddings.get(1, 1), -7.0);
             store.release(k0);
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn pipelined_read_error_fails_load_instead_of_hanging() {
+        let dir = std::env::temp_dir().join(format!("pbg_disk_fail_{}", std::process::id()));
+        let (k0, k1) = (PartitionKey::new(0u32, 0u32), PartitionKey::new(0u32, 1u32));
+        let worker_dir = dir.clone();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let store = DiskStore::new(layout(2), &worker_dir).unwrap();
+            store.load(k0).embeddings.set(0, 0, 5.0);
+            store.mark_dirty(k0);
+            store.release(k0);
+            // FIFO: once k1's prefetch is served, k0's write-back landed
+            store.prefetch(k1);
+            store.load(k1);
+            let path = worker_dir.join(swap_file_name(k0));
+            let mut bytes = std::fs::read(&path).unwrap();
+            let mid = bytes.len() / 2;
+            bytes[mid] ^= 0xff;
+            std::fs::write(&path, bytes).unwrap();
+            store.prefetch(k0);
+            let load = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| store.load(k0)));
+            let after =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| store.release(k1)));
+            let message = |p: Box<dyn std::any::Any + Send>| p.downcast::<String>().map(|m| *m);
+            let _ = tx.send((load.err().map(message), after.err().map(message)));
+        });
+        let (load, after) = rx
+            .recv_timeout(std::time::Duration::from_secs(20))
+            .expect("load returned or panicked instead of hanging");
+        let load = load.expect("load of a corrupt shard panics").unwrap();
+        assert!(load.contains("checksum"), "{load}");
+        assert!(load.contains(&swap_file_name(k0)), "{load}");
+        assert_eq!(after.expect("later calls panic too").unwrap(), load);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn clean_release_during_write_back_keeps_the_latest_contents() {
+        let dir = std::env::temp_dir().join(format!("pbg_disk_steal_{}", std::process::id()));
+        let schema = GraphSchema::builder()
+            .entity_type(EntityTypeDef::new("node", 40_000).with_partitions(2))
+            .relation_type(RelationTypeDef::new("edge", 0u32, 0u32))
+            .build()
+            .unwrap();
+        let store =
+            DiskStore::new(StoreLayout::from_schema(&schema, 32, 0.1, 0.1, 42), &dir).unwrap();
+        let (k0, k1) = (PartitionKey::new(0u32, 0u32), PartitionKey::new(0u32, 1u32));
+        // a large write-back ahead of k0's keeps the I/O thread busy
+        store.load(k1);
+        store.mark_dirty(k1);
+        store.release(k1);
+        store.load(k0).embeddings.set(3, 3, 11.5);
+        store.mark_dirty(k0);
+        store.release(k0);
+        // claimed back from the write-back queue, then released clean
+        // before its write-back has landed
+        store.load(k0);
+        store.release(k0);
+        assert_eq!(store.load(k0).embeddings.get(3, 3), 11.5);
+        drop(store);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,10 +1,12 @@
-//! TCP server loops wrapping the `distsim` state machines.
+//! TCP servers wrapping the `distsim` state machines.
 //!
-//! Thread-per-connection: each accepted socket gets a handler thread
-//! that reads one request frame at a time and replies. The state
-//! machines themselves ([`EpochLock`], [`PartitionServer`],
-//! [`ParameterServer`]) are the exact objects the in-process simulation
-//! uses — the server loop is only transport.
+//! Each [`NetServer`] runs on `pbg-telemetry`'s one [`Listener`], the
+//! same accept loop the HTTP servers use: every accepted socket gets its
+//! own thread, which turns off Nagle and then reads one request frame at
+//! a time and replies until the client hangs up. The state machines
+//! themselves ([`EpochLock`], [`PartitionServer`], [`ParameterServer`])
+//! are the exact objects the in-process simulation uses — the server is
+//! only transport.
 //!
 //! State-machine calls run under `catch_unwind`: the sim servers panic
 //! on protocol misuse (unknown partition key, unregistered parameter),
@@ -22,19 +24,15 @@ use crate::wire::{self, Message, WireError};
 use pbg_distsim::lockserver::EpochLock;
 use pbg_distsim::paramserver::ParameterServer;
 use pbg_distsim::partitionserver::PartitionServer;
+use pbg_telemetry::listener::Listener;
 use pbg_telemetry::trace;
 use pbg_telemetry::{metrics, Counter, FieldValue, Registry, TraceContext};
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-
-type Handler = Arc<dyn Fn(&mut TcpStream, Message) -> Result<(), WireError> + Send + Sync>;
 
 /// Per-server telemetry shared by every connection thread.
-#[derive(Clone)]
 struct ServerTelemetry {
     registry: Registry,
     requests: Counter,
@@ -49,14 +47,12 @@ impl ServerTelemetry {
     }
 }
 
-/// A running server: accept loop plus per-connection handler threads.
-/// Dropping it (or calling [`NetServer::shutdown`]) stops accepting;
-/// handler threads exit when their client disconnects.
+/// A running server: a [`Listener`] whose connection threads run the
+/// request loop. Dropping it (or calling [`NetServer::shutdown`]) stops
+/// accepting; handler threads exit when their client disconnects.
 #[derive(Debug)]
 pub struct NetServer {
-    local_addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
+    listener: Listener,
 }
 
 impl NetServer {
@@ -74,7 +70,7 @@ impl NetServer {
     ) -> io::Result<NetServer> {
         serve(
             addr,
-            Arc::new(move |stream, msg| handle_lock(stream, msg, &lock)),
+            move |stream, msg| handle_lock(stream, msg, &lock),
             ServerTelemetry::new(telemetry),
         )
     }
@@ -92,7 +88,7 @@ impl NetServer {
     ) -> io::Result<NetServer> {
         serve(
             addr,
-            Arc::new(move |stream, msg| handle_partitions(stream, msg, &parts)),
+            move |stream, msg| handle_partitions(stream, msg, &parts),
             ServerTelemetry::new(telemetry),
         )
     }
@@ -110,57 +106,31 @@ impl NetServer {
     ) -> io::Result<NetServer> {
         serve(
             addr,
-            Arc::new(move |stream, msg| handle_params(stream, msg, &params)),
+            move |stream, msg| handle_params(stream, msg, &params),
             ServerTelemetry::new(telemetry),
         )
     }
 
     /// The bound address (useful with port 0 for ephemeral ports).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.listener.local_addr()
     }
 
     /// Stops accepting connections and joins the accept thread.
     pub fn shutdown(&mut self) {
-        if self.stop.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        // wake the blocking accept() with a throwaway connection
-        let _ = TcpStream::connect(self.local_addr);
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
+        self.listener.shutdown();
     }
 }
 
-impl Drop for NetServer {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-fn serve(addr: &str, handler: Handler, telemetry: ServerTelemetry) -> io::Result<NetServer> {
-    let listener = TcpListener::bind(addr)?;
-    let local_addr = listener.local_addr()?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop_accept = Arc::clone(&stop);
-    let accept_thread = std::thread::spawn(move || {
-        for conn in listener.incoming() {
-            if stop_accept.load(Ordering::SeqCst) {
-                break;
-            }
-            let Ok(mut stream) = conn else { continue };
-            stream.set_nodelay(true).ok();
-            let handler = Arc::clone(&handler);
-            let telemetry = telemetry.clone();
-            std::thread::spawn(move || connection_loop(&mut stream, &*handler, &telemetry));
-        }
-    });
-    Ok(NetServer {
-        local_addr,
-        stop,
-        accept_thread: Some(accept_thread),
-    })
+fn serve<H>(addr: &str, handler: H, telemetry: ServerTelemetry) -> io::Result<NetServer>
+where
+    H: Fn(&mut TcpStream, Message) -> Result<(), WireError> + Send + Sync + 'static,
+{
+    let listener = Listener::serve(addr, "pbg-net", move |mut stream| {
+        stream.set_nodelay(true).ok();
+        connection_loop(&mut stream, &handler, &telemetry);
+    })?;
+    Ok(NetServer { listener })
 }
 
 /// Reads requests until the client hangs up. A handler error is

@@ -9,12 +9,14 @@
 //! and N server processes on one host share a single physical copy of
 //! the model.
 //!
-//! The HTTP layer reuses the hardened zero-dependency listener shape
-//! from [`pbg_telemetry::http`]: a bound listener, an accept loop on a
-//! named thread, one short-lived thread per connection, shutdown by stop
-//! flag plus wake-up connect. On top of that it adds per-client
-//! token-bucket rate limiting, structured JSONL request logs, and
-//! latency/QPS metrics in the shared telemetry registry.
+//! The HTTP side is [`pbg_telemetry::http`]'s one responder on the
+//! workspace's one [`Listener`]: deadlines, request parsing, the
+//! `400`/`413`/`431` refusals and response writing are the metrics
+//! server's, and `/metrics` answers with the same
+//! [`http::prometheus`] exposition. This crate supplies only the route
+//! function, which adds per-client token-bucket rate limiting,
+//! structured JSONL request logs (refusals included), and
+//! latency/QPS/error counters in the shared telemetry registry.
 //!
 //! Endpoints:
 //! - `POST /score` — body `{"src": id, "rel": name-or-index, "dsts":
@@ -32,16 +34,15 @@
 
 use pbg_core::model::MmapEmbeddings;
 use pbg_graph::ids::RelationTypeId;
-use pbg_telemetry::http::{read_request, write_response, Request, RequestError};
+use pbg_telemetry::http::{self, Request, RequestError, Response};
+use pbg_telemetry::listener::Listener;
 use pbg_telemetry::metrics::names;
 use pbg_telemetry::Registry;
 use serde_json::{json, Value};
 use std::collections::HashMap;
-use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, SocketAddr};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime};
 
 /// Tuning for one [`EmbedServer`].
@@ -133,54 +134,22 @@ impl RateLimiter {
     }
 }
 
-/// Everything a connection thread needs, shared behind one `Arc`.
+/// Everything the route function needs, shared by every connection.
 struct Ctx {
     model: Arc<MmapEmbeddings>,
     registry: Registry,
     limiter: RateLimiter,
     request_log: Option<Mutex<std::fs::File>>,
-    max_body_bytes: usize,
 }
 
-/// A fully formed HTTP reply, before serialization to the socket.
-struct Reply {
-    status: &'static str,
-    content_type: &'static str,
-    body: String,
-    /// `Allow` header value for 405s.
-    allow: Option<&'static str>,
-    /// `Retry-After` seconds for 429s.
-    retry_after: Option<u64>,
-}
-
-impl Reply {
-    fn json(status: &'static str, body: Value) -> Reply {
-        Reply {
+/// A JSON response body, newline-terminated.
+fn json_response(status: &'static str, body: Value) -> Response {
+    Response {
+        content_type: "application/json",
+        ..Response::text(
             status,
-            content_type: "application/json",
-            body: serde_json::to_string(&body).unwrap_or_else(|_| "{}".to_string()) + "\n",
-            allow: None,
-            retry_after: None,
-        }
-    }
-
-    fn text(status: &'static str, body: impl Into<String>) -> Reply {
-        Reply {
-            status,
-            content_type: "text/plain; charset=utf-8",
-            body: body.into(),
-            allow: None,
-            retry_after: None,
-        }
-    }
-
-    /// The numeric status code (for logs and error classification).
-    fn code(&self) -> u64 {
-        self.status
-            .split(' ')
-            .next()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(0)
+            serde_json::to_string(&body).unwrap_or_else(|_| "{}".to_string()) + "\n",
+        )
     }
 }
 
@@ -197,9 +166,7 @@ type ApiResult = Result<Value, ApiError>;
 
 /// A running embedding inference server. Shuts down on drop.
 pub struct EmbedServer {
-    local_addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
+    listener: Listener,
 }
 
 impl EmbedServer {
@@ -216,8 +183,6 @@ impl EmbedServer {
         registry: Registry,
         config: ServeConfig,
     ) -> std::io::Result<EmbedServer> {
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
         let request_log = match &config.request_log {
             Some(path) => Some(Mutex::new(
                 std::fs::OpenOptions::new()
@@ -230,99 +195,45 @@ impl EmbedServer {
         registry
             .gauge(names::SERVE_MAPPED_BYTES)
             .set(model.mapped_bytes() as u64);
-        let ctx = Arc::new(Ctx {
+        let ctx = Ctx {
             model,
             registry,
             limiter: RateLimiter::new(config.rate_limit_rps, config.rate_limit_burst),
             request_log,
-            max_body_bytes: config.max_body_bytes,
-        });
-        let stop = Arc::new(AtomicBool::new(false));
-        let accept_stop = Arc::clone(&stop);
-        let accept_thread = std::thread::Builder::new()
-            .name(format!("pbg-serve-{}", local_addr.port()))
-            .spawn(move || accept_loop(listener, ctx, accept_stop))
-            .expect("spawn serve accept thread");
-        Ok(EmbedServer {
-            local_addr,
-            stop,
-            accept_thread: Some(accept_thread),
-        })
+        };
+        let listener =
+            http::serve_routes(addr, "pbg-serve", config.max_body_bytes, move |req, ip| {
+                handle(req, ip, &ctx)
+            })?;
+        Ok(EmbedServer { listener })
     }
 
     /// The bound address (useful with port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.listener.local_addr()
     }
 
     /// Stops accepting and joins the accept thread. Idempotent.
     pub fn shutdown(&mut self) {
-        if self.stop.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        // wake the blocking accept with a throwaway connection
-        let _ = TcpStream::connect(self.local_addr);
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
+        self.listener.shutdown();
     }
 }
 
-impl Drop for EmbedServer {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-fn accept_loop(listener: TcpListener, ctx: Arc<Ctx>, stop: Arc<AtomicBool>) {
-    for conn in listener.incoming() {
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = conn else { continue };
-        let ctx = Arc::clone(&ctx);
-        let _ = std::thread::Builder::new()
-            .name("pbg-serve-conn".to_string())
-            .spawn(move || {
-                let _ = handle_connection(stream, &ctx);
-            });
-    }
-}
-
-fn handle_connection(mut stream: TcpStream, ctx: &Ctx) -> std::io::Result<()> {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
-    let client_ip = stream
-        .peer_addr()
-        .map(|a| a.ip())
-        .unwrap_or(IpAddr::from([0u8, 0, 0, 0]));
+/// The route function: routes a parsed request, or takes the
+/// responder's refusal as is, then counts and logs the outcome.
+fn handle(req: Result<&Request, RequestError>, client_ip: IpAddr, ctx: &Ctx) -> Response {
     let started = Instant::now();
-    let req = match read_request(&mut stream, ctx.max_body_bytes)? {
-        Ok(req) => req,
-        Err(e) => {
-            ctx.registry.counter(names::SERVE_REQUESTS).inc();
-            ctx.registry.counter(names::SERVE_CLIENT_ERRORS).inc();
-            let (status, body) = e.response();
-            // a refused parse still gets a structured log line
-            log_request(
-                ctx,
-                client_ip,
-                "-",
-                "-",
-                refusal_code(e),
-                started,
-                body.len(),
-            );
-            return write_response(&mut stream, status, "text/plain; charset=utf-8", body, &[]);
-        }
+    let (method, path, response) = match req {
+        Ok(req) => (req.method.as_str(), req.route(), route(req, client_ip, ctx)),
+        Err(e) => ("-", "-", Response::from(e)),
     };
-    let reply = route(&req, client_ip, ctx);
-
     ctx.registry.counter(names::SERVE_REQUESTS).inc();
-    ctx.registry
-        .histogram(names::SERVE_REQUEST_LATENCY_NS)
-        .observe(started.elapsed().as_nanos() as u64);
-    let code = reply.code();
+    if req.is_ok() {
+        ctx.registry
+            .histogram(names::SERVE_REQUEST_LATENCY_NS)
+            .observe(started.elapsed().as_nanos() as u64);
+    }
+    let code = response.code();
     if code == 429 {
         ctx.registry.counter(names::SERVE_THROTTLED).inc();
     } else if (400..500).contains(&code) {
@@ -331,36 +242,13 @@ fn handle_connection(mut stream: TcpStream, ctx: &Ctx) -> std::io::Result<()> {
     log_request(
         ctx,
         client_ip,
-        &req.method,
-        req.route(),
+        method,
+        path,
         code,
         started,
-        reply.body.len(),
+        response.body.len(),
     );
-
-    let retry_after = reply.retry_after.map(|s| s.to_string());
-    let mut extra: Vec<(&str, &str)> = Vec::new();
-    if let Some(allow) = reply.allow {
-        extra.push(("Allow", allow));
-    }
-    if let Some(ra) = retry_after.as_deref() {
-        extra.push(("Retry-After", ra));
-    }
-    write_response(
-        &mut stream,
-        reply.status,
-        reply.content_type,
-        &reply.body,
-        &extra,
-    )
-}
-
-fn refusal_code(e: RequestError) -> u64 {
-    match e {
-        RequestError::HeadTooLarge => 431,
-        RequestError::Malformed => 400,
-        RequestError::BodyTooLarge => 413,
-    }
+    response
 }
 
 /// Appends one structured JSONL line to the request log, if configured.
@@ -370,7 +258,7 @@ fn log_request(
     client: IpAddr,
     method: &str,
     path: &str,
-    status: u64,
+    status: u16,
     started: Instant,
     bytes_out: usize,
 ) {
@@ -397,62 +285,40 @@ fn log_request(
     }
 }
 
-fn route(req: &Request, client_ip: IpAddr, ctx: &Ctx) -> Reply {
+fn route(req: &Request, client_ip: IpAddr, ctx: &Ctx) -> Response {
     let path = req.route();
     // observability endpoints: never rate limited, GET only
     match path {
-        "/" | "/healthz" => {
-            return if req.method == "GET" {
-                Reply::json("200 OK", healthz(ctx))
-            } else {
-                method_not_allowed("GET")
-            }
+        "/" | "/healthz" | "/metrics" if req.method != "GET" => {
+            return Response::method_not_allowed("GET")
         }
-        "/metrics" => {
-            return if req.method == "GET" {
-                Reply {
-                    status: "200 OK",
-                    content_type: "text/plain; version=0.0.4; charset=utf-8",
-                    body: ctx.registry.snapshot().to_prometheus(),
-                    allow: None,
-                    retry_after: None,
-                }
-            } else {
-                method_not_allowed("GET")
-            }
-        }
+        "/" | "/healthz" => return json_response("200 OK", healthz(ctx)),
+        "/metrics" => return http::prometheus(&ctx.registry),
         _ => {}
     }
     let is_inference =
         path == "/score" || path == "/topk" || path.strip_prefix("/embedding/").is_some();
     if !is_inference {
-        return Reply::text("404 Not Found", "not found\n");
+        return Response::text("404 Not Found", "not found\n");
     }
     if !ctx.limiter.allow(client_ip) {
-        let mut reply = Reply::json(
+        return json_response(
             "429 Too Many Requests",
             json!({"error": "rate limit exceeded"}),
-        );
-        reply.retry_after = Some(ctx.limiter.retry_after_secs());
-        return reply;
+        )
+        .with_header("Retry-After", ctx.limiter.retry_after_secs().to_string());
     }
     let result = match (req.method.as_str(), path) {
         ("POST", "/score") => api_score(req, ctx),
         ("POST", "/topk") => api_topk(req, ctx),
-        (_, "/score") | (_, "/topk") => return method_not_allowed("POST"),
+        (_, "/score") | (_, "/topk") => return Response::method_not_allowed("POST"),
         ("GET", _) => api_embedding(path, ctx),
-        _ => return method_not_allowed("GET"),
+        _ => return Response::method_not_allowed("GET"),
     };
     match result {
-        Ok(body) => Reply::json("200 OK", body),
-        Err(ApiError(msg)) => Reply::json("400 Bad Request", json!({ "error": msg })),
+        Ok(body) => json_response("200 OK", body),
+        Err(ApiError(msg)) => json_response("400 Bad Request", json!({ "error": msg })),
     }
-}
-
-fn method_not_allowed(allow: &'static str) -> Reply {
-    let mut reply = Reply::text("405 Method Not Allowed", "method not allowed\n");
-    reply.allow = Some(allow);
-    reply
 }
 
 /// The model card `/healthz` answers: enough for a load balancer to
@@ -684,6 +550,7 @@ mod tests {
     use pbg_core::{checkpoint, model::TrainedEmbeddings};
     use pbg_graph::schema::{EntityTypeDef, GraphSchema, OperatorKind, RelationTypeDef};
     use std::io::{Read, Write};
+    use std::net::TcpStream;
 
     fn snapshot() -> TrainedEmbeddings {
         let schema = GraphSchema::builder()
@@ -903,6 +770,69 @@ mod tests {
         assert!(status.contains("405"), "{status}");
         let (status, _) = http(addr, "POST", "/embedding/item/1", "");
         assert!(status.contains("405"), "{status}");
+    }
+
+    /// Sends raw bytes and reads until the server closes. A server may
+    /// answer and close before a flood is fully written, so write and
+    /// read errors are part of what is being tested, not test failures.
+    fn raw(addr: SocketAddr, request: &[u8]) -> String {
+        let mut s = TcpStream::connect(addr).unwrap();
+        let _ = s.write_all(request);
+        let mut response = String::new();
+        let _ = s.read_to_string(&mut response);
+        response
+    }
+
+    #[test]
+    fn metrics_and_embed_servers_refuse_alike() {
+        let log_path = tmp("refusals.jsonl");
+        std::fs::remove_file(&log_path).ok();
+        let config = ServeConfig {
+            request_log: Some(log_path.clone()),
+            ..unlimited()
+        };
+        let f = Fixture::start("refusals", config);
+        let metrics = pbg_telemetry::MetricsServer::serve("127.0.0.1:0", Registry::new()).unwrap();
+        let mut head_flood = b"GET /metrics HTTP/1.0\r\nX-Filler: ".to_vec();
+        head_flood.extend(std::iter::repeat_n(b'a', 16 * 1024));
+        let cases: [(&[u8], &str, Option<&str>); 4] = [
+            (b"\x00\xffnot http at all\r\n\r\n", "400", None),
+            (&head_flood, "431", None),
+            (
+                b"POST /metrics HTTP/1.0\r\nContent-Length: 1000000000\r\n\r\n",
+                "413",
+                None,
+            ),
+            (b"DELETE /metrics HTTP/1.0\r\n\r\n", "405", Some("GET")),
+        ];
+        for (request, code, allow) in cases {
+            let from_metrics = raw(metrics.local_addr(), request);
+            let from_embed = raw(f.server.local_addr(), request);
+            assert!(
+                from_metrics.starts_with(&format!("HTTP/1.0 {code} ")),
+                "{from_metrics}"
+            );
+            let allow_header = from_metrics.lines().find_map(|l| l.strip_prefix("Allow: "));
+            assert_eq!(allow_header, allow, "{from_metrics}");
+            assert_eq!(from_embed, from_metrics, "same refusal from both servers");
+        }
+        // the embedding server still counts and logs every refusal
+        assert_eq!(f.registry.counter(names::SERVE_CLIENT_ERRORS).get(), 4);
+        assert_eq!(f.registry.counter(names::SERVE_REQUESTS).get(), 4);
+        let text = std::fs::read_to_string(&log_path).unwrap();
+        let statuses: Vec<u64> = text
+            .lines()
+            .map(|l| {
+                let v: Value = serde_json::from_str(l).unwrap();
+                v.get("status").unwrap().as_u64().unwrap()
+            })
+            .collect();
+        assert_eq!(statuses, [400, 431, 413, 405], "{text}");
+        // and both keep serving
+        let (status, _) = http(f.server.local_addr(), "GET", "/healthz", "");
+        assert!(status.contains("200"), "{status}");
+        assert!(raw(metrics.local_addr(), b"GET /healthz HTTP/1.0\r\n\r\n").contains(" 200 "));
+        std::fs::remove_file(&log_path).ok();
     }
 
     #[test]

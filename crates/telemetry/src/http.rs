@@ -1,36 +1,148 @@
-//! Live metrics exposition over HTTP.
+//! The one HTTP responder, and the live metrics server built on it.
 //!
-//! [`MetricsServer`] is a zero-dependency HTTP/1.0 server in the same
-//! shape as `pbg-net`'s `NetServer`: a bound listener, an accept loop on
-//! a named thread, one short-lived thread per connection, shutdown by a
-//! stop flag plus a wake-up connect. Every trainer rank and every
-//! `pbg serve` role runs one, so a `curl http://rank:port/metrics`
-//! mid-run answers "is this rank making progress" without waiting for
-//! the post-run JSONL dump.
+//! Every HTTP server in the workspace runs [`serve_routes`]: a
+//! [`Listener`] whose connection threads each answer one request and
+//! close (`HTTP/1.0`, `Connection: close`). The responder owns the
+//! protocol: the read/write deadline, [`read_request`] with its bounded
+//! head and body, the `400`/`413`/`431` refusals, and
+//! [`write_response`]. What a request means is left to a route function
+//! from the parsed request (or the refusal) and the peer's IP to a
+//! [`Response`], so two servers refuse the same bad request the same way
+//! and differ only in their routes.
 //!
-//! Endpoints:
+//! [`MetricsServer`] is that responder with the metrics routes. Every
+//! trainer rank and every `pbg serve` role runs one, so a
+//! `curl http://rank:port/metrics` mid-run answers "is this rank making
+//! progress" without waiting for the post-run JSONL dump. Endpoints:
 //! - `/metrics` — Prometheus text exposition (version 0.0.4) of the
-//!   registry's live snapshot.
+//!   registry's live snapshot ([`prometheus`], which the embedding
+//!   server's `/metrics` also answers with).
 //! - `/report` — human-readable snapshot report with histogram
 //!   quantiles (p50/p95/p99).
 //! - `/healthz` — liveness probe, answers `ok`.
 
+use crate::listener::Listener;
 use crate::Registry;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::io::{self, Read, Write};
+use std::net::{IpAddr, SocketAddr, TcpStream};
 use std::time::Duration;
 
 /// Longest request head we will buffer before giving up on a client.
 const MAX_REQUEST_BYTES: usize = 8 * 1024;
 
+/// Read and write deadline of every HTTP connection: long enough for a
+/// full request body from a slow client, short enough that a stuck one
+/// does not pin its thread for long.
+const IO_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// A response before it is written: status line, content type, body
+/// and any extra headers (`Allow` on a 405, `Retry-After` on a 429).
+#[derive(Debug)]
+pub struct Response {
+    /// Status line after the version, e.g. `200 OK`.
+    pub status: &'static str,
+    /// `Content-Type` header value.
+    pub content_type: &'static str,
+    /// Response body.
+    pub body: String,
+    /// Extra headers, written after the standard ones.
+    pub headers: Vec<(&'static str, String)>,
+}
+
+impl Response {
+    /// A `text/plain` response.
+    pub fn text(status: &'static str, body: impl Into<String>) -> Response {
+        Response {
+            status,
+            content_type: "text/plain; charset=utf-8",
+            body: body.into(),
+            headers: Vec::new(),
+        }
+    }
+
+    /// `405` naming the one verb the resource accepts in `Allow`.
+    pub fn method_not_allowed(allow: &'static str) -> Response {
+        Response::text("405 Method Not Allowed", "method not allowed\n").with_header("Allow", allow)
+    }
+
+    /// This response with one more header.
+    pub fn with_header(mut self, name: &'static str, value: impl Into<String>) -> Response {
+        self.headers.push((name, value.into()));
+        self
+    }
+
+    /// The numeric status code (for logs and error classification).
+    pub fn code(&self) -> u16 {
+        self.status
+            .split(' ')
+            .next()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(0)
+    }
+
+    fn write_to(&self, stream: &mut TcpStream) -> io::Result<()> {
+        let headers: Vec<(&str, &str)> = self
+            .headers
+            .iter()
+            .map(|(name, value)| (*name, value.as_str()))
+            .collect();
+        write_response(stream, self.status, self.content_type, &self.body, &headers)
+    }
+}
+
+impl From<RequestError> for Response {
+    fn from(e: RequestError) -> Response {
+        let (status, body) = e.response();
+        Response::text(status, body)
+    }
+}
+
+/// The live Prometheus exposition of `registry` — what every
+/// `/metrics` endpoint answers.
+pub fn prometheus(registry: &Registry) -> Response {
+    Response {
+        content_type: "text/plain; version=0.0.4; charset=utf-8",
+        ..Response::text("200 OK", registry.snapshot().to_prometheus())
+    }
+}
+
+/// Binds `addr` and answers one request per connection through `route`,
+/// which sees the parsed request (or the refusal the responder is about
+/// to send) and the peer's IP. Bodies above `max_body` bytes are refused
+/// with `413` before they are read. Threads are named as in
+/// [`Listener::serve`].
+///
+/// # Errors
+///
+/// Returns the bind error, or the error spawning the accept thread.
+pub fn serve_routes<R>(addr: &str, name: &str, max_body: usize, route: R) -> io::Result<Listener>
+where
+    R: Fn(Result<&Request, RequestError>, IpAddr) -> Response + Send + Sync + 'static,
+{
+    Listener::serve(addr, name, move |stream| {
+        let _ = respond(stream, max_body, &route);
+    })
+}
+
+/// Answers one request on `stream` under the connection deadline.
+fn respond(
+    mut stream: TcpStream,
+    max_body: usize,
+    route: &dyn Fn(Result<&Request, RequestError>, IpAddr) -> Response,
+) -> io::Result<()> {
+    stream.set_read_timeout(Some(IO_TIMEOUT))?;
+    stream.set_write_timeout(Some(IO_TIMEOUT))?;
+    let peer = stream
+        .peer_addr()
+        .map(|a| a.ip())
+        .unwrap_or(IpAddr::from([0u8, 0, 0, 0]));
+    let request = read_request(&mut stream, max_body)?;
+    route(request.as_ref().map_err(|e| *e), peer).write_to(&mut stream)
+}
+
 /// A running metrics exposition server. Shuts down on drop.
 pub struct MetricsServer {
-    local_addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
+    listener: Listener,
 }
 
 impl MetricsServer {
@@ -40,108 +152,44 @@ impl MetricsServer {
     /// # Errors
     ///
     /// Returns the bind error if the address is unavailable.
-    pub fn serve(addr: &str, registry: Registry) -> std::io::Result<MetricsServer> {
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let accept_stop = Arc::clone(&stop);
-        let accept_thread = std::thread::Builder::new()
-            .name(format!("pbg-metrics-{}", local_addr.port()))
-            .spawn(move || accept_loop(listener, registry, accept_stop))
-            .expect("spawn metrics accept thread");
-        Ok(MetricsServer {
-            local_addr,
-            stop,
-            accept_thread: Some(accept_thread),
-        })
+    pub fn serve(addr: &str, registry: Registry) -> io::Result<MetricsServer> {
+        let listener = serve_routes(addr, "pbg-metrics", MAX_REQUEST_BYTES, move |req, _| {
+            metrics_route(req, &registry)
+        })?;
+        Ok(MetricsServer { listener })
     }
 
     /// The bound address (useful with port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.listener.local_addr()
     }
 
     /// Stops accepting and joins the accept thread. Idempotent.
     pub fn shutdown(&mut self) {
-        if self.stop.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        // wake the blocking accept with a throwaway connection
-        let _ = TcpStream::connect(self.local_addr);
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
+        self.listener.shutdown();
     }
 }
 
-impl Drop for MetricsServer {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-fn accept_loop(listener: TcpListener, registry: Registry, stop: Arc<AtomicBool>) {
-    for conn in listener.incoming() {
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = conn else { continue };
-        let registry = registry.clone();
-        let _ = std::thread::Builder::new()
-            .name("pbg-metrics-conn".to_string())
-            .spawn(move || {
-                let _ = handle_connection(stream, &registry);
-            });
-    }
-}
-
-fn handle_connection(mut stream: TcpStream, registry: &Registry) -> std::io::Result<()> {
-    // scrapers are local and fast; a stuck client should not pin the
-    // thread forever
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
-    let req = match read_request(&mut stream, MAX_REQUEST_BYTES)? {
+fn metrics_route(req: Result<&Request, RequestError>, registry: &Registry) -> Response {
+    let req = match req {
         Ok(req) => req,
-        Err(e) => {
-            let (status, body) = e.response();
-            return write_response(&mut stream, status, "text/plain; charset=utf-8", body, &[]);
-        }
+        Err(e) => return e.into(),
     };
     if req.method != "GET" {
         // every endpoint here is read-only; tell the client which verb
         // works instead of hanging up on it
-        return write_response(
-            &mut stream,
-            "405 Method Not Allowed",
-            "text/plain; charset=utf-8",
-            "method not allowed\n",
-            &[("Allow", "GET")],
-        );
+        return Response::method_not_allowed("GET");
     }
-    let (status, content_type, body) = match req.route() {
-        "/metrics" => (
-            "200 OK",
-            "text/plain; version=0.0.4; charset=utf-8",
-            registry.snapshot().to_prometheus(),
-        ),
-        "/report" => (
-            "200 OK",
-            "text/plain; charset=utf-8",
-            registry.snapshot().render_report(),
-        ),
-        "/" | "/healthz" => ("200 OK", "text/plain; charset=utf-8", "ok\n".to_string()),
-        _ => (
-            "404 Not Found",
-            "text/plain; charset=utf-8",
-            "not found\n".to_string(),
-        ),
-    };
-    write_response(&mut stream, status, content_type, &body, &[])
+    match req.route() {
+        "/metrics" => prometheus(registry),
+        "/report" => Response::text("200 OK", registry.snapshot().render_report()),
+        "/" | "/healthz" => Response::text("200 OK", "ok\n"),
+        _ => Response::text("404 Not Found", "not found\n"),
+    }
 }
 
 /// A parsed HTTP request: method, path, and body (present when the
-/// client sent a `Content-Length`). Shared by the metrics server and
-/// the embedding-serving tier, which reuses this listener shape.
+/// client sent a `Content-Length`).
 #[derive(Debug)]
 pub struct Request {
     /// Request method, as sent (e.g. `GET`, `POST`).

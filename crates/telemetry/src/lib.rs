@@ -35,6 +35,7 @@
 pub mod context;
 pub mod export;
 pub mod http;
+pub mod listener;
 pub mod metrics;
 pub mod sink;
 pub mod snapshot;
