@@ -27,7 +27,8 @@ use pbg_tensor::hogwild::HogwildArray;
 use pbg_tensor::quant::{self, Precision};
 use pbg_tensor::rng::Xoshiro256;
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
+use std::io::Write;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -323,8 +324,29 @@ enum IoMsg {
     Prefetch(PartitionKey),
     /// Write a released partition back to its file.
     WriteBack(PartitionKey, Arc<PartitionData>),
-    /// Drain remaining messages were already processed (FIFO); exit.
+    /// Land every queued write-back, drop queued reads, and exit.
     Shutdown,
+}
+
+/// The kind of queued request the I/O thread serves next.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum IoJob {
+    Read,
+    WriteBack,
+}
+
+/// The I/O thread's pick rule, given how many reads and write-backs are
+/// queued. A read goes first — the next bucket blocks on it, nothing
+/// waits on a write-back — but only while at most one write-back is
+/// queued; past that, write-backs drain first. So released copies wait in
+/// memory for at most one partition more than under FIFO, and a slow disk
+/// throttles the trainer instead of growing the queue.
+fn next_job(reads: usize, write_backs: usize) -> Option<IoJob> {
+    match (reads, write_backs) {
+        (0, 0) => None,
+        (1.., 0..=1) => Some(IoJob::Read),
+        _ => Some(IoJob::WriteBack),
+    }
 }
 
 /// Map state of a [`DiskStore`], guarded by one mutex.
@@ -445,25 +467,31 @@ impl DiskShared {
         ))
     }
 
-    /// Writes a released partition's shard, traced and counted. The
-    /// error names the file and cause.
-    fn write_back(&self, key: PartitionKey, data: &PartitionData) -> IoResult<()> {
+    /// Writes a released partition's shard, traced. `first` is the key's
+    /// first write-back in this store. The error names the file and cause.
+    ///
+    /// Swap files are scratch: a store reads back only shards it wrote
+    /// itself, and durability is the checkpoint's job. So the shard is
+    /// rewritten in place, with no temp file, rename or fsync: the first
+    /// write creates or truncates the file, dropping whatever an earlier
+    /// run left there, and every later one overwrites it from offset 0 at
+    /// the same length. No read overlaps the write: a key's file is read
+    /// only while it has no pending write-back.
+    fn write_back(&self, key: PartitionKey, data: &PartitionData, first: bool) -> IoResult<()> {
         let mut span = self.span(span_name::WRITE_BACK, key);
         span.field("queue", self.io_queue_depth.get());
         let mut bytes = Vec::new();
         shard::encode_partition(data, self.layout.precision, &mut bytes);
         self.swap_bytes.add(bytes.len() as u64);
-        // write-then-rename: the shard under its final name is always
-        // whole. No fsync: swap files are scratch state no later store
-        // reads — durability is the checkpoint's job, and syncing every
-        // write-back would serialize the pipelined I/O thread on the disk.
         let path = self.path_of(key);
-        let tmp = path.with_extension("swap.tmp");
-        std::fs::write(&tmp, bytes)
-            .and_then(|()| std::fs::rename(&tmp, &path))
+        std::fs::OpenOptions::new()
+            .write(true)
+            .create(true)
+            .truncate(first)
+            .open(&path)
+            .and_then(|mut file| file.write_all(&bytes))
             .map_err(|e| format!("disk store write of {} failed: {e}", path.display()))?;
         span.field("bytes", data.bytes() as u64);
-        self.bytes_written_back.add(data.bytes() as u64);
         Ok(())
     }
 
@@ -509,19 +537,57 @@ impl DiskShared {
     }
 }
 
-/// Background loop: prefetch reads and write-backs, strictly FIFO.
-///
-/// FIFO matters: a `WriteBack(k)` enqueued before a `Prefetch(k)` is
-/// always written before the prefetch reads the file, so a prefetch
-/// after a release observes the released data.
-///
-/// The loop ends at the first read or write error ([`DiskShared::fail`]).
-fn io_loop(shared: Arc<DiskShared>, rx: channel::Receiver<IoMsg>) {
-    while let Ok(msg) = rx.recv() {
+/// Requests taken off the channel and not yet served.
+#[derive(Default)]
+struct IoQueues {
+    reads: VecDeque<PartitionKey>,
+    write_backs: VecDeque<(PartitionKey, Arc<PartitionData>)>,
+    shutdown: bool,
+}
+
+impl IoQueues {
+    fn push(&mut self, msg: IoMsg) {
         match msg {
-            IoMsg::Shutdown => break,
-            IoMsg::WriteBack(key, data) => {
-                if let Err(e) = shared.write_back(key, &data) {
+            IoMsg::Prefetch(key) => self.reads.push_back(key),
+            IoMsg::WriteBack(key, data) => self.write_backs.push_back((key, data)),
+            IoMsg::Shutdown => self.shutdown = true,
+        }
+    }
+}
+
+/// Background loop: prefetch reads and write-backs, in the order
+/// [`next_job`] picks from everything queued so far.
+///
+/// A read never overtakes a write-back of its own key: `prefetch` claims
+/// a key with a pending write-back from memory instead of queueing a
+/// read, and a key being read cannot be released (its `load` waits for
+/// the read), so each file is read only once its last write has landed.
+///
+/// The loop ends at the first read or write error ([`DiskShared::fail`]),
+/// or at `Shutdown` once every queued write-back has landed.
+fn io_loop(shared: Arc<DiskShared>, rx: channel::Receiver<IoMsg>) {
+    let mut queues = IoQueues::default();
+    loop {
+        if queues.reads.is_empty() && queues.write_backs.is_empty() && !queues.shutdown {
+            match rx.recv() {
+                Ok(msg) => queues.push(msg),
+                Err(_) => return,
+            }
+        }
+        while let Ok(msg) = rx.try_recv() {
+            queues.push(msg);
+        }
+        if queues.shutdown {
+            // Nothing loads from a store being dropped.
+            shared.io_queue_depth.sub(queues.reads.len() as u64);
+            queues.reads.clear();
+        }
+        match next_job(queues.reads.len(), queues.write_backs.len()) {
+            None => return, // shut down, every write-back landed
+            Some(IoJob::WriteBack) => {
+                let (key, data) = queues.write_backs.pop_front().expect("picked");
+                let first = !shared.state.lock().stored.contains(&key);
+                if let Err(e) = shared.write_back(key, &data, first) {
                     return shared.fail(e);
                 }
                 shared.io_queue_depth.sub(1);
@@ -538,14 +604,22 @@ fn io_loop(shared: Arc<DiskShared>, rx: channel::Receiver<IoMsg>) {
                     st.pending_writes.remove(&key);
                     st.dirty.remove(&key);
                 }
+                // Counted once the state says it landed: a caller that
+                // sees the count finds the file, not the memory copy.
+                shared.bytes_written_back.add(data.bytes() as u64);
             }
-            IoMsg::Prefetch(key) => {
+            Some(IoJob::Read) => {
+                let key = queues.reads.pop_front().expect("picked");
                 let st = shared.state.lock();
                 if !st.inflight.contains(&key) {
                     drop(st);
                     shared.io_queue_depth.sub(1);
                     continue; // satisfied or canceled in the meantime
                 }
+                debug_assert!(
+                    !st.pending_writes.contains_key(&key),
+                    "read of {key:?} picked while its write-back is pending"
+                );
                 let stored = st.stored.contains(&key);
                 drop(st);
                 let mut span = shared.span(span_name::PREFETCH_READ, key);
@@ -714,7 +788,7 @@ impl DiskStore {
 impl Drop for DiskStore {
     fn drop(&mut self) {
         if let Some((tx, thread)) = self.io.take() {
-            // FIFO: all queued write-backs flush before Shutdown lands.
+            // The I/O thread lands every queued write-back, then exits.
             let _ = tx.send(IoMsg::Shutdown);
             let _ = thread.join();
         }
@@ -797,9 +871,10 @@ impl PartitionStore for DiskStore {
                 }
                 None => {
                     shared
-                        .write_back(key, &data)
+                        .write_back(key, &data, !st.stored.contains(&key))
                         .unwrap_or_else(|e| panic!("{e}"));
                     st.stored.insert(key);
+                    shared.bytes_written_back.add(data.bytes() as u64);
                 }
             }
         }
@@ -1127,6 +1202,35 @@ mod tests {
         StoreLayout::from_schema(&schema(p), 8, 0.1, 0.1, 42)
     }
 
+    /// Waits until `store` has written back at least `bytes`. A key whose
+    /// write-back has landed is read from its file, not from memory.
+    fn wait_written_back(store: &DiskStore, bytes: u64) {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while store.bytes_written_back() < bytes {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "write-back did not land"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+    }
+
+    /// Both store flavours over `dir`, each made when the loop reaches
+    /// it: synchronous, then pipelined.
+    fn both_stores<'a>(
+        layout: &'a StoreLayout,
+        dir: &'a std::path::Path,
+    ) -> impl Iterator<Item = DiskStore> + 'a {
+        [false, true].into_iter().map(move |pipelined| {
+            let layout = layout.clone();
+            if pipelined {
+                DiskStore::new(layout, dir).unwrap()
+            } else {
+                DiskStore::new_sync(layout, dir).unwrap()
+            }
+        })
+    }
+
     #[test]
     fn layout_covers_all_partitions() {
         let l = layout(4);
@@ -1328,9 +1432,10 @@ mod tests {
             store.load(k0).embeddings.set(0, 0, 5.0);
             store.mark_dirty(k0);
             store.release(k0);
-            // FIFO: once k1's prefetch is served, k0's write-back landed
             store.prefetch(k1);
             store.load(k1);
+            // k1's read may overtake k0's write-back: wait for it to land
+            wait_written_back(&store, layout(2).init(k0).bytes() as u64);
             let path = worker_dir.join(swap_file_name(k0));
             let mut bytes = std::fs::read(&path).unwrap();
             let mid = bytes.len() / 2;
@@ -1465,6 +1570,168 @@ mod tests {
         assert_eq!(gauge.get(), 0);
         assert_eq!(reg.counter(metric::STORE_EVICTIONS).get(), 2);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn first_write_back_truncates_a_longer_stale_file() {
+        // an earlier run's valid shard of the same shape with garbage
+        // after it: a shard decodes only at its exact length, so the
+        // reload finds the written rows only if the first write cut the
+        // tail off
+        let dir = std::env::temp_dir().join(format!("pbg_disk_trunc_{}", std::process::id()));
+        let key = PartitionKey::new(0u32, 1u32);
+        let path = dir.join(swap_file_name(key));
+        let mut shard_bytes = Vec::new();
+        shard::encode_partition(&layout(2).init(key), Precision::F32, &mut shard_bytes);
+        for store in both_stores(&layout(2), &dir) {
+            let mut stale = shard_bytes.clone();
+            stale.extend_from_slice(b"trailing garbage");
+            std::fs::write(&path, stale).unwrap();
+            let data = store.load(key);
+            store.mark_dirty(key);
+            data.embeddings.set(2, 5, 4.5);
+            let (written, bytes) = (data.embeddings.to_vec(), data.bytes() as u64);
+            drop(data);
+            store.release(key);
+            wait_written_back(&store, bytes);
+            assert_eq!(store.load(key).embeddings.to_vec(), written);
+            store.release(key);
+            drop(store);
+            let len = std::fs::metadata(&path).unwrap().len();
+            assert_eq!(len, shard_bytes.len() as u64);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn write_backs_rewrite_the_swap_file_in_place() {
+        use std::os::unix::fs::MetadataExt;
+        let dir = std::env::temp_dir().join(format!("pbg_disk_inplace_{}", std::process::id()));
+        let key = PartitionKey::new(0u32, 0u32);
+        let path = dir.join(swap_file_name(key));
+        for store in both_stores(&layout(2), &dir) {
+            let mut inode = None;
+            let mut written = 0;
+            for round in 0..4 {
+                let data = store.load(key);
+                store.mark_dirty(key);
+                data.embeddings.set(1, 1, round as f32);
+                let mut want = Vec::new();
+                shard::encode_partition(&data, Precision::F32, &mut want);
+                written += data.bytes() as u64;
+                drop(data);
+                store.release(key);
+                wait_written_back(&store, written);
+                let meta = std::fs::metadata(&path).unwrap();
+                assert_eq!(meta.len(), want.len() as u64, "round {round}");
+                assert_eq!(
+                    *inode.get_or_insert(meta.ino()),
+                    meta.ino(),
+                    "round {round}"
+                );
+                assert_eq!(std::fs::read(&path).unwrap(), want, "round {round}");
+                let names: Vec<String> = std::fs::read_dir(&dir)
+                    .unwrap()
+                    .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+                    .collect();
+                assert!(names.iter().all(|n| !n.ends_with(".tmp")), "{names:?}");
+            }
+            drop(store);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    #[test]
+    fn reads_overtake_at_most_one_queued_write_back() {
+        use IoJob::{Read, WriteBack};
+        assert_eq!(next_job(0, 0), None);
+        assert_eq!(next_job(0, 1), Some(WriteBack));
+        assert_eq!(next_job(1, 0), Some(Read));
+        assert_eq!(next_job(2, 1), Some(Read));
+        assert_eq!(next_job(1, 2), Some(WriteBack));
+        assert_eq!(next_job(3, 5), Some(WriteBack));
+        // served to the end: write-backs drain to one, then reads go
+        let (mut reads, mut write_backs, mut order) = (2, 3, Vec::new());
+        while let Some(job) = next_job(reads, write_backs) {
+            match job {
+                Read => reads -= 1,
+                WriteBack => write_backs -= 1,
+            }
+            order.push(job);
+        }
+        assert_eq!(order, [WriteBack, WriteBack, Read, Read, WriteBack]);
+    }
+
+    proptest::proptest! {
+        /// Random `load`/`set`/`mark_dirty`/`release`/`prefetch` sequences
+        /// over four keys against a model of what each key holds. The
+        /// `set`s follow the trainer's protocol: only into a resident key
+        /// already marked dirty.
+        #[test]
+        fn disk_stores_agree_with_a_model(
+            ops in proptest::collection::vec((0u8..5, 0u32..4, 0usize..200, -4.0f32..4.0), 1..80),
+        ) {
+            let dir = std::env::temp_dir().join(format!("pbg_disk_model_{}", std::process::id()));
+            let keys: Vec<PartitionKey> = (0u32..4).map(|p| PartitionKey::new(0u32, p)).collect();
+            for store in both_stores(&layout(4), &dir) {
+                // last dirty release per key (init until then), the
+                // resident copy, and whether it is marked dirty
+                let mut saved: Vec<Vec<f32>> =
+                    keys.iter().map(|&k| layout(4).init(k).embeddings.to_vec()).collect();
+                let mut resident: Vec<Option<Vec<f32>>> = vec![None; keys.len()];
+                let mut marked = vec![false; keys.len()];
+                let mut released_dirty = vec![false; keys.len()];
+                for &(op, k, index, value) in &ops {
+                    let (i, key) = (k as usize, keys[k as usize]);
+                    match op {
+                        0 => {
+                            let want = resident[i].get_or_insert_with(|| saved[i].clone());
+                            proptest::prop_assert_eq!(&store.load(key).embeddings.to_vec(), want);
+                        }
+                        1 if marked[i] => {
+                            let data = store.load(key);
+                            let (row, col) = (index / 8, index % 8);
+                            data.embeddings.set(row, col, value);
+                            resident[i].as_mut().unwrap()[index] = value;
+                        }
+                        2 if resident[i].is_some() => {
+                            store.mark_dirty(key);
+                            marked[i] = true;
+                        }
+                        3 => {
+                            store.release(key);
+                            if let Some(contents) = resident[i].take() {
+                                if std::mem::take(&mut marked[i]) {
+                                    saved[i] = contents;
+                                    released_dirty[i] = true;
+                                }
+                            }
+                        }
+                        4 if resident[i].is_none() => store.prefetch(key),
+                        _ => {}
+                    }
+                }
+                for (i, &key) in keys.iter().enumerate() {
+                    if resident[i].take().is_some() && marked[i] {
+                        saved[i] = store.load(key).embeddings.to_vec();
+                        released_dirty[i] = true;
+                    }
+                    store.release(key);
+                }
+                drop(store);
+                for (i, &key) in keys.iter().enumerate() {
+                    let file = std::fs::read(dir.join(swap_file_name(key)));
+                    if released_dirty[i] {
+                        let shard = shard::decode(&file.unwrap()).unwrap();
+                        proptest::prop_assert_eq!(&shard.embeddings, &saved[i], "{:?}", key);
+                    } else {
+                        proptest::prop_assert!(file.is_err(), "{:?} never written", key);
+                    }
+                }
+                std::fs::remove_dir_all(&dir).unwrap();
+            }
+        }
     }
 
     #[test]
