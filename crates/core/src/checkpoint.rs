@@ -688,6 +688,7 @@ pub fn load_config(dir: impl AsRef<Path>) -> Result<PbgConfig> {
 mod tests {
     use super::*;
     use crate::config::{PbgConfig, SimilarityKind};
+    use crate::model::Embeddings;
     use crate::storage::InMemoryStore;
     use pbg_graph::schema::{EntityTypeDef, RelationTypeDef};
     use pbg_graph::RelationTypeId;
@@ -1062,6 +1063,62 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Type `a` (10 rows) split `p` ways and type `b` (5 rows) whole,
+    /// with random relation parameters: `r0` a→b translation with
+    /// reciprocal parameters, `r1` b→a diagonal without them, and `r2`
+    /// a→a identity, whose top destinations are `a`'s nearest entities.
+    /// Rows 2..=7 of `a` tie, so at `p > 1` the tie straddles shards.
+    fn split_snapshot(p: u32, similarity: SimilarityKind) -> TrainedEmbeddings {
+        let schema = GraphSchema::builder()
+            .entity_type(EntityTypeDef::new("a", 10).with_partitions(p))
+            .entity_type(EntityTypeDef::new("b", 5))
+            .relation_type(
+                RelationTypeDef::new("r0", 0u32, 1u32).with_operator(OperatorKind::Translation),
+            )
+            .relation_type(
+                RelationTypeDef::new("r1", 1u32, 0u32).with_operator(OperatorKind::Diagonal),
+            )
+            .relation_type(RelationTypeDef::new("r2", 0u32, 0u32))
+            .build()
+            .unwrap();
+        let config = PbgConfig::builder()
+            .dim(6)
+            .batch_size(4)
+            .chunk_size(2)
+            .similarity(similarity)
+            .reciprocal_relations(true)
+            .build()
+            .unwrap();
+        let model = Model::new(schema, config).unwrap();
+        let mut snap = model.snapshot(&InMemoryStore::new(model.store_layout()));
+        let mut rng = pbg_tensor::rng::Xoshiro256::seed_from_u64(3);
+        for r in &mut snap.relations {
+            r.forward.iter_mut().for_each(|p| *p = rng.gen_normal());
+        }
+        snap.relations[1].reciprocal = None;
+        let tied = snap.embeddings[0].row(2).to_vec();
+        for id in 3..=7 {
+            snap.embeddings[0].row_mut(id).copy_from_slice(&tied);
+        }
+        snap
+    }
+
+    fn bits(scores: &[f32]) -> Vec<u32> {
+        scores.iter().map(|s| s.to_bits()).collect()
+    }
+
+    fn ranked(top: &[(u32, f32)]) -> Vec<(u32, u32)> {
+        top.iter().map(|&(id, s)| (id, s.to_bits())).collect()
+    }
+
+    /// `ids` ranked by `scores` the way a top-k must: score descending,
+    /// ties to the lower id.
+    fn sorted_by_score(scores: &[f32], ids: impl Iterator<Item = u32>) -> Vec<(u32, u32)> {
+        let mut all: Vec<(u32, f32)> = ids.map(|id| (id, scores[id as usize])).collect();
+        all.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        ranked(&all)
+    }
+
     #[test]
     fn mmap_rows_byte_identical_to_heap_load_on_preset_shapes() {
         // every dataset preset's schema shape (single-relation social
@@ -1097,26 +1154,20 @@ mod tests {
             assert_eq!(served.shards.len(), model.store_layout().keys().len());
             for (t, m) in heap.embeddings.iter().enumerate() {
                 for r in 0..m.rows() {
-                    let heap_bits: Vec<u32> = m.row(r).iter().map(|v| v.to_bits()).collect();
-                    let map_bits: Vec<u32> = served
-                        .embedding(t, r as u32)
-                        .iter()
-                        .map(|v| v.to_bits())
-                        .collect();
+                    let heap_bits = bits(m.row(r));
+                    let map_bits = bits(&served.embedding(t, r as u32));
                     assert_eq!(heap_bits, map_bits, "{} type {t} row {r}", d.name);
                 }
             }
             // bit-identical batched scores and serve-vs-offline argmax
-            let rel = pbg_graph::RelationTypeId(0);
+            let rel = RelationTypeId(0);
             let dst_type = heap.schema.relation_type(rel).dest_type().index();
             let n_dst = heap.schema.entity_types()[dst_type].num_entities() as u32;
             let all_dsts: Vec<u32> = (0..n_dst).collect();
             for src in [0u32, 1, 2] {
                 let off = heap.score_against_destinations(src, rel, &all_dsts);
                 let srv = served.score_against_destinations(src, rel, &all_dsts);
-                let off_bits: Vec<u32> = off.iter().map(|v| v.to_bits()).collect();
-                let srv_bits: Vec<u32> = srv.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(off_bits, srv_bits, "{} src {src}", d.name);
+                assert_eq!(bits(&off), bits(&srv), "{} src {src}", d.name);
                 let argmax = off
                     .iter()
                     .enumerate()
@@ -1132,64 +1183,81 @@ mod tests {
 
     #[test]
     fn heap_and_mmap_score_are_bit_identical_for_every_pair() {
-        // offline `score` runs the same gathered path as the served one
-        // and as a batched row, so one edge has one score everywhere —
-        // here with type `a` split over two shards, served in place (f32)
-        // or decoded row by row (f16, int8) against the decoded heap load
+        // every read query, asked of the heap load and of the mapped
+        // checkpoint — f32 rows served in place, f16/int8 rows decoded,
+        // against the decoded heap load — at P ∈ {1, 2, 3}, where global
+        // id i lives at row i / P of shard i % P: one edge has one score
+        // everywhere, and every top-k is the sort of the full scores
         let precisions = [Precision::F32, Precision::F16, Precision::Int8];
         let sims = [SimilarityKind::Dot, SimilarityKind::Cosine];
-        for (sim, precision) in sims.into_iter().flat_map(|s| precisions.map(|p| (s, p))) {
-            let mut snap = snapshot();
-            snap.similarity = sim;
-            let mut rng = pbg_tensor::rng::Xoshiro256::seed_from_u64(3);
-            for r in &mut snap.relations {
-                r.forward.iter_mut().for_each(|p| *p = rng.gen_normal());
+        for p in 1..=3 {
+            for (sim, precision) in sims.into_iter().flat_map(|s| precisions.map(|q| (s, q))) {
+                let case = format!("P={p} {sim:?} {precision}");
+                let dir = tmp(&format!("every_query_{p}_{sim:?}_{precision}"));
+                let snap = split_snapshot(p, sim);
+                save_with_precision(&snap, &dir, TrainProgress::default(), precision).unwrap();
+                let heap = load(&dir).unwrap();
+                let served = open_mmap(&dir).unwrap();
+                assert_eq!(served.shards.len(), partition_keys(&heap.schema).len());
+                assert_same_answers(&heap, &served, &case);
+                std::fs::remove_dir_all(&dir).ok();
             }
-            // rows 2..=7 of type `a` tie; they alternate between its two
-            // shards, so top-k must put the lower global ids first
-            let tied = snap.embeddings[0].row(2).to_vec();
-            for id in 3..=7 {
-                snap.embeddings[0].row_mut(id).copy_from_slice(&tied);
+        }
+    }
+
+    fn assert_same_answers(heap: &TrainedEmbeddings, served: &MmapEmbeddings, case: &str) {
+        let count = |t: pbg_graph::EntityTypeId| heap.schema.entity_type(t).num_entities();
+        for (t, def) in heap.schema.entity_types().iter().enumerate() {
+            for id in 0..def.num_entities() {
+                let (h, m) = (heap.embedding(t, id), served.embedding(t, id));
+                assert_eq!(bits(&h), bits(&m), "{case} type {t} row {id}");
             }
-            let dir = tmp(&format!("score_pairs_{sim:?}_{precision}"));
-            save_with_precision(&snap, &dir, TrainProgress::default(), precision).unwrap();
-            let heap = load(&dir).unwrap();
-            let served = open_mmap(&dir).unwrap();
-            for rel in (0..2).map(pbg_graph::RelationTypeId) {
-                let rdef = heap.schema.relation_type(rel);
-                let n_src = heap.schema.entity_type(rdef.source_type()).num_entities();
-                let n_dst = heap.schema.entity_type(rdef.dest_type()).num_entities();
-                let all_dsts: Vec<u32> = (0..n_dst).collect();
-                for src in 0..n_src {
-                    let row = heap.score_against_destinations(src, rel, &all_dsts);
-                    for dst in 0..n_dst {
-                        let h = heap.score(src, rel, dst).to_bits();
-                        assert_eq!(
-                            h,
-                            served.score(src, rel, dst).to_bits(),
-                            "{sim:?} {precision} {rel:?} ({src}, {dst})"
-                        );
-                        assert_eq!(
-                            h,
-                            row[dst as usize].to_bits(),
-                            "{sim:?} {rel:?} ({src}, {dst})"
-                        );
-                    }
-                    // served top-k == offline order: score descending,
-                    // ties to the lower global id
-                    let mut want: Vec<u32> = all_dsts.clone();
-                    want.sort_by(|&a, &b| {
-                        row[b as usize].total_cmp(&row[a as usize]).then(a.cmp(&b))
-                    });
-                    let top: Vec<u32> = served
-                        .top_destinations(src, rel, n_dst as usize)
-                        .into_iter()
-                        .map(|(id, _)| id)
-                        .collect();
-                    assert_eq!(top, want, "{sim:?} {precision} {rel:?} src {src}");
+        }
+        for rel in (0..3).map(RelationTypeId) {
+            let rdef = heap.schema.relation_type(rel);
+            let (n_src, n_dst) = (count(rdef.source_type()), count(rdef.dest_type()));
+            let all_src: Vec<u32> = (0..n_src).collect();
+            let all_dst: Vec<u32> = (0..n_dst).collect();
+            for src in 0..n_src {
+                let row = heap.score_against_destinations(src, rel, &all_dst);
+                let served_row = served.score_against_destinations(src, rel, &all_dst);
+                assert_eq!(bits(&row), bits(&served_row), "{case} {rel:?} src {src}");
+                for dst in 0..n_dst {
+                    let want = row[dst as usize].to_bits();
+                    assert_eq!(heap.score(src, rel, dst).to_bits(), want, "{case} {rel:?}");
+                    assert_eq!(
+                        served.score(src, rel, dst).to_bits(),
+                        want,
+                        "{case} {rel:?}"
+                    );
                 }
+                let top = heap.top_destinations(src, rel, n_dst as usize);
+                let want = sorted_by_score(&row, 0..n_dst);
+                assert_eq!(ranked(&top), want, "{case} {rel:?} top-k of {src}");
+                let served_top = served.top_destinations(src, rel, n_dst as usize);
+                assert_eq!(
+                    ranked(&served_top),
+                    want,
+                    "{case} {rel:?} served top-k of {src}"
+                );
             }
-            std::fs::remove_dir_all(&dir).ok();
+            for dst in 0..n_dst {
+                let col = heap.score_against_sources(dst, rel, &all_src);
+                let served_col = served.score_against_sources(dst, rel, &all_src);
+                assert_eq!(bits(&col), bits(&served_col), "{case} {rel:?} dst {dst}");
+            }
+        }
+        // `a`'s nearest entities rank like r2's (identity) destinations,
+        // less the query entity itself
+        let n = count(pbg_graph::EntityTypeId(0));
+        let all: Vec<u32> = (0..n).collect();
+        for e in 0..n {
+            let row = heap.score_against_destinations(e, RelationTypeId(2), &all);
+            let want = sorted_by_score(&row, (0..n).filter(|&id| id != e));
+            let near = heap.nearest_entities(0, e, n as usize);
+            assert_eq!(ranked(&near), want, "{case} nearest of {e}");
+            let served_near = served.nearest_entities(0, e, n as usize);
+            assert_eq!(ranked(&served_near), want, "{case} served nearest of {e}");
         }
     }
 

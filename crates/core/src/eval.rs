@@ -16,7 +16,7 @@
 //! scorer with the positive in slot 0, and the filter is a [`FilterIndex`]
 //! built once per call.
 
-use crate::model::TrainedEmbeddings;
+use crate::model::{Embeddings, TrainedEmbeddings};
 use pbg_eval::ranking::{RankingAccumulator, RankingMetrics};
 use pbg_graph::edges::EdgeList;
 use pbg_tensor::alias::AliasTable;
@@ -577,10 +577,9 @@ mod tests {
 
     /// Rows `ids` of entity type `t`, gathered into a matrix.
     fn gather(model: &TrainedEmbeddings, t: usize, ids: &[u32]) -> Matrix {
-        let rows: Vec<&[f32]> = ids.iter().map(|&i| model.embedding(t, i)).collect();
         let mut m = Matrix::zeros(ids.len(), model.dim);
-        for (i, row) in rows.iter().enumerate() {
-            m.row_mut(i).copy_from_slice(row);
+        for (i, &id) in ids.iter().enumerate() {
+            m.row_mut(i).copy_from_slice(&model.embedding(t, id));
         }
         m
     }
@@ -595,7 +594,7 @@ mod tests {
     ) -> Vec<f32> {
         let r = &m.relations[rel.index()];
         let rdef = m.schema.relation_type(rel);
-        let src_m = Matrix::from_rows(&[m.embedding(rdef.source_type().index(), src)]);
+        let src_m = Matrix::from_rows(&[&m.embedding(rdef.source_type().index(), src)]);
         let query = operator::apply(r.op, &r.forward, &src_m);
         let cands = gather(m, rdef.dest_type().index(), ids);
         score_matrix(m.similarity, &query, &cands).row(0).to_vec()
@@ -613,7 +612,7 @@ mod tests {
         let r = &m.relations[rel.index()];
         let rdef = m.schema.relation_type(rel);
         let cands = gather(m, rdef.source_type().index(), ids);
-        let dst_m = Matrix::from_rows(&[m.embedding(rdef.dest_type().index(), dst)]);
+        let dst_m = Matrix::from_rows(&[&m.embedding(rdef.dest_type().index(), dst)]);
         let scores = match &r.reciprocal {
             Some(recip) => {
                 score_matrix(m.similarity, &operator::apply(r.op, recip, &dst_m), &cands)

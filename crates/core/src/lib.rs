@@ -53,7 +53,7 @@
 //! | §4.3 batched negatives | [`negatives`], [`batch`], [`trainer::step`] |
 //! | §4.1/4.2 training | [`trainer`] |
 //! | §5 evaluation | [`eval`] |
-//! | §4.2 featurized entities | [`features`] |
+//! | trained-model queries (score, top-k, neighbors) | [`model`] |
 //! | Figure 2 checkpoints | [`checkpoint`], [`shard`] |
 
 pub mod batch;
@@ -62,11 +62,9 @@ pub mod checkpoint;
 pub mod config;
 pub mod error;
 pub mod eval;
-pub mod features;
 pub mod loss;
 pub mod model;
 pub mod negatives;
-pub mod neighbors;
 pub mod operator;
 pub mod optimizer;
 pub mod shard;
@@ -79,7 +77,7 @@ pub use buffer::{BufferTransition, PartitionBuffer};
 pub use config::{LossKind, NegativeMode, PbgConfig, SimilarityKind};
 pub use error::PbgError;
 pub use eval::{CandidateSampling, LinkPredictionEval};
-pub use model::{Model, TrainedEmbeddings};
+pub use model::{Embeddings, Model, TrainedEmbeddings};
 pub use stats::{BucketStats, EpochStats, MemoryTracker};
 pub use storage::{DiskStore, InMemoryStore, PartitionStore};
 pub use trainer::{CheckpointPolicy, Storage, Trainer};

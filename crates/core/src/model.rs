@@ -8,18 +8,24 @@
 //! negatives"). Entity embeddings live in a
 //! [`crate::storage::PartitionStore`], not here — that separation is what
 //! lets the same model run in-memory, disk-swapped, or distributed.
+//!
+//! A trained model is read through one set of queries, [`Embeddings`]:
+//! the heap snapshot ([`TrainedEmbeddings`]) and the memory-mapped
+//! checkpoint ([`MmapEmbeddings`]) differ only in how they hand out their
+//! rows, so eval, `pbg neighbors` and the server give one answer.
 
 use crate::config::{PbgConfig, SimilarityKind};
 use crate::error::{PbgError, Result};
 use crate::operator::{self, RowOperator};
 use crate::optimizer::HogwildAdagradDense;
 use crate::storage::{partition_keys, MmapPartition, PartitionKey, PartitionStore, StoreLayout};
-use pbg_graph::ids::RelationTypeId;
+use pbg_graph::ids::{EntityTypeId, RelationTypeId};
 use pbg_graph::partition::EntityPartitioning;
 use pbg_graph::schema::{GraphSchema, OperatorKind};
-use pbg_tensor::kernels::{self, DenseRows, GatherRows};
+use pbg_tensor::kernels::{self, GatherRows};
 use pbg_tensor::matrix::Matrix;
 use pbg_tensor::vecmath;
+use std::borrow::Cow;
 
 /// Live (shared, lock-free) parameters of one relation type.
 #[derive(Debug)]
@@ -194,7 +200,7 @@ pub struct RelationSnapshot {
 
 /// A fully materialized trained model: dense embeddings per entity type
 /// plus relation parameters. This is what evaluation and downstream tasks
-/// consume.
+/// consume, through the [`Embeddings`] queries.
 #[derive(Debug, Clone)]
 pub struct TrainedEmbeddings {
     /// Embedding dimension.
@@ -210,107 +216,6 @@ pub struct TrainedEmbeddings {
 }
 
 impl TrainedEmbeddings {
-    /// The embedding of entity `id` of type `entity_type`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if indices are out of range.
-    pub fn embedding(&self, entity_type: usize, id: u32) -> &[f32] {
-        self.embeddings[entity_type].row(id as usize)
-    }
-
-    /// Scores the edge `(src, rel, dst)`: `sim(g(θ_src, θ_rel), θ_dst)`
-    /// through the same gathered path as every batched score, so it is
-    /// bit-identical to [`MmapEmbeddings::score`] and to an eval rank.
-    ///
-    /// # Panics
-    ///
-    /// Panics if indices are out of range.
-    pub fn score(&self, src: u32, rel: RelationTypeId, dst: u32) -> f32 {
-        self.score_against_destinations(src, rel, &[dst])[0]
-    }
-
-    /// Rows of entity type `t` as a gather source.
-    fn rows(&self, t: usize) -> DenseRows<'_> {
-        DenseRows::new(self.embeddings[t].as_slice(), self.dim, self.dim)
-    }
-
-    /// Scores one source against many destination candidates (the
-    /// evaluation hot path).
-    ///
-    /// # Panics
-    ///
-    /// Panics if indices are out of range.
-    pub fn score_against_destinations(
-        &self,
-        src: u32,
-        rel: RelationTypeId,
-        dst_candidates: &[u32],
-    ) -> Vec<f32> {
-        let r = &self.relations[rel.index()];
-        let rdef = self.schema.relation_type(rel);
-        let query = transformed(
-            r.op,
-            &r.forward,
-            self.embedding(rdef.source_type().index(), src),
-        );
-        let rows = self.rows(rdef.dest_type().index());
-        gathered_scores(self.similarity, query, &rows, dst_candidates, None)
-    }
-
-    /// Scores entity `entity` of type `entity_type` against candidates of
-    /// the same type by the model's similarity alone (no relation
-    /// operator) — what nearest-neighbor queries rank by.
-    ///
-    /// # Panics
-    ///
-    /// Panics if indices are out of range.
-    pub(crate) fn score_against_entities(
-        &self,
-        entity_type: usize,
-        entity: u32,
-        candidates: &[u32],
-    ) -> Vec<f32> {
-        let query = self.embedding(entity_type, entity).to_vec();
-        let rows = self.rows(entity_type);
-        gathered_scores(self.similarity, query, &rows, candidates, None)
-    }
-
-    /// Scores one destination against many source candidates. Uses the
-    /// reciprocal parameters when present (matching training), otherwise
-    /// transforms every candidate source as it is staged.
-    ///
-    /// # Panics
-    ///
-    /// Panics if indices are out of range.
-    pub fn score_against_sources(
-        &self,
-        dst: u32,
-        rel: RelationTypeId,
-        src_candidates: &[u32],
-    ) -> Vec<f32> {
-        let r = &self.relations[rel.index()];
-        let rdef = self.schema.relation_type(rel);
-        let dst_row = self.embedding(rdef.dest_type().index(), dst);
-        let rows = self.rows(rdef.source_type().index());
-        match &r.reciprocal {
-            Some(recip) => {
-                let query = transformed(r.op, recip, dst_row);
-                gathered_scores(self.similarity, query, &rows, src_candidates, None)
-            }
-            None => {
-                let op = RowOperator::new(r.op, &r.forward, self.dim);
-                gathered_scores(
-                    self.similarity,
-                    dst_row.to_vec(),
-                    &rows,
-                    src_candidates,
-                    Some(op),
-                )
-            }
-        }
-    }
-
     /// Total bytes of the dense snapshot.
     pub fn bytes(&self) -> usize {
         let emb: usize = self.embeddings.iter().map(|m| m.as_slice().len() * 4).sum();
@@ -323,11 +228,22 @@ impl TrainedEmbeddings {
     }
 }
 
+/// One part per entity type: its whole global-id-ordered table.
+impl Embeddings for TrainedEmbeddings {
+    fn model_ref(&self) -> ModelRef<'_> {
+        (self.dim, self.similarity, &self.schema, &self.relations)
+    }
+
+    fn parts(&self, entity_type: usize) -> Vec<RowPart<'_>> {
+        vec![RowPart::F32(self.embeddings[entity_type].as_slice())]
+    }
+}
+
 /// A trained model served straight from a memory-mapped checkpoint:
 /// relation parameters and schema on the heap, embedding rows read in
-/// place from [`MmapPartition`] shards. The scoring API mirrors
-/// [`TrainedEmbeddings`] and routes through the same kernels, so a
-/// served score is bit-identical to the offline one.
+/// place from [`MmapPartition`] shards. Its queries are the
+/// [`Embeddings`] ones, so a served answer is bit-identical to the
+/// offline one.
 #[derive(Debug)]
 pub struct MmapEmbeddings {
     /// Embedding dimension.
@@ -344,161 +260,21 @@ pub struct MmapEmbeddings {
     pub relations: Vec<RelationSnapshot>,
 }
 
-/// Global id `i` of a type split `p` ways is row `i / p` of partition
-/// `i % p`: `(partition, row)`.
-fn locate(p: usize, id: u32) -> (usize, usize) {
-    match p as u32 {
-        1 => (0, id as usize),
-        p => ((id % p) as usize, (id / p) as usize),
-    }
-}
-
-/// One candidate row, found in its shard before the gather: an f32 row
-/// in place in the mapping, or a quantized shard and the row to decode.
-enum CandidateRow<'a> {
-    Mapped(&'a [f32]),
-    Quantized(&'a MmapPartition, usize),
-}
-
-/// Candidates resolved to their rows once, fetched by position — so the
-/// gather pays no per-row routing whatever the partition count.
-struct Resolved<'a>(Vec<CandidateRow<'a>>);
-
-impl GatherRows for Resolved<'_> {
-    fn copy_row(&self, j: u32, dst: &mut [f32]) {
-        match self.0[j as usize] {
-            CandidateRow::Mapped(row) => dst.copy_from_slice(row),
-            CandidateRow::Quantized(shard, row) => shard.decode_rows_into(row, 1, dst),
-        }
-    }
-
-    fn prefetch(&self, j: u32) {
-        if let CandidateRow::Mapped(row) = self.0[j as usize] {
-            kernels::prefetch_row(row);
-        }
-    }
-}
-
 impl MmapEmbeddings {
-    /// The shards of entity type `t`, in partition order.
-    fn type_shards(&self, t: usize) -> &[MmapPartition] {
-        let parts = |def: &pbg_graph::schema::EntityTypeDef| def.num_partitions() as usize;
-        let types = self.schema.entity_types();
-        let start: usize = types[..t].iter().map(parts).sum();
-        &self.shards[start..start + parts(&types[t])]
+    /// [`Embeddings::embedding`], callable without the trait in scope.
+    pub fn embedding(&self, entity_type: usize, id: u32) -> Cow<'_, [f32]> {
+        Embeddings::embedding(self, entity_type, id)
     }
 
-    /// The embedding of entity `id` of type `entity_type`: borrowed
-    /// zero-copy from the mapping for f32 shards, decoded to an owned
-    /// f32 row for quantized shards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if indices are out of range.
-    pub fn embedding(&self, entity_type: usize, id: u32) -> std::borrow::Cow<'_, [f32]> {
-        let shards = self.type_shards(entity_type);
-        let (part, row) = locate(shards.len(), id);
-        shards[part].row(row)
-    }
-
-    /// The operator-transformed query row `g(θ_src, θ_rel)`.
-    fn transformed_query(&self, src: u32, rel: RelationTypeId) -> Vec<f32> {
-        let r = &self.relations[rel.index()];
-        let rdef = self.schema.relation_type(rel);
-        let src_row = self.embedding(rdef.source_type().index(), src);
-        transformed(r.op, &r.forward, &src_row)
-    }
-
-    /// Scores the edge `(src, rel, dst)` through the batched path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if indices are out of range.
+    /// [`Embeddings::score`], callable without the trait in scope.
     pub fn score(&self, src: u32, rel: RelationTypeId, dst: u32) -> f32 {
-        self.score_against_destinations(src, rel, &[dst])[0]
+        Embeddings::score(self, src, rel, dst)
     }
 
-    /// Scores one source against the given destination candidates,
-    /// fetching only the requested rows (identical float path to
-    /// [`TrainedEmbeddings::score_against_destinations`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if indices are out of range.
-    pub fn score_against_destinations(
-        &self,
-        src: u32,
-        rel: RelationTypeId,
-        dst_candidates: &[u32],
-    ) -> Vec<f32> {
-        let query = self.transformed_query(src, rel);
-        let shards = self.type_shards(self.schema.relation_type(rel).dest_type().index());
-        let tables: Vec<_> = shards.iter().map(|s| s.payload().ok()).collect();
-        let resolve = |&id: &u32| {
-            let (part, row) = locate(shards.len(), id);
-            match tables[part] {
-                Some(table) => CandidateRow::Mapped(&table[row * self.dim..(row + 1) * self.dim]),
-                None => CandidateRow::Quantized(&shards[part], row),
-            }
-        };
-        let rows = Resolved(dst_candidates.iter().map(resolve).collect());
-        let positions: Vec<u32> = (0..dst_candidates.len() as u32).collect();
-        gathered_scores(self.similarity, query, &rows, &positions, None)
-    }
-
-    /// The `k` best destinations for `(src, rel)` over the *entire*
-    /// destination table, streamed shard by shard and block by block
-    /// through the score-only top-k kernel — scored in place, never
-    /// copied, and only k-entry heaps are kept. Ties resolve to the lower
-    /// global entity id, matching the offline argmax.
-    ///
-    /// # Panics
-    ///
-    /// Panics if indices are out of range.
+    /// [`Embeddings::top_destinations`], callable without the trait in
+    /// scope.
     pub fn top_destinations(&self, src: u32, rel: RelationTypeId, k: usize) -> Vec<(u32, f32)> {
-        use pbg_tensor::topk;
-        let transformed = self.transformed_query(src, rel);
-        let shards = self.type_shards(self.schema.relation_type(rel).dest_type().index());
-        let cosine_q = match self.similarity {
-            SimilarityKind::Dot => None,
-            SimilarityKind::Cosine => {
-                let mut q = transformed.clone();
-                vecmath::normalize(&mut q);
-                Some(q)
-            }
-        };
-        let score_block = |block: &[f32], base: usize, acc: &mut topk::TopK| match &cosine_q {
-            None => topk::accumulate_dot(&transformed, block, self.dim, base, acc),
-            Some(q) => topk::accumulate_cosine(q, block, self.dim, base, acc),
-        };
-        let mut acc = topk::TopK::new(k);
-        for (p, shard) in shards.iter().enumerate() {
-            // a shard's own top k holds every global top-k row of it, and
-            // offsets order like global ids within one shard, so merging
-            // with ids mapped back keeps "ties to the lower id" exact
-            let mut part = topk::TopK::new(k);
-            if let Ok(payload) = shard.payload() {
-                score_block(payload, 0, &mut part);
-            } else {
-                // quantized shard: decode fixed-size row blocks into one
-                // scratch buffer and stream them through the same kernel,
-                // so only `QUANT_SCAN_ROWS × dim` floats are ever live
-                const QUANT_SCAN_ROWS: usize = 256;
-                let mut scratch = vec![0.0f32; QUANT_SCAN_ROWS.min(shard.rows().max(1)) * self.dim];
-                for base in (0..shard.rows()).step_by(QUANT_SCAN_ROWS) {
-                    let n = QUANT_SCAN_ROWS.min(shard.rows() - base);
-                    shard.decode_rows_into(base, n, &mut scratch[..n * self.dim]);
-                    score_block(&scratch[..n * self.dim], base, &mut part);
-                }
-            }
-            for s in part.into_sorted() {
-                acc.push(s.index * shards.len() + p, s.score);
-            }
-        }
-        acc.into_sorted()
-            .into_iter()
-            .map(|s| (s.index as u32, s.score))
-            .collect()
+        Embeddings::top_destinations(self, src, rel, k)
     }
 
     /// Bytes of embedding rows reachable through the mapped shards
@@ -508,6 +284,293 @@ impl MmapEmbeddings {
     pub fn mapped_bytes(&self) -> usize {
         self.shards.iter().map(|s| s.payload_bytes().len()).sum()
     }
+}
+
+/// One part per shard of the type: f32 shards read in place, quantized
+/// ones decoded on read.
+impl Embeddings for MmapEmbeddings {
+    fn model_ref(&self) -> ModelRef<'_> {
+        (self.dim, self.similarity, &self.schema, &self.relations)
+    }
+
+    fn parts(&self, entity_type: usize) -> Vec<RowPart<'_>> {
+        let types = self.schema.entity_types();
+        let before = &types[..entity_type];
+        let start: u32 = before.iter().map(|t| t.num_partitions()).sum();
+        let shards = &self.shards[start as usize..][..types[entity_type].num_partitions() as usize];
+        shards
+            .iter()
+            .map(|s| s.payload().map_or(RowPart::Quantized(s), RowPart::F32))
+            .collect()
+    }
+}
+
+/// What every read query needs of a model besides its rows: its
+/// dimension, similarity, schema and relation parameters.
+pub type ModelRef<'a> = (
+    usize,
+    SimilarityKind,
+    &'a GraphSchema,
+    &'a [RelationSnapshot],
+);
+
+/// One run of an entity type's rows, in offset order.
+#[derive(Debug, Clone, Copy)]
+pub enum RowPart<'a> {
+    /// `rows × dim` floats read in place: a heap table or a mapped f32
+    /// shard.
+    F32(&'a [f32]),
+    /// A quantized mapped shard, decoded row by row as it is read.
+    Quantized(&'a MmapPartition),
+}
+
+/// The read queries of a trained model, written once for every model
+/// type: an implementor hands out its [`ModelRef`] and, per entity type,
+/// its [`RowPart`]s in partition order. Rows named by id are routed to
+/// their part as they are gathered and scored by one gathered scorer, and
+/// whole tables are streamed through one top-k scan — so the heap and the
+/// mapped model give one answer, bit for bit.
+pub trait Embeddings {
+    /// Dimension, similarity, schema and relation parameters, in that
+    /// order.
+    fn model_ref(&self) -> ModelRef<'_>;
+
+    /// The rows of entity type `entity_type`: one part per partition,
+    /// global id `i` of a type split `p` ways at row `i / p` of part
+    /// `i % p` — or a single part holding the whole table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `entity_type` is out of range.
+    fn parts(&self, entity_type: usize) -> Vec<RowPart<'_>>;
+
+    /// The embedding of entity `id` of type `entity_type`: borrowed in
+    /// place from an f32 part, decoded to an owned row from a quantized
+    /// one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if indices are out of range.
+    fn embedding(&self, entity_type: usize, id: u32) -> Cow<'_, [f32]> {
+        match TypeRows::new(self, entity_type).row(id) {
+            Row::F32(row) => Cow::Borrowed(row),
+            Row::Quantized(shard, row) => shard.row(row),
+        }
+    }
+
+    /// Scores the edge `(src, rel, dst)`: `sim(g(θ_src, θ_rel), θ_dst)`
+    /// through the same gathered path as every batched score and eval
+    /// rank.
+    ///
+    /// # Panics
+    ///
+    /// Panics if indices are out of range.
+    fn score(&self, src: u32, rel: RelationTypeId, dst: u32) -> f32 {
+        self.score_against_destinations(src, rel, &[dst])[0]
+    }
+
+    /// Scores one source against many destination candidates (the
+    /// evaluation hot path), fetching only the requested rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if indices are out of range.
+    fn score_against_destinations(&self, src: u32, rel: RelationTypeId, dsts: &[u32]) -> Vec<f32> {
+        let (_, sim, schema, _) = self.model_ref();
+        let rows = TypeRows::new(self, schema.relation_type(rel).dest_type().index());
+        gathered_scores(sim, source_query(self, src, rel), &rows, dsts, None)
+    }
+
+    /// Scores one destination against many source candidates. Uses the
+    /// reciprocal parameters when present (matching training), otherwise
+    /// transforms every candidate source as it is staged.
+    ///
+    /// # Panics
+    ///
+    /// Panics if indices are out of range.
+    fn score_against_sources(&self, dst: u32, rel: RelationTypeId, srcs: &[u32]) -> Vec<f32> {
+        let (dim, sim, schema, relations) = self.model_ref();
+        let (r, rdef) = (&relations[rel.index()], schema.relation_type(rel));
+        let dst_row = self.embedding(rdef.dest_type().index(), dst);
+        let rows = TypeRows::new(self, rdef.source_type().index());
+        let op = || RowOperator::new(r.op, &r.forward, dim);
+        let (query, cand_op) = match &r.reciprocal {
+            Some(recip) => (transformed(r.op, recip, &dst_row), None),
+            None => (dst_row.into_owned(), Some(op())),
+        };
+        gathered_scores(sim, query, &rows, srcs, cand_op)
+    }
+
+    /// The `k` best destinations for `(src, rel)` over the *entire*
+    /// destination table, best first, ties to the lower global id —
+    /// streamed part by part through the score-only top-k kernel, so only
+    /// k-entry heaps are kept. The source itself is a candidate like any
+    /// other.
+    ///
+    /// # Panics
+    ///
+    /// Panics if indices are out of range.
+    fn top_destinations(&self, src: u32, rel: RelationTypeId, k: usize) -> Vec<(u32, f32)> {
+        let (_, _, schema, _) = self.model_ref();
+        let dest = schema.relation_type(rel).dest_type().index();
+        top_k(self, dest, source_query(self, src, rel), k)
+    }
+
+    /// The `k` entities of type `entity_type` most similar to `entity`
+    /// by the model's similarity alone (no relation operator), best
+    /// first, ties to the lower id. The query entity itself is excluded.
+    ///
+    /// # Panics
+    ///
+    /// Panics if indices are out of range.
+    fn nearest_entities(&self, entity_type: usize, entity: u32, k: usize) -> Vec<(u32, f32)> {
+        let query = self.embedding(entity_type, entity).into_owned();
+        let mut best = top_k(self, entity_type, query, k.saturating_add(1));
+        best.retain(|&(id, _)| id != entity);
+        best.truncate(k);
+        best
+    }
+
+    /// Relation index `rel` as a relation id, checked against the schema.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PbgError::OutOfRange`] if the model has no relation
+    /// `rel`.
+    fn relation_id(&self, rel: u64) -> Result<RelationTypeId> {
+        let (_, _, schema, _) = self.model_ref();
+        let n = schema.num_relation_types();
+        if rel < n as u64 {
+            return Ok(RelationTypeId(rel as u32));
+        }
+        let msg = format!("relation index {rel}: model has {n} relations");
+        Err(PbgError::OutOfRange(msg))
+    }
+
+    /// Checks that `id` is an entity of `entity_type`; `what` names the
+    /// id in the error.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PbgError::OutOfRange`] if it is not.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `entity_type` is out of range.
+    fn check_entity(&self, entity_type: EntityTypeId, id: u32, what: &str) -> Result<()> {
+        let (_, _, schema, _) = self.model_ref();
+        let def = schema.entity_type(entity_type);
+        let (name, n) = (def.name(), def.num_entities());
+        if id < n {
+            return Ok(());
+        }
+        let msg = format!("{what} {id}: entity type \"{name}\" has {n} entities");
+        Err(PbgError::OutOfRange(msg))
+    }
+}
+
+/// Global id `i` of a type split `p` ways is row `i / p` of partition
+/// `i % p`: `(partition, row)`.
+fn locate(p: usize, id: u32) -> (usize, usize) {
+    match p as u32 {
+        1 => (0, id as usize),
+        p => ((id % p) as usize, (id / p) as usize),
+    }
+}
+
+/// One row, found in its part: an f32 row read in place, or a quantized
+/// shard and the row to decode.
+enum Row<'a> {
+    F32(&'a [f32]),
+    Quantized(&'a MmapPartition, usize),
+}
+
+/// The rows of one entity type by global id: the one gather source of
+/// every by-id query, whatever the parts. Each id is routed to its part
+/// by [`locate`] as it is fetched, so a query builds no candidate list.
+struct TypeRows<'a> {
+    parts: Vec<RowPart<'a>>,
+    dim: usize,
+}
+
+impl<'a> TypeRows<'a> {
+    fn new<E: Embeddings + ?Sized>(model: &'a E, entity_type: usize) -> Self {
+        let (dim, ..) = model.model_ref();
+        let parts = model.parts(entity_type);
+        TypeRows { parts, dim }
+    }
+
+    fn row(&self, id: u32) -> Row<'a> {
+        let (part, row) = locate(self.parts.len(), id);
+        match self.parts[part] {
+            RowPart::F32(table) => Row::F32(&table[row * self.dim..(row + 1) * self.dim]),
+            RowPart::Quantized(shard) => Row::Quantized(shard, row),
+        }
+    }
+}
+
+impl GatherRows for TypeRows<'_> {
+    fn copy_row(&self, id: u32, dst: &mut [f32]) {
+        match self.row(id) {
+            Row::F32(row) => dst.copy_from_slice(row),
+            Row::Quantized(shard, row) => shard.decode_rows_into(row, 1, dst),
+        }
+    }
+
+    fn prefetch(&self, id: u32) {
+        if let Row::F32(row) = self.row(id) {
+            kernels::prefetch_row(row);
+        }
+    }
+}
+
+/// `g(θ_src, θ_rel)`: the query row of the edge `(src, rel, ?)`.
+fn source_query<E: Embeddings + ?Sized>(model: &E, src: u32, rel: RelationTypeId) -> Vec<f32> {
+    let (_, _, schema, relations) = model.model_ref();
+    let r = &relations[rel.index()];
+    let src_row = model.embedding(schema.relation_type(rel).source_type().index(), src);
+    transformed(r.op, &r.forward, &src_row)
+}
+
+/// The `k` rows of entity type `t` scoring best against query row `q`, best
+/// first, ties to the lower global id. Each part is streamed through the
+/// top-k kernel in place — a quantized one decoded block by block into
+/// one scratch buffer — and its own top `k`, which holds every global
+/// top-k row of it, is merged with offsets mapped back to global ids;
+/// offsets order like global ids within one part, so ties stay exact.
+fn top_k<E: Embeddings + ?Sized>(m: &E, t: usize, mut q: Vec<f32>, k: usize) -> Vec<(u32, f32)> {
+    use pbg_tensor::topk::{self, TopK, BLOCK_ROWS};
+    let (dim, sim, schema, _) = m.model_ref();
+    let k = k.min(schema.entity_types()[t].num_entities() as usize);
+    let cosine = sim == SimilarityKind::Cosine;
+    if cosine {
+        vecmath::normalize(&mut q);
+    }
+    let score_block = |block: &[f32], base: usize, acc: &mut TopK| match cosine {
+        false => topk::accumulate_dot(&q, block, dim, base, acc),
+        true => topk::accumulate_cosine(&q, block, dim, base, acc),
+    };
+    let parts = m.parts(t);
+    let mut acc = TopK::new(k);
+    for (p, part) in parts.iter().enumerate() {
+        let mut best = TopK::new(k);
+        match *part {
+            RowPart::F32(table) => score_block(table, 0, &mut best),
+            RowPart::Quantized(shard) => {
+                let mut scratch = vec![0.0f32; BLOCK_ROWS.min(shard.rows()) * dim];
+                for base in (0..shard.rows()).step_by(BLOCK_ROWS) {
+                    let n = BLOCK_ROWS.min(shard.rows() - base);
+                    shard.decode_rows_into(base, n, &mut scratch[..n * dim]);
+                    score_block(&scratch[..n * dim], base, &mut best);
+                }
+            }
+        }
+        for s in best.into_sorted() {
+            acc.push(s.index * parts.len() + p, s.score);
+        }
+    }
+    let ranked = acc.into_sorted();
+    ranked.iter().map(|s| (s.index as u32, s.score)).collect()
 }
 
 /// Dense per-type tables in global-id order, gathered one partition at a
@@ -540,16 +603,15 @@ fn transformed(op: OperatorKind, params: &[f32], row: &[f32]) -> Vec<f32> {
     query
 }
 
-/// The one scoring path behind both model types: `query` against the
-/// candidate rows `ids` of `rows`, gathered through
-/// [`kernels::gathered_nt`] with `cand_op` applied to each staged block
-/// and, under cosine, both sides normalized — bit-identical to gathering
-/// the candidates into a matrix and calling
-/// [`crate::similarity::score_matrix`].
-fn gathered_scores<R: GatherRows + ?Sized>(
+/// The one scoring path behind every model type: `query` against rows
+/// `ids` of `rows`, gathered through [`kernels::gathered_nt`] with
+/// `cand_op` applied to each staged block and, under cosine, both sides
+/// normalized — bit-identical to gathering the candidates into a matrix
+/// and calling [`crate::similarity::score_matrix`].
+fn gathered_scores(
     sim: SimilarityKind,
     mut query: Vec<f32>,
-    rows: &R,
+    rows: &TypeRows<'_>,
     ids: &[u32],
     mut cand_op: Option<RowOperator<'_>>,
 ) -> Vec<f32> {
@@ -634,7 +696,7 @@ mod tests {
         let data = store.load(key);
         data.embeddings.write_row(3, &[1.0, 2.0, 3.0, 4.0]);
         let snap = m.snapshot(&store);
-        assert_eq!(snap.embedding(0, 7), &[1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(*snap.embedding(0, 7), [1.0, 2.0, 3.0, 4.0]);
     }
 
     #[test]
@@ -664,6 +726,111 @@ mod tests {
         for d in 0..20u32 {
             assert!(snap.score(0, RelationTypeId(0), d).abs() <= 1.0 + 1e-5);
         }
+    }
+
+    fn trained_ring(n: u32) -> TrainedEmbeddings {
+        let edges: pbg_graph::edges::EdgeList = (0..8 * n)
+            .map(|i| {
+                let v = i % n;
+                pbg_graph::edges::Edge::new(v, 0u32, (v + 1 + i % 3) % n)
+            })
+            .collect();
+        let schema = GraphSchema::homogeneous(n, 1).unwrap();
+        let config = PbgConfig::builder()
+            .dim(16)
+            .epochs(6)
+            .batch_size(64)
+            .chunk_size(16)
+            .uniform_negatives(16)
+            .threads(1)
+            .build()
+            .unwrap();
+        let mut t = crate::trainer::Trainer::new(schema, &edges, config).unwrap();
+        t.train();
+        t.snapshot()
+    }
+
+    #[test]
+    fn nearest_excludes_self_and_returns_k() {
+        let model = trained_ring(32);
+        let nn = model.nearest_entities(0, 5, 4);
+        assert_eq!(nn.len(), 4);
+        assert!(nn.iter().all(|&(id, _)| id != 5));
+        for w in nn.windows(2) {
+            assert!(w[0].1 >= w[1].1, "descending scores");
+        }
+    }
+
+    #[test]
+    fn ring_neighbors_rank_graph_neighbors_high() {
+        let model = trained_ring(32);
+        // true destinations of node 10 are {11, 12, 13}
+        let top = model.top_destinations(10, RelationTypeId(0), 5);
+        let top_ids: Vec<u32> = top.iter().map(|&(id, _)| id).collect();
+        let hits = [11u32, 12, 13]
+            .iter()
+            .filter(|d| top_ids.contains(d))
+            .count();
+        assert!(hits >= 2, "top-5 {top_ids:?} misses ring successors");
+    }
+
+    #[test]
+    fn k_larger_than_graph_is_clamped() {
+        let model = trained_ring(8);
+        let nn = model.nearest_entities(0, 3, 100);
+        assert_eq!(nn.len(), 7, "everything except the query itself");
+        let top = model.top_destinations(3, RelationTypeId(0), usize::MAX);
+        assert_eq!(top.len(), 8, "every destination, the source included");
+        assert!(model.top_destinations(3, RelationTypeId(0), 0).is_empty());
+    }
+
+    #[test]
+    fn a_nan_row_orders_like_topk_instead_of_panicking() {
+        let mut model = trained_ring(16);
+        model.embeddings[0].row_mut(9).fill(f32::NAN);
+        for sim in [SimilarityKind::Dot, SimilarityKind::Cosine] {
+            model.similarity = sim;
+            let all: Vec<u32> = (0..16).collect();
+            let scores = model.score_against_destinations(4, RelationTypeId(0), &all);
+            let mut want = pbg_tensor::topk::TopK::new(5);
+            for (&d, &s) in all.iter().zip(&scores) {
+                want.push(d as usize, s);
+            }
+            let want: Vec<(u32, u32)> = want
+                .into_sorted()
+                .iter()
+                .map(|s| (s.index as u32, s.score.to_bits()))
+                .collect();
+            let got: Vec<(u32, u32)> = model
+                .top_destinations(4, RelationTypeId(0), 5)
+                .iter()
+                .map(|&(id, s)| (id, s.to_bits()))
+                .collect();
+            assert_eq!(got, want, "{sim:?}");
+            // the NaN query itself: every score is NaN, ties go to the lower id
+            let nn = model.nearest_entities(0, 9, 3);
+            assert!(nn.iter().all(|(_, s)| s.is_nan()), "{nn:?}");
+            assert_eq!(nn.iter().map(|&(id, _)| id).collect::<Vec<_>>(), [0, 1, 2]);
+        }
+    }
+
+    #[test]
+    fn query_checks_name_the_bad_id() {
+        let m = Model::new(schema(OperatorKind::Identity), config(4)).unwrap();
+        let snap = m.snapshot(&InMemoryStore::new(m.store_layout()));
+        assert_eq!(snap.relation_id(0).unwrap(), RelationTypeId(0));
+        let err = snap.relation_id(1).unwrap_err().to_string();
+        assert!(
+            err.contains("relation index 1") && err.contains("1 relations"),
+            "{err}"
+        );
+        let node = pbg_graph::EntityTypeId(0);
+        assert!(snap.check_entity(node, 19, "src").is_ok());
+        let err = snap.check_entity(node, 20, "src").unwrap_err().to_string();
+        assert!(
+            err.contains("src 20") && err.contains("has 20 entities"),
+            "{err}"
+        );
     }
 
     #[test]

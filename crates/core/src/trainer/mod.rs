@@ -566,6 +566,7 @@ pub fn bucketize(schema: &GraphSchema, edges: &EdgeList) -> Buckets {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::Embeddings;
     use pbg_graph::edges::Edge;
 
     fn ring(n: u32) -> EdgeList {
@@ -670,7 +671,7 @@ mod tests {
         assert_eq!(snap.embeddings[0].rows(), 48);
         // trained embeddings should not all be at init scale
         let norms: Vec<f32> = (0..48)
-            .map(|i| pbg_tensor::vecmath::norm(snap.embedding(0, i)))
+            .map(|i| pbg_tensor::vecmath::norm(&snap.embedding(0, i)))
             .collect();
         assert!(norms.iter().any(|&n| n > 0.0));
     }

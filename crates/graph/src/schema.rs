@@ -61,7 +61,6 @@ pub struct EntityTypeDef {
     name: String,
     num_entities: u32,
     num_partitions: u32,
-    featurized: bool,
 }
 
 impl EntityTypeDef {
@@ -71,21 +70,12 @@ impl EntityTypeDef {
             name: name.into(),
             num_entities,
             num_partitions: 1,
-            featurized: false,
         }
     }
 
     /// Splits this entity type into `p` partitions.
     pub fn with_partitions(mut self, p: u32) -> Self {
         self.num_partitions = p;
-        self
-    }
-
-    /// Marks this entity type as featurized: embeddings are means of
-    /// feature embeddings and live on the parameter server (§4.2).
-    /// Featurized types must be unpartitioned.
-    pub fn featurized(mut self) -> Self {
-        self.featurized = true;
         self
     }
 
@@ -107,11 +97,6 @@ impl EntityTypeDef {
     /// `true` if this type is partitioned into more than one part.
     pub fn is_partitioned(&self) -> bool {
         self.num_partitions > 1
-    }
-
-    /// `true` if this type is featurized.
-    pub fn is_featurized(&self) -> bool {
-        self.featurized
     }
 }
 
@@ -196,9 +181,6 @@ pub enum SchemaError {
     },
     /// An entity type has zero partitions.
     ZeroPartitions(String),
-    /// A featurized entity type is partitioned (featurized embeddings live
-    /// on the parameter server and cannot be partitioned).
-    FeaturizedPartitioned(String),
     /// Partitioned entity types disagree on partition count. PBG requires
     /// one global `P` so buckets line up across types.
     PartitionCountMismatch {
@@ -225,9 +207,6 @@ impl fmt::Display for SchemaError {
             ),
             SchemaError::ZeroPartitions(name) => {
                 write!(f, "entity type `{name}` has zero partitions")
-            }
-            SchemaError::FeaturizedPartitioned(name) => {
-                write!(f, "featurized entity type `{name}` cannot be partitioned")
             }
             SchemaError::PartitionCountMismatch { first, second } => write!(
                 f,
@@ -363,8 +342,7 @@ impl GraphSchemaBuilder {
     ///
     /// Returns a [`SchemaError`] describing the first validation failure:
     /// missing entity/relation types, dangling entity-type references,
-    /// zero or mismatched partition counts, featurized-partitioned
-    /// conflicts, or bad relation weights.
+    /// zero or mismatched partition counts, or bad relation weights.
     pub fn build(self) -> Result<GraphSchema, SchemaError> {
         if self.entity_types.is_empty() {
             return Err(SchemaError::NoEntityTypes);
@@ -376,9 +354,6 @@ impl GraphSchemaBuilder {
         for t in &self.entity_types {
             if t.num_partitions == 0 {
                 return Err(SchemaError::ZeroPartitions(t.name.clone()));
-            }
-            if t.featurized && t.is_partitioned() {
-                return Err(SchemaError::FeaturizedPartitioned(t.name.clone()));
             }
             if t.is_partitioned() {
                 match first_partitioned {
@@ -467,16 +442,6 @@ mod tests {
     }
 
     #[test]
-    fn featurized_partitioned_rejected() {
-        let err = GraphSchema::builder()
-            .entity_type(EntityTypeDef::new("w", 10).with_partitions(2).featurized())
-            .relation_type(RelationTypeDef::new("r", 0u32, 0u32))
-            .build()
-            .unwrap_err();
-        assert_eq!(err, SchemaError::FeaturizedPartitioned("w".to_string()));
-    }
-
-    #[test]
     fn bad_weight_rejected() {
         let err = GraphSchema::builder()
             .entity_type(EntityTypeDef::new("a", 10))
@@ -509,5 +474,32 @@ mod tests {
         let json = serde_json::to_string(&s).unwrap();
         let back: GraphSchema = serde_json::from_str(&json).unwrap();
         assert_eq!(s, back);
+    }
+
+    #[test]
+    fn schema_with_retired_featurized_flag_still_loads() {
+        // a checkpoint's schema.json from before featurized types were
+        // removed carries `"featurized": false` on every entity type
+        let old = r#"{
+  "entity_types": [
+    {
+      "name": "node",
+      "num_entities": 10,
+      "num_partitions": 2,
+      "featurized": false
+    }
+  ],
+  "relation_types": [
+    {
+      "name": "edge",
+      "source_type": 0,
+      "dest_type": 0,
+      "operator": "Identity",
+      "weight": 1.0
+    }
+  ]
+}"#;
+        let back: GraphSchema = serde_json::from_str(old).unwrap();
+        assert_eq!(back, GraphSchema::homogeneous(10, 2).unwrap());
     }
 }

@@ -71,14 +71,13 @@
 use pbg::core::checkpoint;
 use pbg::core::config::PbgConfig;
 use pbg::core::eval::{CandidateSampling, LinkPredictionEval};
-use pbg::core::model::Model;
-use pbg::core::neighbors::{nearest_entities, top_destinations};
+use pbg::core::model::{Embeddings, Model};
 use pbg::core::trainer::{Storage, Trainer};
 use pbg::distsim::lockserver::LockServer;
 use pbg::distsim::{EpochLock, NetworkModel, ParameterServer, PartitionServer};
 use pbg::graph::edges::EdgeList;
 use pbg::graph::schema::GraphSchema;
-use pbg::graph::RelationTypeId;
+use pbg::graph::EntityTypeId;
 use pbg::net::{
     snapshot_model, train_rank, NetLock, NetParams, NetPartitions, NetServer, RankConfig,
     RankServices,
@@ -772,17 +771,30 @@ fn cmd_neighbors(flags: &Flags) -> Result<(), String> {
         .parse()
         .map_err(|_| "flag --entity: not an id".to_string())?;
     let k: usize = flags.parse("k", 10usize)?;
+    if k == 0 {
+        return Err("flag --k: must be positive".into());
+    }
     let neighbors = match flags.get("relation") {
         Some(r) => {
-            let rel: u32 = r
+            let rel = r
                 .parse()
                 .map_err(|_| "flag --relation: not an id".to_string())?;
-            top_destinations(&model, entity, RelationTypeId(rel), k)
+            let rel = model.relation_id(rel).map_err(|e| e.to_string())?;
+            let source = model.schema.relation_type(rel).source_type();
+            model
+                .check_entity(source, entity, "entity")
+                .map_err(|e| e.to_string())?;
+            model.top_destinations(entity, rel, k)
         }
-        None => nearest_entities(&model, 0, entity, k),
+        None => {
+            model
+                .check_entity(EntityTypeId(0), entity, "entity")
+                .map_err(|e| e.to_string())?;
+            model.nearest_entities(0, entity, k)
+        }
     };
-    for n in neighbors {
-        println!("{}\t{:.4}", n.entity, n.score);
+    for (id, score) in neighbors {
+        println!("{id}\t{score:.4}");
     }
     Ok(())
 }

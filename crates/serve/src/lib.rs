@@ -32,7 +32,8 @@
 //!   mapped bytes.
 //! - `GET /metrics` — Prometheus text exposition of the registry.
 
-use pbg_core::model::MmapEmbeddings;
+use pbg_core::model::{Embeddings, MmapEmbeddings};
+use pbg_core::PbgError;
 use pbg_graph::ids::RelationTypeId;
 use pbg_telemetry::http::{self, Request, RequestError, Response};
 use pbg_telemetry::listener::Listener;
@@ -159,6 +160,12 @@ struct ApiError(String);
 impl ApiError {
     fn new(msg: impl Into<String>) -> ApiError {
         ApiError(msg.into())
+    }
+}
+
+impl From<PbgError> for ApiError {
+    fn from(e: PbgError) -> ApiError {
+        ApiError(e.to_string())
     }
 }
 
@@ -375,13 +382,7 @@ fn resolve_rel(v: &Value, model: &MmapEmbeddings) -> Result<RelationTypeId, ApiE
         .ok_or_else(|| ApiError::new("missing field \"rel\""))?;
     let rels = model.schema.relation_types();
     if let Some(n) = f.as_u64() {
-        if (n as usize) < rels.len() {
-            return Ok(RelationTypeId(n as u32));
-        }
-        return Err(ApiError(format!(
-            "relation index {n} out of range (model has {} relations)",
-            rels.len()
-        )));
+        return Ok(model.relation_id(n)?);
     }
     if let Some(name) = f.as_str() {
         if let Some(i) = rels.iter().position(|r| r.name() == name) {
@@ -392,24 +393,6 @@ fn resolve_rel(v: &Value, model: &MmapEmbeddings) -> Result<RelationTypeId, ApiE
     Err(ApiError::new(
         "field \"rel\" must be a relation name or index",
     ))
-}
-
-/// Checks `id` against the entity count of `entity_type`.
-fn check_entity(
-    model: &MmapEmbeddings,
-    entity_type: pbg_graph::ids::EntityTypeId,
-    id: u32,
-    what: &str,
-) -> Result<(), ApiError> {
-    let def = model.schema.entity_type(entity_type);
-    if id >= def.num_entities() {
-        return Err(ApiError(format!(
-            "{what} {id} out of range: entity type \"{}\" has {} entities",
-            def.name(),
-            def.num_entities()
-        )));
-    }
-    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -425,7 +408,7 @@ fn api_score(req: &Request, ctx: &Ctx) -> ApiResult {
     let src = field_u32(&v, "src")?;
     let rel = resolve_rel(&v, model)?;
     let rdef = model.schema.relation_type(rel);
-    check_entity(model, rdef.source_type(), src, "src")?;
+    model.check_entity(rdef.source_type(), src, "src")?;
     let dsts_v = v
         .get("dsts")
         .ok_or_else(|| ApiError::new("missing field \"dsts\""))?
@@ -440,7 +423,7 @@ fn api_score(req: &Request, ctx: &Ctx) -> ApiResult {
             .as_u64()
             .and_then(|n| u32::try_from(n).ok())
             .ok_or_else(|| ApiError::new("field \"dsts\" must contain entity ids"))?;
-        check_entity(model, rdef.dest_type(), n, "dst")?;
+        model.check_entity(rdef.dest_type(), n, "dst")?;
         dsts.push(n);
     }
     let scores = model.score_against_destinations(src, rel, &dsts);
@@ -459,7 +442,7 @@ fn api_topk(req: &Request, ctx: &Ctx) -> ApiResult {
     let src = field_u32(&v, "src")?;
     let rel = resolve_rel(&v, model)?;
     let rdef = model.schema.relation_type(rel);
-    check_entity(model, rdef.source_type(), src, "src")?;
+    model.check_entity(rdef.source_type(), src, "src")?;
     let k = match v.get("k") {
         None => 10,
         Some(kv) => {
@@ -522,12 +505,7 @@ fn api_embedding(path: &str, ctx: &Ctx) -> ApiResult {
     let id: u32 = id_str
         .parse()
         .map_err(|_| ApiError(format!("entity id \"{id_str}\" is not a number")))?;
-    check_entity(
-        model,
-        pbg_graph::ids::EntityTypeId(type_idx as u32),
-        id,
-        "id",
-    )?;
+    model.check_entity(pbg_graph::ids::EntityTypeId(type_idx as u32), id, "id")?;
     let row: Vec<f64> = model
         .embedding(type_idx, id)
         .iter()

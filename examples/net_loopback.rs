@@ -9,7 +9,7 @@
 //! ```
 
 use pbg::core::config::PbgConfig;
-use pbg::core::model::Model;
+use pbg::core::model::{Embeddings, Model};
 use pbg::datagen::presets;
 use pbg::distsim::lockserver::LockServer;
 use pbg::distsim::{EpochLock, NetworkModel, ParameterServer, PartitionServer};
@@ -122,7 +122,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let score: f32 = model
         .embedding(0, a)
         .iter()
-        .zip(model.embedding(0, b))
+        .zip(model.embedding(0, b).iter())
         .map(|(x, y)| x * y)
         .sum();
     println!(

@@ -7,6 +7,7 @@
 
 use pbg::core::config::PbgConfig;
 use pbg::core::eval::{CandidateSampling, LinkPredictionEval};
+use pbg::core::model::Embeddings;
 use pbg::core::trainer::Trainer;
 use pbg::datagen::social::SocialGraphConfig;
 use pbg::graph::split::EdgeSplit;

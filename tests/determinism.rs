@@ -16,6 +16,7 @@
 //! ```
 
 use pbg::core::config::PbgConfig;
+use pbg::core::model::Embeddings;
 use pbg::core::trainer::Trainer;
 use pbg::datagen::social::SocialGraphConfig;
 use pbg::graph::edges::EdgeList;
@@ -78,13 +79,13 @@ fn train_and_score() -> (Vec<f32>, Vec<f32>) {
     let model = trainer.snapshot();
     let mut table = Vec::new();
     for node in 0..NUM_NODES {
-        table.extend_from_slice(model.embedding(0, node));
+        table.extend_from_slice(&model.embedding(0, node));
     }
     let scores: Vec<f32> = (0..SCORED_EDGES.min(edges.len()))
         .map(|i| {
             let src = model.embedding(0, edges.sources()[i]);
             let dst = model.embedding(0, edges.destinations()[i]);
-            src.iter().zip(dst).map(|(a, b)| a * b).sum()
+            src.iter().zip(dst.iter()).map(|(a, b)| a * b).sum()
         })
         .collect();
     (table, scores)

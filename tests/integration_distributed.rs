@@ -3,6 +3,7 @@
 
 use pbg::core::config::PbgConfig;
 use pbg::core::eval::{CandidateSampling, LinkPredictionEval};
+use pbg::core::model::Embeddings;
 use pbg::core::trainer::Trainer;
 use pbg::datagen::presets;
 use pbg::distsim::cluster::{ClusterConfig, ClusterTrainer};
@@ -196,7 +197,9 @@ fn simulated_cluster_is_bit_identical_to_single_machine_and_the_net_golden() {
     for node in 0..NODES {
         let (s, l) = (sim.embedding(0, node), single.embedding(0, node));
         assert!(
-            s.iter().zip(l).all(|(a, b)| a.to_bits() == b.to_bits()),
+            s.iter()
+                .zip(l.iter())
+                .all(|(a, b)| a.to_bits() == b.to_bits()),
             "embedding of node {node} differs: simulated {s:?} vs single machine {l:?}"
         );
     }
@@ -210,7 +213,7 @@ fn simulated_cluster_is_bit_identical_to_single_machine_and_the_net_golden() {
     for (i, &want) in golden.iter().enumerate() {
         let src = sim.embedding(0, edges.sources()[i]);
         let dst = sim.embedding(0, edges.destinations()[i]);
-        let score: f32 = src.iter().zip(dst).map(|(a, b)| a * b).sum();
+        let score: f32 = src.iter().zip(dst.iter()).map(|(a, b)| a * b).sum();
         assert_eq!(
             score.to_bits(),
             want,

@@ -23,7 +23,7 @@
 //! stale fenced check-ins rejected.
 
 use pbg::core::config::PbgConfig;
-use pbg::core::model::{Model, TrainedEmbeddings};
+use pbg::core::model::{Embeddings, Model, TrainedEmbeddings};
 use pbg::core::trainer::Trainer;
 use pbg::distsim::fault::{CrashFault, FaultPlan};
 use pbg::distsim::lockserver::LockServer;
@@ -102,7 +102,7 @@ fn config() -> PbgConfig {
 fn table(model: &TrainedEmbeddings) -> Vec<f32> {
     let mut out = Vec::new();
     for node in 0..NUM_NODES {
-        out.extend_from_slice(model.embedding(0, node));
+        out.extend_from_slice(&model.embedding(0, node));
     }
     out
 }
@@ -112,7 +112,7 @@ fn scores(model: &TrainedEmbeddings, edges: &EdgeList) -> Vec<f32> {
         .map(|i| {
             let src = model.embedding(0, edges.sources()[i]);
             let dst = model.embedding(0, edges.destinations()[i]);
-            src.iter().zip(dst).map(|(a, b)| a * b).sum()
+            src.iter().zip(dst.iter()).map(|(a, b)| a * b).sum()
         })
         .collect()
 }

@@ -11,6 +11,7 @@
 use pbg::core::checkpoint::{self, TrainProgress};
 use pbg::core::config::PbgConfig;
 use pbg::core::eval::{CandidateSampling, LinkPredictionEval};
+use pbg::core::model::Embeddings;
 use pbg::core::trainer::Trainer;
 use pbg::datagen::presets;
 use pbg::graph::ids::RelationTypeId;

@@ -4,9 +4,12 @@
 
 use pbg::core::checkpoint;
 use pbg::core::config::PbgConfig;
+use pbg::core::model::{Embeddings, Model};
+use pbg::core::storage::InMemoryStore;
 use pbg::core::trainer::Trainer;
 use pbg::datagen::presets;
 use pbg::graph::ids::RelationTypeId;
+use pbg::graph::schema::GraphSchema;
 use pbg::serve::{EmbedServer, ServeConfig};
 use pbg::telemetry::Registry;
 use serde_json::Value;
@@ -166,6 +169,59 @@ fn served_scores_are_bit_identical_to_mmap_model() {
     for (g, w) in got.iter().zip(&want) {
         // JSON carries f64; the f32 payload must survive the round trip
         assert_eq!(g.as_f64().unwrap() as f32, *w);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn neighbors_cli_answers_like_topk_and_refuses_bad_input() {
+    let schema = GraphSchema::homogeneous(8, 2).unwrap();
+    let config = PbgConfig::builder()
+        .dim(4)
+        .batch_size(4)
+        .chunk_size(2)
+        .build()
+        .unwrap();
+    let model = Model::new(schema, config).unwrap();
+    let dir = tmp("neighbors_cli");
+    std::fs::remove_dir_all(&dir).ok();
+    checkpoint::save(
+        &model.snapshot(&InMemoryStore::new(model.store_layout())),
+        &dir,
+    )
+    .unwrap();
+    let pbg = |args: &[&str]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_pbg"))
+            .arg("neighbors")
+            .arg("--checkpoint")
+            .arg(&dir)
+            .args(args)
+            .output()
+            .unwrap()
+    };
+    // the CLI prints what `/topk` returns, the source entity included
+    let out = pbg(&["--entity", "3", "--relation", "0", "--k", "8"]);
+    assert!(out.status.success(), "{out:?}");
+    let mmap = checkpoint::open_mmap(&dir).unwrap();
+    let want: String = mmap
+        .top_destinations(3, RelationTypeId(0), 8)
+        .iter()
+        .map(|(id, score)| format!("{id}\t{score:.4}\n"))
+        .collect();
+    assert_eq!(String::from_utf8_lossy(&out.stdout), want);
+    // a bad --k, --entity or --relation is a user error, not a panic
+    // (exit 101)
+    for bad in [
+        &["--entity", "3", "--k", "0"][..],
+        &["--entity", "3", "--relation", "0", "--k", "0"],
+        &["--entity", "8"],
+        &["--entity", "8", "--relation", "0"],
+        &["--entity", "3", "--relation", "1"],
+    ] {
+        let out = pbg(bad);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{bad:?}: {stderr}");
+        assert!(stderr.starts_with("error: "), "{bad:?}: {stderr}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -3,6 +3,7 @@
 
 use pbg::core::config::{LossKind, PbgConfig, SimilarityKind};
 use pbg::core::eval::{CandidateSampling, LinkPredictionEval};
+use pbg::core::model::Embeddings;
 use pbg::core::trainer::Trainer;
 use pbg::datagen::presets;
 use pbg::eval::crossval::k_fold;
