@@ -190,28 +190,6 @@ impl Sgns {
     pub fn embeddings(&self) -> Matrix {
         Matrix::from_vec(self.input.rows(), self.input.cols(), self.input.to_vec())
     }
-
-    /// The output ("context") layer. SGNS models co-occurrence
-    /// probability as `σ(input_u · output_v)`, so input+output
-    /// concatenations often rank direct edges better than the input layer
-    /// alone.
-    pub fn output_embeddings(&self) -> Matrix {
-        Matrix::from_vec(self.output.rows(), self.output.cols(), self.output.to_vec())
-    }
-
-    /// Concatenation of input and output layers (`n × 2 dim`).
-    pub fn concat_embeddings(&self) -> Matrix {
-        let n = self.input.rows();
-        let d = self.input.cols();
-        let mut out = Matrix::zeros(n, 2 * d);
-        let input = self.input.to_vec();
-        let output = self.output.to_vec();
-        for i in 0..n {
-            out.row_mut(i)[..d].copy_from_slice(&input[i * d..(i + 1) * d]);
-            out.row_mut(i)[d..].copy_from_slice(&output[i * d..(i + 1) * d]);
-        }
-        out
-    }
 }
 
 #[cfg(test)]

@@ -9,76 +9,25 @@
 //! cargo run --release -p pbg-bench --bin fig6_freebase_curve [-- --quick]
 //! ```
 
-use pbg_bench::harness::link_prediction;
-use pbg_bench::report::{save_text, ExpArgs};
-use pbg_core::config::PbgConfig;
-use pbg_core::eval::CandidateSampling;
+use pbg_bench::report::ExpArgs;
+use pbg_bench::scaling::{self, Study};
 use pbg_datagen::presets;
-use pbg_distsim::cluster::{ClusterConfig, ClusterTrainer};
-use pbg_eval::curve::LearningCurve;
-use pbg_graph::split::EdgeSplit;
+
+const STUDY: Study = Study {
+    stem: "fig6_freebase_curve",
+    label: "Figure 6",
+    graph: "Freebase",
+    preset: presets::freebase_like,
+    seed: 83,
+    scale: (0.000004, 0.00004),
+    paper_size: "121,216,723 / 25,291 / 2.7B",
+    paper_nodes: 121_216_723,
+    paper_train_edges: 2_452_563_539,
+    partition_shape: "",
+    machine_shape: "MRR-vs-epoch curves overlap across machine counts; \
+                    MRR-vs-time curves shift left as machines increase.",
+};
 
 fn main() {
-    let args = ExpArgs::parse();
-    let scale = args
-        .scale
-        .unwrap_or(if args.quick { 0.000004 } else { 0.00004 });
-    let epochs = args.epochs.unwrap_or(if args.quick { 4 } else { 8 });
-    let dataset = presets::freebase_like(scale, 83);
-    let split = EdgeSplit::ninety_five_five(&dataset.edges, 83);
-    // candidate pool scaled with node count (see table3/table4)
-    let candidates = ((dataset.num_nodes() as usize) / 5).clamp(50, 1000);
-    println!(
-        "dataset {}: {} entities, {} edges",
-        dataset.name,
-        dataset.num_nodes(),
-        dataset.edges.len()
-    );
-    let machine_counts: &[usize] = if args.quick { &[1, 2] } else { &[1, 2, 4, 8] };
-    let config = PbgConfig::builder()
-        .dim(64)
-        .epochs(epochs)
-        .batch_size(1000)
-        .chunk_size(50)
-        .uniform_negatives(50)
-        .threads(2)
-        .build()
-        .expect("valid config");
-
-    let mut out = String::new();
-    for &machines in machine_counts {
-        let p = (2 * machines) as u32;
-        let schema = dataset.schema_with_partitions(p.max(1));
-        let mut cluster = ClusterTrainer::new(
-            schema,
-            &split.train,
-            config.clone(),
-            ClusterConfig {
-                machines,
-                ..Default::default()
-            },
-        )
-        .expect("valid cluster");
-        let mut curve = LearningCurve::start(format!("freebase M={machines}"));
-        let start = std::time::Instant::now();
-        cluster.train_with(|stats, trainer| {
-            let m = link_prediction(
-                &trainer.snapshot(),
-                &split,
-                candidates,
-                CandidateSampling::Prevalence,
-            );
-            curve.record_at(start.elapsed().as_secs_f64(), stats.epoch, m.mrr);
-            true
-        });
-        out.push_str(&curve.by_epoch_tsv());
-        out.push_str(&curve.by_time_tsv());
-        println!("{}", curve.by_epoch_tsv());
-        println!("{}", curve.by_time_tsv());
-    }
-    println!(
-        "paper shape: MRR-vs-epoch curves overlap across machine counts; \
-         MRR-vs-time curves shift left as machines increase."
-    );
-    save_text("fig6_freebase_curve.tsv", &out);
+    scaling::curves(&STUDY, &ExpArgs::parse());
 }

@@ -8,85 +8,26 @@
 //! cargo run --release -p pbg-bench --bin fig7_twitter_curve [-- --quick]
 //! ```
 
-use pbg_bench::harness::link_prediction;
-use pbg_bench::report::{save_text, ExpArgs};
-use pbg_core::config::PbgConfig;
-use pbg_core::eval::CandidateSampling;
+use pbg_bench::report::ExpArgs;
+use pbg_bench::scaling::{self, Study};
 use pbg_datagen::presets;
-use pbg_distsim::cluster::{ClusterConfig, ClusterTrainer};
-use pbg_eval::curve::LearningCurve;
-use pbg_graph::split::EdgeSplit;
+
+const STUDY: Study = Study {
+    stem: "fig7_twitter_curve",
+    label: "Figure 7",
+    graph: "Twitter",
+    preset: presets::twitter_like,
+    seed: 97,
+    scale: (0.00001, 0.00003),
+    paper_size: "41,652,230 / 1 / 1,468,365,182",
+    paper_nodes: 41_652_230,
+    paper_train_edges: 1_321_528_664,
+    partition_shape: "",
+    machine_shape: "per-epoch curves overlap; per-time curves shift left \
+                    nearly linearly with machines (Twitter scales better \
+                    than Freebase).",
+};
 
 fn main() {
-    let args = ExpArgs::parse();
-    let scale = args
-        .scale
-        .unwrap_or(if args.quick { 0.00001 } else { 0.00003 });
-    let epochs = args.epochs.unwrap_or(if args.quick { 4 } else { 8 });
-    let dataset = presets::twitter_like(scale, 97);
-    let split = EdgeSplit::ninety_five_five(&dataset.edges, 97);
-    // candidate pool scaled with node count (see table3/table4)
-    let candidates = ((dataset.num_nodes() as usize) / 5).clamp(50, 1000);
-    println!(
-        "dataset {}: {} nodes, {} edges",
-        dataset.name,
-        dataset.num_nodes(),
-        dataset.edges.len()
-    );
-    let machine_counts: &[usize] = if args.quick { &[1, 2] } else { &[1, 2, 4, 8] };
-    let config = PbgConfig::builder()
-        .dim(64)
-        .epochs(epochs)
-        .batch_size(1000)
-        .chunk_size(50)
-        .uniform_negatives(50)
-        .threads(2)
-        .build()
-        .expect("valid config");
-
-    let mut out = String::new();
-    let mut epoch_seconds = Vec::new();
-    for &machines in machine_counts {
-        let p = (2 * machines) as u32;
-        let schema = dataset.schema_with_partitions(p.max(1));
-        let mut cluster = ClusterTrainer::new(
-            schema,
-            &split.train,
-            config.clone(),
-            ClusterConfig {
-                machines,
-                ..Default::default()
-            },
-        )
-        .expect("valid cluster");
-        let mut curve = LearningCurve::start(format!("twitter M={machines}"));
-        let start = std::time::Instant::now();
-        let mut train_secs = 0.0;
-        cluster.train_with(|stats, trainer| {
-            train_secs += stats.seconds;
-            let m = link_prediction(
-                &trainer.snapshot(),
-                &split,
-                candidates,
-                CandidateSampling::Prevalence,
-            );
-            curve.record_at(start.elapsed().as_secs_f64(), stats.epoch, m.mrr);
-            true
-        });
-        epoch_seconds.push((machines, train_secs / epochs as f64));
-        out.push_str(&curve.by_epoch_tsv());
-        out.push_str(&curve.by_time_tsv());
-        println!("{}", curve.by_epoch_tsv());
-        println!("{}", curve.by_time_tsv());
-    }
-    println!("mean seconds/epoch by machine count:");
-    for (m, s) in &epoch_seconds {
-        println!("  M={m}: {s:.2}s");
-    }
-    println!(
-        "paper shape: per-epoch curves overlap; per-time curves shift left \
-         nearly linearly with machines (Twitter scales better than \
-         Freebase)."
-    );
-    save_text("fig7_twitter_curve.tsv", &out);
+    scaling::curves(&STUDY, &ExpArgs::parse());
 }

@@ -24,7 +24,7 @@
 
 use std::time::Instant;
 
-use pbg_bench::report::{save_json, ExpArgs, Table};
+use pbg_bench::report::{report, ExpArgs, Table};
 use pbg_tensor::kernels::{self, dispatch, reference, ScoreGrad, Variant};
 use pbg_tensor::matrix::Matrix;
 use pbg_tensor::rng::Xoshiro256;
@@ -229,16 +229,5 @@ fn main() {
         "dispatch_active": dispatch::active().name(),
         "shapes": records,
     });
-    save_json("kernels", &result);
-    // Committed snapshot at the workspace root (BENCH_kernels.json).
-    match serde_json::to_string_pretty(&result) {
-        Ok(text) => {
-            if let Err(e) = std::fs::write("BENCH_kernels.json", text) {
-                eprintln!("warning: could not write BENCH_kernels.json: {e}");
-            } else {
-                println!("(saved BENCH_kernels.json)");
-            }
-        }
-        Err(e) => eprintln!("warning: could not serialize kernel bench: {e}"),
-    }
+    report("kernels", &result);
 }

@@ -19,7 +19,7 @@
 //! cargo run --release -p pbg-bench --bin train [-- --quick]
 //! ```
 
-use pbg_bench::report::{save_json, ExpArgs, Table};
+use pbg_bench::report::{report, ExpArgs, Table};
 use pbg_core::config::PbgConfig;
 use pbg_core::trainer::Trainer;
 use pbg_datagen::social::SocialGraphConfig;
@@ -136,15 +136,5 @@ fn main() {
         "epochs": epochs,
         "arms": records,
     });
-    save_json("train", &result);
-    match serde_json::to_string_pretty(&result) {
-        Ok(text) => {
-            if let Err(e) = std::fs::write("BENCH_train.json", text) {
-                eprintln!("warning: could not write BENCH_train.json: {e}");
-            } else {
-                println!("(saved BENCH_train.json)");
-            }
-        }
-        Err(e) => eprintln!("warning: could not serialize train bench: {e}"),
-    }
+    report("train", &result);
 }

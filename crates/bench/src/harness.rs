@@ -55,65 +55,20 @@ pub fn train_pbg(
     config: PbgConfig,
     disk: Option<std::path::PathBuf>,
 ) -> PbgRun {
-    train_pbg_traced(schema, train, config, disk, None)
-}
-
-/// [`train_pbg`] that additionally enables span tracing and writes the
-/// run's event trace to `trace` as JSONL (render it with
-/// `pbg trace summarize`). Trace I/O failures warn instead of failing the
-/// experiment.
-///
-/// # Panics
-///
-/// Panics on invalid configs (experiment binaries fail fast).
-pub fn train_pbg_traced(
-    schema: GraphSchema,
-    train: &EdgeList,
-    config: PbgConfig,
-    disk: Option<std::path::PathBuf>,
-    trace: Option<&std::path::Path>,
-) -> PbgRun {
     let storage = match disk {
         Some(dir) => Storage::Disk(dir),
         None => Storage::InMemory,
     };
     let mut trainer =
         Trainer::with_storage(schema, train, config, storage).expect("valid experiment config");
-    if trace.is_some() {
-        trainer.telemetry().set_tracing(true);
-    }
     let start = std::time::Instant::now();
     let epochs = trainer.train();
     let seconds = start.elapsed().as_secs_f64();
-    if let Some(path) = trace {
-        let write = std::fs::File::create(path).and_then(|f| {
-            let mut sink = pbg_telemetry::JsonlSink::new(std::io::BufWriter::new(f));
-            trainer.telemetry().drain_into(&mut sink)
-        });
-        match write {
-            Ok(()) => println!("(trace saved to {})", path.display()),
-            Err(e) => eprintln!("warning: could not write trace {}: {e}", path.display()),
-        }
-    }
     PbgRun {
         model: trainer.snapshot(),
         peak_bytes: trainer.store().peak_bytes(),
         epochs,
         seconds,
-    }
-}
-
-/// Derives a per-arm trace path from a `--telemetry` base path:
-/// `trace.jsonl` + `p4` becomes `trace.p4.jsonl`.
-pub fn arm_trace_path(base: &str, arm: &str) -> std::path::PathBuf {
-    let p = std::path::Path::new(base);
-    match (p.file_stem(), p.extension()) {
-        (Some(stem), Some(ext)) => p.with_file_name(format!(
-            "{}.{arm}.{}",
-            stem.to_string_lossy(),
-            ext.to_string_lossy()
-        )),
-        _ => std::path::PathBuf::from(format!("{base}.{arm}")),
     }
 }
 
@@ -265,47 +220,6 @@ mod tests {
         );
         assert!(run.total_bytes_written_back() > 0);
         assert!(run.total_swap_wait_seconds() >= 0.0);
-    }
-
-    #[test]
-    fn traced_run_writes_summarizable_jsonl() {
-        let dataset = presets::livejournal_like(0.00005, 5);
-        let split = EdgeSplit::seventy_five_twenty_five(&dataset.edges, 5);
-        let config = PbgConfig::builder()
-            .dim(8)
-            .epochs(1)
-            .batch_size(100)
-            .chunk_size(10)
-            .uniform_negatives(10)
-            .threads(1)
-            .build()
-            .unwrap();
-        let path =
-            std::env::temp_dir().join(format!("pbg_harness_trace_{}.jsonl", std::process::id()));
-        let run = train_pbg_traced(
-            dataset.schema.clone(),
-            &split.train,
-            config,
-            None,
-            Some(&path),
-        );
-        let file = std::fs::File::open(&path).unwrap();
-        let events = pbg_telemetry::trace::read_jsonl(std::io::BufReader::new(file)).unwrap();
-        std::fs::remove_file(&path).ok();
-        let summary = pbg_telemetry::trace::summarize(&events);
-        let trained: usize = run.epochs.iter().map(|e| e.edges).sum();
-        assert_eq!(summary.total_edges as usize, trained);
-        let epoch_secs: f64 = run.epochs.iter().map(|e| e.seconds).sum();
-        assert!(
-            (summary.total_bucket_s - epoch_secs).abs() <= 0.01 * epoch_secs.max(1e-9),
-            "trace bucket time {} vs epoch stats {} diverged",
-            summary.total_bucket_s,
-            epoch_secs
-        );
-        assert_eq!(
-            arm_trace_path("trace.jsonl", "p4"),
-            std::path::PathBuf::from("trace.p4.jsonl")
-        );
     }
 
     #[test]

@@ -100,9 +100,27 @@ pub fn save_text(name: &str, text: &str) {
     }
 }
 
-/// Parses `--flag value` style options plus `--quick`, shared by every
-/// experiment binary.
-#[derive(Debug, Clone)]
+/// Persists a perf bin's result twice: under `target/experiments/` like
+/// every experiment, and as the committed `BENCH_<name>.json` at the
+/// workspace root, wherever the bin is run from.
+pub fn report(name: &str, value: &serde_json::Value) {
+    save_json(name, value);
+    let root =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("../../BENCH_{name}.json"));
+    match serde_json::to_string_pretty(value) {
+        Ok(text) => match std::fs::write(&root, text + "\n") {
+            Ok(()) => println!("(saved {})", root.display()),
+            Err(e) => eprintln!("warning: could not write {}: {e}", root.display()),
+        },
+        Err(e) => eprintln!("warning: could not serialize {name}: {e}"),
+    }
+}
+
+const USAGE: &str = "usage: [--quick] [--distributed] [--scale <f64>] [--epochs <n>]";
+
+/// The options every experiment binary takes: `--quick`,
+/// `--distributed`, `--scale <f64>` and `--epochs <n>`.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExpArgs {
     /// Dataset scale multiplier override.
     pub scale: Option<f64>,
@@ -112,27 +130,45 @@ pub struct ExpArgs {
     pub quick: bool,
     /// Run the distributed arm (table3/table4).
     pub distributed: bool,
-    /// Base path for JSONL span traces (`--telemetry PATH`); experiment
-    /// arms derive per-arm files from it.
-    pub telemetry: Option<String>,
 }
 
 impl ExpArgs {
-    /// Parses from `std::env::args`.
+    /// Parses `std::env::args`; on an unknown flag or a bad value it
+    /// prints the error and the usage and exits with code 2.
     pub fn parse() -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        let value_of = |flag: &str| -> Option<String> {
-            args.iter()
-                .position(|a| a == flag)
-                .and_then(|i| args.get(i + 1).cloned())
-        };
-        ExpArgs {
-            scale: value_of("--scale").and_then(|v| v.parse().ok()),
-            epochs: value_of("--epochs").and_then(|v| v.parse().ok()),
-            quick: args.iter().any(|a| a == "--quick"),
-            distributed: args.iter().any(|a| a == "--distributed"),
-            telemetry: value_of("--telemetry"),
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        ExpArgs::parse_from(&args).unwrap_or_else(|e| {
+            eprintln!("error: {e}\n{USAGE}");
+            std::process::exit(2)
+        })
+    }
+
+    /// Parses the arguments after the program name.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the first unknown flag, value-flag
+    /// without a value, or value that does not parse.
+    pub fn parse_from(args: &[String]) -> Result<Self, String> {
+        fn value<T: std::str::FromStr>(
+            args: &mut std::slice::Iter<'_, String>,
+            flag: &str,
+        ) -> Result<T, String> {
+            let v = args.next().ok_or(format!("{flag} needs a value"))?;
+            v.parse().map_err(|_| format!("{flag}: cannot parse {v:?}"))
         }
+        let mut out = ExpArgs::default();
+        let mut args = args.iter();
+        while let Some(flag) = args.next() {
+            match flag.as_str() {
+                "--quick" => out.quick = true,
+                "--distributed" => out.distributed = true,
+                "--scale" => out.scale = Some(value(&mut args, flag)?),
+                "--epochs" => out.epochs = Some(value(&mut args, flag)?),
+                _ => return Err(format!("unknown argument {flag:?}")),
+            }
+        }
+        Ok(out)
     }
 }
 
@@ -151,6 +187,40 @@ mod tests {
         let lines: Vec<&str> = s.lines().filter(|l| l.contains("0.")).collect();
         assert_eq!(lines.len(), 2);
         assert_eq!(lines[0].len(), lines[1].len(), "rows not aligned");
+    }
+
+    #[test]
+    fn exp_args_reject_unknown_flags_and_bad_values() {
+        let parse = |args: &[&str]| {
+            let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            ExpArgs::parse_from(&args)
+        };
+        let ok = parse(&[
+            "--quick",
+            "--scale",
+            "1e-3",
+            "--epochs",
+            "3",
+            "--distributed",
+        ]);
+        let expected = ExpArgs {
+            scale: Some(1e-3),
+            epochs: Some(3),
+            quick: true,
+            distributed: true,
+        };
+        assert_eq!(ok, Ok(expected));
+        assert_eq!(parse(&[]), Ok(ExpArgs::default()));
+        for bad in [
+            &["--scales", "0.001"][..],
+            &["--scale", "1e-3x"],
+            &["--epochs", "two"],
+            &["--scale"],
+            &["--telemetry", "trace.jsonl"],
+            &["quick"],
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} accepted");
+        }
     }
 
     #[test]

@@ -25,6 +25,7 @@ use pbg_graph::schema::{GraphSchema, OperatorKind};
 use pbg_tensor::kernels::{self, GatherRows};
 use pbg_tensor::matrix::Matrix;
 use pbg_tensor::vecmath;
+use pbg_tensor::Precision;
 use std::borrow::Cow;
 
 /// Live (shared, lock-free) parameters of one relation type.
@@ -234,8 +235,8 @@ impl Embeddings for TrainedEmbeddings {
         (self.dim, self.similarity, &self.schema, &self.relations)
     }
 
-    fn parts(&self, entity_type: usize) -> Vec<RowPart<'_>> {
-        vec![RowPart::F32(self.embeddings[entity_type].as_slice())]
+    fn parts(&self, entity_type: usize) -> RowParts<'_> {
+        RowParts::Table(self.embeddings[entity_type].as_slice())
     }
 }
 
@@ -293,15 +294,12 @@ impl Embeddings for MmapEmbeddings {
         (self.dim, self.similarity, &self.schema, &self.relations)
     }
 
-    fn parts(&self, entity_type: usize) -> Vec<RowPart<'_>> {
+    fn parts(&self, entity_type: usize) -> RowParts<'_> {
         let types = self.schema.entity_types();
         let before = &types[..entity_type];
         let start: u32 = before.iter().map(|t| t.num_partitions()).sum();
-        let shards = &self.shards[start as usize..][..types[entity_type].num_partitions() as usize];
-        shards
-            .iter()
-            .map(|s| s.payload().map_or(RowPart::Quantized(s), RowPart::F32))
-            .collect()
+        let n = types[entity_type].num_partitions() as usize;
+        RowParts::Shards(&self.shards[start as usize..][..n])
     }
 }
 
@@ -324,6 +322,46 @@ pub enum RowPart<'a> {
     Quantized(&'a MmapPartition),
 }
 
+/// An entity type's [`RowPart`]s in partition order, borrowed from the
+/// model without building a list.
+#[derive(Debug, Clone, Copy)]
+pub enum RowParts<'a> {
+    /// A single part: the whole table in global-id order.
+    Table(&'a [f32]),
+    /// One part per mapped shard.
+    Shards(&'a [MmapPartition]),
+}
+
+impl<'a> RowParts<'a> {
+    /// Number of parts.
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            RowParts::Table(_) => 1,
+            RowParts::Shards(shards) => shards.len(),
+        }
+    }
+
+    /// Part `i`: f32 rows read in place, or a quantized shard.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub(crate) fn get(&self, i: usize) -> RowPart<'a> {
+        match *self {
+            RowParts::Table(table) => RowPart::F32(table),
+            RowParts::Shards(shards) => {
+                let shard = &shards[i];
+                match shard.precision() {
+                    Precision::F32 => shard
+                        .payload()
+                        .map_or(RowPart::Quantized(shard), RowPart::F32),
+                    _ => RowPart::Quantized(shard),
+                }
+            }
+        }
+    }
+}
+
 /// The read queries of a trained model, written once for every model
 /// type: an implementor hands out its [`ModelRef`] and, per entity type,
 /// its [`RowPart`]s in partition order. Rows named by id are routed to
@@ -342,7 +380,7 @@ pub trait Embeddings {
     /// # Panics
     ///
     /// Panics if `entity_type` is out of range.
-    fn parts(&self, entity_type: usize) -> Vec<RowPart<'_>>;
+    fn parts(&self, entity_type: usize) -> RowParts<'_>;
 
     /// The embedding of entity `id` of type `entity_type`: borrowed in
     /// place from an f32 part, decoded to an owned row from a quantized
@@ -489,7 +527,7 @@ enum Row<'a> {
 /// every by-id query, whatever the parts. Each id is routed to its part
 /// by [`locate`] as it is fetched, so a query builds no candidate list.
 struct TypeRows<'a> {
-    parts: Vec<RowPart<'a>>,
+    parts: RowParts<'a>,
     dim: usize,
 }
 
@@ -500,9 +538,12 @@ impl<'a> TypeRows<'a> {
         TypeRows { parts, dim }
     }
 
+    // `row`, `copy_row` and `prefetch` run once per candidate row and
+    // must inline into the gather loop: out of line they cost eval ~20 %
+    #[inline]
     fn row(&self, id: u32) -> Row<'a> {
         let (part, row) = locate(self.parts.len(), id);
-        match self.parts[part] {
+        match self.parts.get(part) {
             RowPart::F32(table) => Row::F32(&table[row * self.dim..(row + 1) * self.dim]),
             RowPart::Quantized(shard) => Row::Quantized(shard, row),
         }
@@ -510,6 +551,7 @@ impl<'a> TypeRows<'a> {
 }
 
 impl GatherRows for TypeRows<'_> {
+    #[inline]
     fn copy_row(&self, id: u32, dst: &mut [f32]) {
         match self.row(id) {
             Row::F32(row) => dst.copy_from_slice(row),
@@ -517,6 +559,7 @@ impl GatherRows for TypeRows<'_> {
         }
     }
 
+    #[inline]
     fn prefetch(&self, id: u32) {
         if let Row::F32(row) = self.row(id) {
             kernels::prefetch_row(row);
@@ -552,9 +595,9 @@ fn top_k<E: Embeddings + ?Sized>(m: &E, t: usize, mut q: Vec<f32>, k: usize) -> 
     };
     let parts = m.parts(t);
     let mut acc = TopK::new(k);
-    for (p, part) in parts.iter().enumerate() {
+    for p in 0..parts.len() {
         let mut best = TopK::new(k);
-        match *part {
+        match parts.get(p) {
             RowPart::F32(table) => score_block(table, 0, &mut best),
             RowPart::Quantized(shard) => {
                 let mut scratch = vec![0.0f32; BLOCK_ROWS.min(shard.rows()) * dim];

@@ -158,11 +158,6 @@ impl EpochPlan {
     pub fn total_acquires(&self) -> usize {
         self.steps.iter().map(|s| s.acquire.len()).sum()
     }
-
-    /// Total partition loads that are prefetchable (overlap-eligible).
-    pub fn total_prefetches(&self) -> usize {
-        self.steps.iter().map(|s| s.prefetch.len()).sum()
-    }
 }
 
 /// The acquire/release delta for one step of a [`SwapPlanner`].

@@ -353,12 +353,6 @@ impl EpochLock {
         self.inner.reap_expired()
     }
 
-    /// The epoch currently being granted (1-based; 0 when scheduled for
-    /// zero epochs).
-    pub fn current_epoch(&self) -> usize {
-        self.state.lock().epoch
-    }
-
     /// Buckets currently being trained.
     pub fn active_count(&self) -> usize {
         self.inner.active_count()

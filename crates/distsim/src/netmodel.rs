@@ -353,6 +353,31 @@ mod tests {
     }
 
     #[test]
+    fn f16_partition_round_trip_is_at_most_055x_f32_at_dim_32() {
+        // a checkout plus a checkin of a whole partition: embeddings and
+        // their f32 accumulator column. The bar is stated at dim 32: the
+        // accumulator column is a fixed 4 bytes per row, so at dim 8 the
+        // ratio is ~0.56
+        use super::wirecost::*;
+        use pbg_tensor::Precision;
+        let dim = 32;
+        let round_trip = |rows: usize, precision| {
+            checkout_rpc_bytes_q(rows * dim, rows, dim, precision)
+                + checkin_rpc_bytes_q(rows * dim, rows, dim, precision)
+        };
+        for rows in [100, 1_000, 100_000] {
+            let (f16, f32) = (
+                round_trip(rows, Precision::F16),
+                round_trip(rows, Precision::F32),
+            );
+            assert!(
+                f16 * 100 <= f32 * 55,
+                "{rows} rows: f16 {f16} B is over 0.55x f32 {f32} B"
+            );
+        }
+    }
+
+    #[test]
     fn quantized_closed_forms_reduce_to_f32_and_shrink() {
         use super::wirecost::*;
         use pbg_tensor::Precision;

@@ -35,21 +35,9 @@ impl LogisticRegression {
         }
     }
 
-    /// Sets the SGD learning rate (default 0.1).
-    pub fn with_learning_rate(mut self, lr: f32) -> Self {
-        self.learning_rate = lr;
-        self
-    }
-
     /// Sets the L2 penalty (default 1e-4).
     pub fn with_l2(mut self, l2: f32) -> Self {
         self.l2 = l2;
-        self
-    }
-
-    /// Sets the number of SGD epochs (default 30).
-    pub fn with_epochs(mut self, epochs: usize) -> Self {
-        self.epochs = epochs;
         self
     }
 

@@ -124,29 +124,6 @@ impl BucketOrdering {
             BucketOrdering::GreedyReuse => "greedy-reuse",
         }
     }
-
-    /// Picks the next bucket from `eligible` the way this ordering's
-    /// online scheduler would — the single shared implementation behind
-    /// both the trainer-side planning and distsim's lock-server
-    /// scheduling, so the two cannot drift.
-    ///
-    /// `eligible` must be sorted (ties resolve to the smallest id).
-    /// [`BucketOrdering::GreedyReuse`] maximizes overlap with the
-    /// `resident` partition set; every other ordering reproduces the
-    /// classic affinity rule: prefer a bucket whose source partition
-    /// matches `prev`'s source or whose destination matches `prev`'s
-    /// destination, else the smallest eligible bucket.
-    pub fn next_from(
-        self,
-        eligible: &[BucketId],
-        resident: &HashSet<Partition>,
-        prev: Option<BucketId>,
-    ) -> Option<BucketId> {
-        match self {
-            BucketOrdering::GreedyReuse => pick_most_resident(eligible, resident),
-            _ => pick_shared_side(eligible, prev),
-        }
-    }
 }
 
 impl std::str::FromStr for BucketOrdering {

@@ -225,11 +225,6 @@ impl Matrix {
         );
         out
     }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f32 {
-        vecmath::norm(&self.data)
-    }
 }
 
 impl Default for Matrix {

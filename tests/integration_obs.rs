@@ -15,9 +15,12 @@
 //!    flow arrows for the linked RPC.
 //! 3. A live `/metrics` scrape during the run returns Prometheus text
 //!    exposition that passes the format lint.
+//! 4. A traced single-machine run's trace summary agrees with its
+//!    `EpochStats` in edges trained and bucket seconds.
 
 use pbg::core::config::PbgConfig;
 use pbg::core::model::Model;
+use pbg::core::trainer::Trainer;
 use pbg::distsim::lockserver::LockServer;
 use pbg::distsim::{EpochLock, NetworkModel, ParameterServer, PartitionServer};
 use pbg::graph::edges::{Edge, EdgeList};
@@ -27,7 +30,7 @@ use pbg::net::{
 };
 use pbg::telemetry::context::trace_id_from_seed;
 use pbg::telemetry::snapshot::lint_prometheus;
-use pbg::telemetry::trace::{read_jsonl, TraceEvent, TraceValue};
+use pbg::telemetry::trace::{read_jsonl, summarize, TraceEvent, TraceValue};
 use pbg::telemetry::{JsonlSink, MetricsServer, Registry};
 use pbg::tensor::rng::Xoshiro256;
 use std::io::{BufReader, Read, Write};
@@ -101,6 +104,24 @@ fn http_get(addr: &str, path: &str) -> String {
     let (head, body) = response.split_once("\r\n\r\n").expect("header/body split");
     assert!(head.contains(" 200 "), "bad status: {head}");
     body.to_string()
+}
+
+#[test]
+fn traced_trainer_run_agrees_with_epoch_stats() {
+    let (schema, edges) = dataset();
+    let mut trainer = Trainer::new(schema, &edges, config()).expect("trainer");
+    trainer.telemetry().set_tracing(true);
+    let stats = trainer.train();
+    let summary = summarize(&drain_to_events(trainer.telemetry()));
+    let trained: usize = stats.iter().map(|e| e.edges).sum();
+    assert_eq!(summary.total_edges as usize, trained);
+    let epoch_secs: f64 = stats.iter().map(|e| e.seconds).sum();
+    assert!(
+        (summary.total_bucket_s - epoch_secs).abs() <= 0.01 * epoch_secs.max(1e-9),
+        "trace bucket time {} vs epoch stats {} diverged",
+        summary.total_bucket_s,
+        epoch_secs
+    );
 }
 
 #[test]

@@ -3,7 +3,7 @@
 
 use pbg::core::config::PbgConfig;
 use pbg::core::eval::{CandidateSampling, LinkPredictionEval};
-use pbg::core::trainer::{Storage, Trainer};
+use pbg::core::trainer::{needed_keys, EpochPlan, Schedule, Storage, Trainer};
 use pbg::datagen::presets;
 use pbg::graph::ordering::BucketOrdering;
 use pbg::graph::split::EdgeSplit;
@@ -61,6 +61,51 @@ fn quality_flat_and_memory_falls_with_partitions() {
     assert!(
         (mem8 as f64) < 0.45 * mem1 as f64,
         "P=8 peak {mem8} vs full {mem1}"
+    );
+}
+
+/// One disk-backed epoch at P = 8 and `threads = 1` with a capacity-`b`
+/// buffer: the partition loads the store counted, and the loads
+/// [`EpochPlan`] plans for that epoch's bucket order.
+fn measured_and_planned_loads(b: usize, ordering: BucketOrdering) -> (usize, usize) {
+    let dataset = presets::freebase_like(0.000005, 9);
+    let split = EdgeSplit::ninety_five_five(&dataset.edges, 9);
+    let cfg = PbgConfig::builder()
+        .dim(16)
+        .epochs(1)
+        .batch_size(500)
+        .chunk_size(50)
+        .uniform_negatives(20)
+        .threads(1)
+        .bucket_ordering(ordering)
+        .buffer_size(b)
+        .seed(7)
+        .build()
+        .unwrap();
+    let dir = std::env::temp_dir().join(format!(
+        "pbg_int_loads_b{b}_{}_{}",
+        ordering.name(),
+        std::process::id()
+    ));
+    let schema = dataset.schema_with_partitions(8);
+    let storage = Storage::Disk(dir.clone());
+    let mut t = Trainer::with_storage(schema, &split.train, cfg.clone(), storage).unwrap();
+    let measured = t.train_epoch().swap_ins;
+    std::fs::remove_dir_all(&dir).ok();
+    let order = Schedule::new(&cfg, t.buckets()).order(1);
+    let planned = EpochPlan::with_capacity(&order, |k| needed_keys(t.model(), k), b);
+    (measured, planned.total_acquires())
+}
+
+#[test]
+fn greedy_reuse_b4_loads_fewer_partitions_than_inside_out_b2() {
+    let (base, base_planned) = measured_and_planned_loads(2, BucketOrdering::InsideOut);
+    let (greedy, greedy_planned) = measured_and_planned_loads(4, BucketOrdering::GreedyReuse);
+    assert_eq!(base, base_planned, "B=2 inside-out: loads vs plan");
+    assert_eq!(greedy, greedy_planned, "B=4 greedy-reuse: loads vs plan");
+    assert!(
+        greedy as f64 <= 0.8 * base as f64,
+        "B=4 greedy-reuse loads {greedy}, B=2 inside-out loads {base}"
     );
 }
 
