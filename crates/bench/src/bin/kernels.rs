@@ -14,9 +14,9 @@
 //!
 //! Forward flops are `2·C·N·d`; the fused arm also does the backward
 //! (`4·C·N·d` more) and is normalized accordingly, so all GF/s numbers
-//! are comparable. Results go to `target/experiments/kernels.json` and —
-//! so the repo carries a committed snapshot — `BENCH_kernels.json` at the
-//! crate workspace root.
+//! are comparable. Results go to `target/experiments/kernels.json` and,
+//! except under `--quick`, to the committed snapshot `BENCH_kernels.json`
+//! at the workspace root.
 //!
 //! ```sh
 //! cargo run --release -p pbg-bench --bin kernels [-- --quick]
@@ -229,5 +229,5 @@ fn main() {
         "dispatch_active": dispatch::active().name(),
         "shapes": records,
     });
-    report("kernels", &result);
+    report("kernels", &result, args.quick);
 }

@@ -12,8 +12,9 @@
 //! best-of filters scheduler hiccups that would otherwise drown a 1-core
 //! CI container in variance.
 //!
-//! Results go to `target/experiments/train.json` and the committed
-//! snapshot `BENCH_train.json` at the workspace root.
+//! Results go to `target/experiments/train.json` and, except under
+//! `--quick`, to the committed snapshot `BENCH_train.json` at the
+//! workspace root.
 //!
 //! ```sh
 //! cargo run --release -p pbg-bench --bin train [-- --quick]
@@ -136,5 +137,5 @@ fn main() {
         "epochs": epochs,
         "arms": records,
     });
-    report("train", &result);
+    report("train", &result, args.quick);
 }

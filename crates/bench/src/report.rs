@@ -100,11 +100,15 @@ pub fn save_text(name: &str, text: &str) {
     }
 }
 
-/// Persists a perf bin's result twice: under `target/experiments/` like
-/// every experiment, and as the committed `BENCH_<name>.json` at the
-/// workspace root, wherever the bin is run from.
-pub fn report(name: &str, value: &serde_json::Value) {
+/// Persists a perf bin's result under `target/experiments/` like every
+/// experiment and, unless `quick`, as the committed `BENCH_<name>.json`
+/// at the workspace root, wherever the bin is run from. A `--quick`
+/// smoke run leaves the committed snapshot alone.
+pub fn report(name: &str, value: &serde_json::Value, quick: bool) {
     save_json(name, value);
+    if quick {
+        return;
+    }
     let root =
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("../../BENCH_{name}.json"));
     match serde_json::to_string_pretty(value) {

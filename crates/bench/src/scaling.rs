@@ -206,9 +206,7 @@ fn machine_sweep(study: &Study, args: &ExpArgs) {
             "Hits@10",
             "measured s",
             "peak/machine",
-            "prefetch hits",
             "projected h",
-            "pipelined h",
         ],
     );
     let mut results = Vec::new();
@@ -237,15 +235,13 @@ fn machine_sweep(study: &Study, args: &ExpArgs) {
             calibrated_eps = split.train.len() as f64 * epochs as f64
                 / stats.iter().map(|e| e.seconds).sum::<f64>().max(1e-9);
         }
+        // a rank checks out synchronously, so its projection is too
         let projection = project(study, p, machines, calibrated_eps.max(1.0), false);
-        let overlapped = project(study, p, machines, calibrated_eps.max(1.0), true);
         let peak = stats
             .iter()
             .map(|e| e.peak_machine_bytes)
             .max()
             .unwrap_or(0);
-        let prefetch_hits: usize = stats.iter().map(|e| e.prefetch_hits).sum();
-        let sim_pipelined: f64 = stats.iter().map(|e| e.sim_pipelined_seconds).sum();
         let network_bytes: u64 = stats.iter().map(|e| e.network_bytes).sum();
         table.row(&[
             machines.to_string(),
@@ -254,19 +250,14 @@ fn machine_sweep(study: &Study, args: &ExpArgs) {
             format!("{:.3}", m.hits_at_10),
             format!("{seconds:.1}"),
             format_bytes(peak),
-            prefetch_hits.to_string(),
             format!("{:.0}", projection.total_hours),
-            format!("{:.0}", overlapped.total_hours),
         ]);
         results.push(json!({
             "machines": machines, "partitions": p, "mrr": m.mrr,
             "hits_at_10": m.hits_at_10, "measured_seconds": seconds,
             "peak_machine_bytes": peak,
-            "prefetch_hits": prefetch_hits,
-            "sim_pipelined_seconds": sim_pipelined,
             "network_bytes": network_bytes,
             "projected_hours": projection.total_hours,
-            "projected_pipelined_hours": overlapped.total_hours,
         }));
     }
     table.print();

@@ -4,11 +4,13 @@
 //! current bucket resident and swaps on every bucket boundary. Marius
 //! (arXiv:2101.08358) generalizes this to a buffer of `B` partition
 //! slots with lazy eviction, which loads strictly less when the bucket
-//! order revisits partitions. [`PartitionBuffer`] is that abstraction,
-//! extracted from its three previous implicit homes (the trainer's swap
-//! planner, `DiskStore`'s resident set, and distsim's per-machine
-//! stores): it decides *which* partitions are resident and *which* to
-//! evict, while the storage layer underneath does the actual I/O.
+//! order revisits partitions. [`PartitionBuffer`] is that abstraction:
+//! it decides *which* partitions are resident and *which* to evict,
+//! while the storage layer underneath does the actual I/O. Its one
+//! consumer is [`crate::trainer::plan::EpochPlan`], which unrolls it
+//! over an epoch's bucket order. A `distsim` rank needs no buffer: a
+//! fenced checkout cannot outlive its bucket lock, so the rank holds
+//! exactly its bucket's partitions.
 //!
 //! Eviction is least-recently-used over bucket steps, never evicting a
 //! partition the current bucket needs. When a bucket needs more keys
@@ -42,10 +44,10 @@ pub struct BufferTransition {
 ///
 /// Owns the residency decision only — callers translate `load` into
 /// store loads and `evict` into store releases. [`PartitionBuffer`] is
-/// used three ways, all sharing this one implementation: ahead-of-time
+/// used two ways, both sharing this one implementation: ahead-of-time
 /// by [`crate::trainer::plan::EpochPlan`] to precompute an epoch's
-/// traffic, online by distsim's per-machine caches, and as the reference
-/// model the property tests replay plans against.
+/// traffic, and as the reference model the property tests replay plans
+/// against.
 #[derive(Debug, Clone)]
 pub struct PartitionBuffer {
     capacity: usize,
@@ -142,12 +144,6 @@ impl PartitionBuffer {
         out.sort_unstable();
         out
     }
-
-    /// Drops `keys` from residency without counting evictions (the
-    /// caller released them through a side channel, e.g. a snapshot).
-    pub fn forget(&mut self, keys: &[PartitionKey]) {
-        self.lru.retain(|k| !keys.contains(k));
-    }
 }
 
 impl Default for PartitionBuffer {
@@ -231,17 +227,6 @@ mod tests {
         assert_eq!(t.load, vec![]);
         assert_eq!(t.evict, vec![]);
         assert_eq!(buf.loads(), 2);
-    }
-
-    #[test]
-    fn forget_skips_eviction_accounting() {
-        let mut buf = PartitionBuffer::new(4);
-        buf.request(&set(&[0, 1]));
-        buf.forget(&[key(0)]);
-        assert!(!buf.contains(key(0)));
-        assert_eq!(buf.evictions(), 0);
-        assert_eq!(buf.flush(), vec![key(1)]);
-        assert_eq!(buf.evictions(), 1);
     }
 
     #[test]

@@ -78,6 +78,6 @@ pub use config::{LossKind, NegativeMode, PbgConfig, SimilarityKind};
 pub use error::PbgError;
 pub use eval::{CandidateSampling, LinkPredictionEval};
 pub use model::{Embeddings, Model, TrainedEmbeddings};
-pub use stats::{BucketStats, EpochStats, MemoryTracker};
+pub use stats::{BucketStats, EpochStats};
 pub use storage::{DiskStore, InMemoryStore, PartitionStore};
 pub use trainer::{CheckpointPolicy, Storage, Trainer};

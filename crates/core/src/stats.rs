@@ -1,12 +1,12 @@
-//! Training statistics and memory accounting.
+//! Training statistics.
 //!
 //! The paper reports peak memory (Tables 1, 3, 4), wall-clock training
 //! time, and loss curves. Stats are collected per bucket and rolled up per
-//! epoch; [`MemoryTracker`] is the generic byte-accounting helper shared
-//! with the baselines (DeepWalk's walk corpus, MILE's hierarchy).
+//! epoch. Memory is the resident-partition high-water mark the stores
+//! keep in the `store.resident_bytes` gauge (`rank{m}.resident_bytes` on
+//! a cluster machine).
 
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Statistics for one trained bucket.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -168,56 +168,6 @@ impl EpochAccumulator {
     }
 }
 
-/// Thread-safe byte accounting with a high-water mark.
-///
-/// All operations use `Relaxed` ordering: the tracker is a pure
-/// statistic — no other memory is published or acquired through it, each
-/// field is a single atomic (so it is internally consistent on its own),
-/// and the readers that need exact totals (epoch reports, test
-/// assertions) run after the writing threads joined, where the join
-/// itself provides the synchronization. The only cross-field laxity is
-/// that `peak` may momentarily lag a concurrent `current` spike by
-/// another thread, which `SeqCst` would not fix either: the window
-/// between `fetch_add` and `fetch_max` is a race at any ordering.
-#[derive(Debug, Default)]
-pub struct MemoryTracker {
-    current: AtomicUsize,
-    peak: AtomicUsize,
-}
-
-impl MemoryTracker {
-    /// Creates a tracker at zero.
-    pub fn new() -> Self {
-        MemoryTracker::default()
-    }
-
-    /// Registers an allocation of `bytes`.
-    pub fn add(&self, bytes: usize) {
-        let now = self.current.fetch_add(bytes, Ordering::Relaxed) + bytes;
-        self.peak.fetch_max(now, Ordering::Relaxed);
-    }
-
-    /// Registers a release of `bytes`.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if more is released than allocated.
-    pub fn remove(&self, bytes: usize) {
-        let prev = self.current.fetch_sub(bytes, Ordering::Relaxed);
-        debug_assert!(prev >= bytes, "memory tracker underflow");
-    }
-
-    /// Currently tracked bytes.
-    pub fn current(&self) -> usize {
-        self.current.load(Ordering::Relaxed)
-    }
-
-    /// High-water mark.
-    pub fn peak(&self) -> usize {
-        self.peak.load(Ordering::Relaxed)
-    }
-}
-
 /// Formats bytes with a binary-prefix unit, as the paper's tables do
 /// (e.g. `59.6 GB`).
 pub fn format_bytes(bytes: usize) -> String {
@@ -340,17 +290,6 @@ mod tests {
     fn empty_epoch_has_zero_loss() {
         let e = EpochAccumulator::new().finish(1, IoStats::default());
         assert_eq!(e.mean_loss, 0.0);
-    }
-
-    #[test]
-    fn memory_tracker_peak() {
-        let t = MemoryTracker::new();
-        t.add(100);
-        t.add(200);
-        t.remove(150);
-        t.add(10);
-        assert_eq!(t.current(), 160);
-        assert_eq!(t.peak(), 300);
     }
 
     #[test]

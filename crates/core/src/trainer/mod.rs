@@ -31,7 +31,7 @@ use std::collections::HashMap;
 use std::path::Path;
 
 pub use bucket::{needed_keys, train_bucket};
-pub use plan::{EpochPlan, EpochStep, SwapPlanner};
+pub use plan::{EpochPlan, EpochStep};
 
 /// Where embedding partitions live during training.
 #[derive(Debug)]

@@ -11,12 +11,11 @@
 //! afterwards. At the default `B = 2` this degenerates to the paper's
 //! pairwise swap schedule.
 //!
-//! The incremental flavor of the same bookkeeping is [`SwapPlanner`],
-//! used where the bucket sequence is not known in advance (the cluster
-//! simulator's machines discover their next bucket from the lock
-//! server). Both the single-machine [`crate::trainer::Trainer`] and
-//! `distsim`'s cluster run on this module, so swap planning lives in
-//! exactly one place.
+//! The plan serves the single-machine [`crate::trainer::Trainer`], whose
+//! bucket order is known before the epoch starts. A `distsim` rank
+//! learns its next bucket from the lock server and holds only that
+//! bucket's partitions, so it needs no plan: it checks in what the new
+//! bucket does not need and checks out what it lacks.
 
 use crate::buffer::{PartitionBuffer, DEFAULT_CAPACITY};
 use crate::storage::PartitionKey;
@@ -160,107 +159,6 @@ impl EpochPlan {
     }
 }
 
-/// The acquire/release delta for one step of a [`SwapPlanner`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SwapTransition {
-    /// Partitions to load: needed now, not resident (sorted).
-    pub acquire: Vec<PartitionKey>,
-    /// Partitions the buffer evicts: resident, not needed, over
-    /// capacity (sorted).
-    pub release: Vec<PartitionKey>,
-}
-
-/// Incremental swap planning over an evolving resident set — a
-/// [`PartitionBuffer`] fed one bucket at a time.
-///
-/// Feed it each bucket's needed set as the bucket is discovered;
-/// [`SwapPlanner::step`] returns what to load and what the buffer
-/// evicts. This is the online counterpart of [`EpochPlan`] for consumers
-/// that learn their bucket sequence one step at a time (the cluster
-/// simulator's machines).
-///
-/// Residency is lazy: partitions stay buffered until capacity forces
-/// them out. Callers whose residency implies *exclusive ownership* of
-/// unlocked state (the networked rank's fenced checkouts) must call
-/// [`SwapPlanner::evict_unneeded`] after each step to restore the
-/// classic swap-everything-unneeded behavior.
-#[derive(Debug, Clone)]
-pub struct SwapPlanner {
-    buffer: PartitionBuffer,
-}
-
-impl SwapPlanner {
-    /// Creates a planner with the paper's two-slot buffer.
-    pub fn new() -> Self {
-        SwapPlanner::with_capacity(DEFAULT_CAPACITY)
-    }
-
-    /// Creates a planner over a buffer of `capacity` partition slots.
-    pub fn with_capacity(capacity: usize) -> Self {
-        SwapPlanner {
-            buffer: PartitionBuffer::new(capacity),
-        }
-    }
-
-    /// The underlying buffer capacity.
-    pub fn capacity(&self) -> usize {
-        self.buffer.capacity()
-    }
-
-    /// The partitions currently planned as resident (LRU first).
-    pub fn resident(&self) -> &[PartitionKey] {
-        self.buffer.resident()
-    }
-
-    /// Total loads planned since creation.
-    pub fn loads(&self) -> u64 {
-        self.buffer.loads()
-    }
-
-    /// Advances to a bucket needing `needed`; returns the load/evict
-    /// delta decided by the buffer.
-    pub fn step(&mut self, needed: &HashSet<PartitionKey>) -> SwapTransition {
-        let t = self.buffer.request(needed);
-        SwapTransition {
-            acquire: t.load,
-            release: t.evict,
-        }
-    }
-
-    /// Evicts every resident partition not in `needed`, regardless of
-    /// capacity; returns them sorted. Restores eager pairwise-swap
-    /// semantics for callers that cannot cache partitions they do not
-    /// hold locks on.
-    pub fn evict_unneeded(&mut self, needed: &HashSet<PartitionKey>) -> Vec<PartitionKey> {
-        let extra: Vec<PartitionKey> = self
-            .buffer
-            .resident()
-            .iter()
-            .copied()
-            .filter(|k| !needed.contains(k))
-            .collect();
-        self.buffer.forget(&extra);
-        sorted(extra)
-    }
-
-    /// Drops `keys` from the resident set without a full transition
-    /// (used when a caller releases early, e.g. at the end of a pass).
-    pub fn forget(&mut self, keys: &[PartitionKey]) {
-        self.buffer.forget(keys);
-    }
-
-    /// Releases everything still resident (end of epoch / lock wait).
-    pub fn finish(&mut self) -> Vec<PartitionKey> {
-        self.buffer.flush()
-    }
-}
-
-impl Default for SwapPlanner {
-    fn default() -> Self {
-        SwapPlanner::new()
-    }
-}
-
 fn sorted(keys: impl IntoIterator<Item = PartitionKey>) -> Vec<PartitionKey> {
     let mut v: Vec<PartitionKey> = keys.into_iter().collect();
     v.sort_unstable();
@@ -397,42 +295,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn swap_planner_tracks_resident_set() {
-        let mut p = SwapPlanner::new();
-        let t1 = p.step(&[key(0), key(1)].into_iter().collect());
-        assert_eq!(t1.acquire, vec![key(0), key(1)]);
-        assert_eq!(t1.release, vec![]);
-        let t2 = p.step(&[key(1), key(2)].into_iter().collect());
-        assert_eq!(t2.acquire, vec![key(2)]);
-        assert_eq!(t2.release, vec![key(0)]);
-        assert_eq!(p.finish(), vec![key(1), key(2)]);
-        assert!(p.resident().is_empty());
-    }
-
-    #[test]
-    fn swap_planner_with_capacity_keeps_extra_partitions() {
-        let mut p = SwapPlanner::with_capacity(3);
-        p.step(&[key(0), key(1)].into_iter().collect());
-        let t = p.step(&[key(1), key(2)].into_iter().collect());
-        assert_eq!(t.acquire, vec![key(2)]);
-        assert_eq!(t.release, vec![], "B=3 keeps partition 0");
-        assert_eq!(p.loads(), 3);
-    }
-
-    #[test]
-    fn evict_unneeded_restores_eager_semantics() {
-        let mut p = SwapPlanner::new();
-        p.step(&[key(0), key(1)].into_iter().collect());
-        // diagonal bucket: lazy residency would keep partition 0
-        let needed: HashSet<PartitionKey> = [key(1)].into_iter().collect();
-        let t = p.step(&needed);
-        assert_eq!(t.acquire, vec![]);
-        assert_eq!(t.release, vec![], "lazy buffer keeps partition 0");
-        assert_eq!(p.evict_unneeded(&needed), vec![key(0)]);
-        assert_eq!(p.resident(), &[key(1)]);
     }
 
     #[test]

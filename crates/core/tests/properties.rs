@@ -7,7 +7,7 @@ use pbg_core::negatives::{candidate_offsets, mask_induced_positives};
 use pbg_core::operator;
 use pbg_core::similarity::{score_matrix, score_pairs};
 use pbg_core::storage::PartitionKey;
-use pbg_core::trainer::{EpochPlan, SwapPlanner};
+use pbg_core::trainer::EpochPlan;
 use pbg_graph::bucket::BucketId;
 use pbg_graph::schema::OperatorKind;
 use pbg_tensor::matrix::Matrix;
@@ -200,27 +200,20 @@ proptest! {
         pairs in proptest::collection::vec((0u32..8, 0u32..8), 1..25),
         capacity in 2usize..7,
     ) {
-        // the plan's projected acquires, a live SwapPlanner, and a bare
-        // PartitionBuffer replay of the same bucket sequence must agree
-        // load for load — they are three views of one eviction policy
+        // the plan's projected acquires and a bare PartitionBuffer replay
+        // of the same bucket sequence must agree load for load — they are
+        // two views of one eviction policy
         let order: Vec<BucketId> =
             pairs.iter().map(|&(s, d)| BucketId::new(s, d)).collect();
         let plan = EpochPlan::with_capacity(&order, grid_needed, capacity);
 
         let mut buffer = PartitionBuffer::new(capacity);
-        let mut planner = SwapPlanner::with_capacity(capacity);
-        let mut planner_loads = 0usize;
         for (bucket, step) in order.iter().zip(plan.steps()) {
-            let needed = grid_needed(*bucket);
-            let transition = buffer.request(&needed);
+            let transition = buffer.request(&grid_needed(*bucket));
             prop_assert_eq!(&step.acquire, &transition.load, "bucket {}", bucket);
-            planner_loads += planner.step(&needed).acquire.len();
         }
         buffer.flush();
-        planner.finish();
         prop_assert_eq!(plan.total_acquires() as u64, buffer.loads());
-        prop_assert_eq!(planner_loads as u64, buffer.loads());
-        prop_assert_eq!(planner.loads(), buffer.loads());
     }
 
     #[test]

@@ -3,29 +3,26 @@
 //!
 //! [`ClusterTrainer`] is a harness, not a second driver. It owns the
 //! three state machines ([`EpochLock`], [`PartitionServer`],
-//! [`ParameterServer`]) and one [`Rank`] per simulated machine, and
-//! steps them an epoch at a time so callers can report and evaluate
-//! between epochs. What makes it a *simulation* are decorators on the
-//! service traits: `Charged` bills every transfer's [`NetworkModel`]
-//! seconds to the machine that made it and projects its pipelined
-//! wall-clock; the [`crate::fault::FaultPlan`] of [`ClusterConfig`] is
-//! injected by the rank driver's own [`crate::fault::Faulty`] wrapper,
-//! exactly as on the TCP path.
+//! [`ParameterServer`]) and one [`Rank`] per simulated machine, hands
+//! every rank the bare state machines, and steps them an epoch at a
+//! time so callers can report and evaluate between epochs. The servers'
+//! [`NetworkModel`] counts the bytes a TCP cluster would move; the
+//! [`crate::fault::FaultPlan`] of [`ClusterConfig`] is injected by the
+//! rank driver's own [`crate::fault::Faulty`] wrapper, exactly as on
+//! the TCP path. Paper-scale hours come from [`crate::event`], not from
+//! this harness.
 
 use crate::fault::FaultPlan;
-use crate::lockserver::{Acquire, EpochLock, LockServer};
+use crate::lockserver::{EpochLock, LockServer};
 use crate::netmodel::NetworkModel;
-use crate::paramserver::{ParamKey, ParameterServer};
+use crate::paramserver::ParameterServer;
 use crate::partitionserver::PartitionServer;
 use crate::rank::{snapshot_model, Rank, RankConfig, RankServices, RankStats};
-use crate::service::{LockService, ParamService, PartitionService, ServiceError};
-use parking_lot::Mutex;
+use crate::service::ServiceError;
 use pbg_core::config::PbgConfig;
 use pbg_core::error::PbgError;
 use pbg_core::model::{Model, TrainedEmbeddings};
-use pbg_core::storage::PartitionKey;
 use pbg_core::trainer::bucketize;
-use pbg_graph::bucket::BucketId;
 use pbg_graph::edges::EdgeList;
 use pbg_graph::schema::GraphSchema;
 use pbg_telemetry::metrics::names as metric;
@@ -40,10 +37,6 @@ use std::time::{Duration, Instant};
 pub struct ClusterConfig {
     /// Number of training machines (threads).
     pub machines: usize,
-    /// Simulated network bandwidth, bytes/second (paper: ~1 GB/s).
-    pub net_bandwidth: f64,
-    /// Simulated per-transfer latency, seconds.
-    pub net_latency: f64,
     /// Minimum interval between parameter-server syncs per machine.
     pub param_sync_throttle: Duration,
     /// How long a bucket grant stays valid without a release before the
@@ -59,8 +52,6 @@ impl Default for ClusterConfig {
     fn default() -> Self {
         ClusterConfig {
             machines: 2,
-            net_bandwidth: 1e9,
-            net_latency: 1e-4,
             param_sync_throttle: Duration::from_millis(10),
             lease_ttl: Duration::from_secs(60),
             faults: FaultPlan::none(),
@@ -76,14 +67,6 @@ pub struct ClusterEpochStats {
     /// Wall-clock seconds (threads run concurrently, so this reflects the
     /// slowest machine's compute).
     pub seconds: f64,
-    /// Maximum simulated network seconds across machines (added to
-    /// compute time when projecting cluster wall-clock serially).
-    pub sim_network_seconds: f64,
-    /// Maximum simulated seconds across machines when partition and
-    /// parameter I/O overlaps the machine's own time: each step between
-    /// two bucket requests costs `max(elapsed, I/O)` instead of their
-    /// sum (the pipelined projection; ≤ `seconds + sim_network_seconds`).
-    pub sim_pipelined_seconds: f64,
     /// Edges trained.
     pub edges: usize,
     /// Mean loss per edge.
@@ -94,9 +77,6 @@ pub struct ClusterEpochStats {
     pub peak_machine_bytes: usize,
     /// Number of times a machine polled the lock server and had to wait.
     pub lock_waits: usize,
-    /// Loads served by an ahead-of-use partition checkout (the cluster
-    /// counterpart of disk prefetch hits).
-    pub prefetch_hits: usize,
     /// Buckets whose lease expired (holder crashed) and were reassigned
     /// to, and retrained by, another machine.
     pub recovered_buckets: usize,
@@ -110,9 +90,9 @@ pub struct ClusterTrainer {
     schema: GraphSchema,
     config: PbgConfig,
     ranks: Vec<Rank>,
-    lock: EpochLock,
-    partitions: PartitionServer,
-    params: ParameterServer,
+    lock: Arc<EpochLock>,
+    partitions: Arc<PartitionServer>,
+    params: Arc<ParameterServer>,
     net: Arc<NetworkModel>,
     epoch: usize,
     telemetry: Registry,
@@ -133,13 +113,10 @@ impl ClusterTrainer {
         if cluster.machines == 0 {
             return Err(PbgError::Config("machines must be positive".into()));
         }
-        let net = Arc::new(NetworkModel::new(
-            cluster.net_bandwidth,
-            cluster.net_latency,
-        ));
+        let net = Arc::new(NetworkModel::paper_default());
         let layout = Model::new(schema.clone(), config.clone())?.store_layout();
         let partitions = PartitionServer::new(layout, cluster.machines, Arc::clone(&net));
-        let params = ParameterServer::new(cluster.machines, Arc::clone(&net));
+        let params = Arc::new(ParameterServer::new(cluster.machines, Arc::clone(&net)));
         let buckets = Arc::new(bucketize(&schema, edges));
         // no epoch is scheduled yet: `train_epoch` adds them one by one
         let lock = EpochLock::new(
@@ -169,8 +146,8 @@ impl ClusterTrainer {
             schema,
             config,
             ranks,
-            lock,
-            partitions,
+            lock: Arc::new(lock),
+            partitions: Arc::new(partitions),
             params,
             net,
             epoch: 0,
@@ -195,8 +172,8 @@ impl ClusterTrainer {
     /// server and runs every machine's [`Rank`] until the server reports
     /// the epoch done.
     ///
-    /// Epoch counters (`lock_waits`, `prefetch_hits`, `retries`,
-    /// `network_bytes`, `peak_machine_bytes`) are derived from
+    /// Epoch counters (`lock_waits`, `retries`, `network_bytes`,
+    /// `peak_machine_bytes`) are derived from
     /// [`Registry::snapshot`] deltas of [`ClusterTrainer::telemetry`] —
     /// the report is a view of the same registry the trace and the
     /// Prometheus dump read.
@@ -219,28 +196,20 @@ impl ClusterTrainer {
         let before = self.telemetry.snapshot();
         let _epoch_span = span!(self.telemetry, span_name::EPOCH, epoch = epoch as u64);
         let start = Instant::now();
-        let (lock, partitions, params) = (&self.lock, &self.partitions, &self.params);
         let telemetry = &self.telemetry;
-        let runs: Vec<(RankStats, SimClock)> = std::thread::scope(|scope| {
+        let runs: Vec<RankStats> = std::thread::scope(|scope| {
             let machines: Vec<_> = self
                 .ranks
                 .iter_mut()
                 .map(|rank| {
+                    let services = RankServices {
+                        lock: Arc::clone(&self.lock),
+                        partitions: Arc::clone(&self.partitions),
+                        params: Arc::clone(&self.params),
+                    };
                     scope.spawn(move || {
-                        let clock = Mutex::new(SimClock::new());
-                        let services = RankServices {
-                            lock: Charged(lock, &clock),
-                            partitions: Charged(partitions, &clock),
-                            params: Charged(params, &clock),
-                        };
-                        let stats = rank
-                            .run(&services, telemetry)
-                            .expect("simulated machine failed");
-                        let mut clock = clock.into_inner();
-                        // trailing write-backs and param syncs have no
-                        // compute left to hide behind
-                        clock.close_step();
-                        (stats, clock)
+                        rank.run(&services, telemetry)
+                            .expect("simulated machine failed")
                     })
                 })
                 .collect();
@@ -254,27 +223,23 @@ impl ClusterTrainer {
             .counter(metric::CLUSTER_NET_BYTES)
             .add(self.net.total_bytes() - bytes_before);
         let delta = self.telemetry.snapshot().delta_since(&before);
-        let edges: usize = runs.iter().map(|(stats, _)| stats.edges).sum();
-        let loss: f64 = runs.iter().map(|(stats, _)| stats.loss).sum();
+        let edges: usize = runs.iter().map(|stats| stats.edges).sum();
+        let loss: f64 = runs.iter().map(|stats| stats.loss).sum();
         if seconds > 0.0 {
             // live cluster-wide throughput, refreshed every epoch
             self.telemetry
                 .gauge(metric::CLUSTER_EDGES_PER_SEC)
                 .set((edges as f64 / seconds) as u64);
         }
-        let max_over = |f: fn(&SimClock) -> f64| runs.iter().map(|(_, c)| f(c)).fold(0.0, f64::max);
         ClusterEpochStats {
             epoch,
             seconds,
-            sim_network_seconds: max_over(|c| c.io_secs),
-            sim_pipelined_seconds: max_over(|c| c.pipelined_secs),
             edges,
             mean_loss: if edges > 0 { loss / edges as f64 } else { 0.0 },
             network_bytes: delta.counter(metric::CLUSTER_NET_BYTES),
             peak_machine_bytes: delta.max_gauge_peak("rank") as usize,
             lock_waits: delta.counter(metric::CLUSTER_LOCK_WAITS) as usize,
-            prefetch_hits: delta.counter(metric::CLUSTER_PREFETCH_HITS) as usize,
-            recovered_buckets: runs.iter().map(|(s, _)| s.recovered_buckets).sum(),
+            recovered_buckets: runs.iter().map(|s| s.recovered_buckets).sum(),
             retries: delta.counter(metric::NET_RPC_RETRIES) as usize,
         }
     }
@@ -323,112 +288,6 @@ impl std::fmt::Debug for ClusterTrainer {
             .field("machines", &self.ranks.len())
             .field("epoch", &self.epoch)
             .finish()
-    }
-}
-
-/// One simulated machine's network bill and pipelined-time projection
-/// for an epoch. A *step* runs from one bucket request to the next —
-/// the same boundary the benchmark's timing decorators use — and costs
-/// the larger of the real time the machine spent in it and the
-/// simulated I/O it was charged, as if transfers overlapped the work.
-#[derive(Debug)]
-struct SimClock {
-    /// Simulated transfer seconds charged so far (serial accounting).
-    io_secs: f64,
-    /// Of those, the seconds charged in the current step.
-    step_io: f64,
-    pipelined_secs: f64,
-    step_start: Instant,
-}
-
-impl SimClock {
-    fn new() -> Self {
-        SimClock {
-            io_secs: 0.0,
-            step_io: 0.0,
-            pipelined_secs: 0.0,
-            step_start: Instant::now(),
-        }
-    }
-
-    fn charge(&mut self, secs: f64) {
-        self.io_secs += secs;
-        self.step_io += secs;
-    }
-
-    fn close_step(&mut self) {
-        let elapsed = self.step_start.elapsed().as_secs_f64();
-        self.pipelined_secs +=
-            NetworkModel::pipelined_step_seconds(elapsed, std::mem::take(&mut self.step_io));
-        self.step_start = Instant::now();
-    }
-}
-
-/// Time-charging decorator: serves one machine from an in-process state
-/// machine and bills the [`NetworkModel`] seconds of every transfer to
-/// that machine's [`SimClock`].
-struct Charged<'a, S>(&'a S, &'a Mutex<SimClock>);
-
-impl LockService for Charged<'_, EpochLock> {
-    fn acquire(
-        &self,
-        machine: usize,
-        prev: Option<BucketId>,
-    ) -> Result<(usize, Acquire), ServiceError> {
-        self.1.lock().close_step();
-        LockService::acquire(self.0, machine, prev)
-    }
-
-    fn release_bucket(&self, machine: usize, bucket: BucketId) -> Result<(), ServiceError> {
-        LockService::release_bucket(self.0, machine, bucket)
-    }
-
-    fn reap_expired(&self) -> Result<Vec<BucketId>, ServiceError> {
-        LockService::reap_expired(self.0)
-    }
-}
-
-impl PartitionService for Charged<'_, PartitionServer> {
-    fn checkout(&self, key: PartitionKey) -> Result<(Vec<f32>, Vec<f32>, u64), ServiceError> {
-        let (emb, acc, token, secs) = self.0.checkout(key);
-        self.1.lock().charge(secs);
-        Ok((emb, acc, token))
-    }
-
-    fn checkin(
-        &self,
-        key: PartitionKey,
-        emb: Vec<f32>,
-        acc: Vec<f32>,
-        token: u64,
-    ) -> Result<bool, ServiceError> {
-        let (secs, committed) = self.0.checkin(key, emb, acc, token);
-        self.1.lock().charge(secs);
-        Ok(committed)
-    }
-
-    fn revoke(&self, key: PartitionKey) -> Result<(), ServiceError> {
-        PartitionService::revoke(self.0, key)
-    }
-
-    fn peek(&self, key: PartitionKey) -> Result<(Vec<f32>, Vec<f32>), ServiceError> {
-        PartitionService::peek(self.0, key)
-    }
-}
-
-impl ParamService for Charged<'_, ParameterServer> {
-    fn register(&self, key: ParamKey, init: &[f32]) -> Result<Vec<f32>, ServiceError> {
-        ParamService::register(self.0, key, init)
-    }
-
-    fn push_pull(&self, key: ParamKey, delta: &[f32]) -> Result<Vec<f32>, ServiceError> {
-        let (merged, secs) = self.0.push_pull(key, delta);
-        self.1.lock().charge(secs);
-        Ok(merged)
-    }
-
-    fn pull(&self, key: ParamKey) -> Result<Vec<f32>, ServiceError> {
-        ParamService::pull(self.0, key)
     }
 }
 
@@ -564,35 +423,6 @@ mod tests {
         let stats = t.train();
         assert_eq!(stats.len(), 2);
         assert!(stats[1].mean_loss <= stats[0].mean_loss * 1.1);
-    }
-
-    #[test]
-    fn pipelined_projection_is_bounded_by_serial_time() {
-        let (edges, n) = dataset();
-        let schema = GraphSchema::homogeneous(n, 4).unwrap();
-        let mut t = ClusterTrainer::new(
-            schema,
-            &edges,
-            config(1),
-            ClusterConfig {
-                machines: 2,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let stats = t.train_epoch();
-        assert!(
-            stats.prefetch_hits > 0,
-            "bucket acquisitions must flow through the prefetch path"
-        );
-        assert!(stats.sim_pipelined_seconds > 0.0);
-        assert!(
-            stats.sim_pipelined_seconds <= stats.seconds + stats.sim_network_seconds + 1e-6,
-            "overlapping I/O with compute cannot be slower than summing them \
-             (pipelined {} vs serial {})",
-            stats.sim_pipelined_seconds,
-            stats.seconds + stats.sim_network_seconds
-        );
     }
 
     #[test]
@@ -796,13 +626,14 @@ mod tests {
         )
         .unwrap();
         let stats = t.train_epoch();
-        // one partition ≈ n/p rows × (dim + 1) floats
+        // one partition is n/p rows × (dim + 1) floats; a machine holds
+        // its bucket's two and checks in the rest before checking out
         let partition_bytes = (n as usize / p as usize) * (16 + 1) * 4;
         assert!(
-            stats.peak_machine_bytes <= 3 * partition_bytes,
-            "peak {} > 3 partitions ({})",
+            stats.peak_machine_bytes <= 2 * partition_bytes,
+            "peak {} > 2 partitions ({})",
             stats.peak_machine_bytes,
-            3 * partition_bytes
+            2 * partition_bytes
         );
     }
 }

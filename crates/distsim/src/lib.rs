@@ -10,8 +10,8 @@
 //! We cannot ship a cluster, so this crate holds the *protocol* — the
 //! three server state machines and the one trainer-rank driver — plus a
 //! simulation of it: machines-as-threads running that driver, a
-//! **network cost model** that accounts simulated transfer time for
-//! every byte moved, and a **discrete-event projector** that predicts
+//! **network cost model** that counts the bytes every transfer would put
+//! on the wire, and a **discrete-event projector** that predicts
 //! paper-scale wall-clock hours (the time columns of Tables 3 and 4)
 //! from measured per-edge throughput. `pbg-net` runs the same driver and
 //! state machines over TCP.
@@ -26,21 +26,20 @@
 //! - [`rank`]: the trainer rank — the acquire → swap → train → sync →
 //!   release loop, written once over the service traits.
 //! - [`cluster`]: the simulated cluster — one rank per machine thread
-//!   over the in-process servers, with time-charging decorators.
+//!   over the in-process servers.
 //! - [`fault`]: seeded fault injection (machine crashes, transfer
 //!   failures, sync timeouts) as a service decorator.
 //! - [`netmodel`]: bandwidth/latency cost model (defaults match the
 //!   paper's measured ~1 GB/s TCP bandwidth).
-//! - [`event`]: discrete-event projection of paper-scale training time.
-//! - [`occupancy`]: analytical occupancy (how many machines can actually
-//!   work, given P and M).
+//! - [`event`]: discrete-event projection of paper-scale training time
+//!   and machine occupancy (how many machines can actually work, given
+//!   P and M).
 
 pub mod cluster;
 pub mod event;
 pub mod fault;
 pub mod lockserver;
 pub mod netmodel;
-pub mod occupancy;
 pub mod paramserver;
 pub mod partitionserver;
 pub mod rank;

@@ -3,9 +3,9 @@
 //! The paper's cluster uses 50Gb/s ethernet with a TCP backend that "in
 //! practice achieves approximately 1 GB/s send/receive bandwidth" (§5.1).
 //! Machines-as-threads move bytes through shared memory instantly, so
-//! every transfer is *accounted*: the model accumulates the simulated
-//! seconds each machine would have spent on the wire, which the cluster
-//! trainer adds to its per-machine clock.
+//! every transfer is *accounted*: the servers record the framed bytes
+//! a TCP cluster would move, and the model prices them in seconds at
+//! its bandwidth and latency.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -74,12 +74,12 @@ impl ParameterServer {
     }
 
     /// Pushes a delta and returns the merged value (one round trip),
-    /// charging both transfers; also returns simulated seconds.
+    /// recording both transfers.
     ///
     /// # Panics
     ///
     /// Panics if the key is unregistered or lengths disagree.
-    pub fn push_pull(&self, key: ParamKey, delta: &[f32]) -> (Vec<f32>, f64) {
+    pub fn push_pull(&self, key: ParamKey, delta: &[f32]) -> Vec<f32> {
         let merged = {
             let mut shard = self.shard(key).lock();
             let value = shard
@@ -91,11 +91,11 @@ impl ParameterServer {
             }
             value.clone()
         };
-        let secs = self.net.record_rpc(
+        self.net.record_rpc(
             wirecost::param_push_bytes(delta.len()),
             wirecost::param_value_bytes(merged.len()),
         );
-        (merged, secs)
+        merged
     }
 
     /// Reads the current value without pushing (for snapshots).
@@ -259,9 +259,9 @@ mod tests {
     fn push_pull_merges_deltas() {
         let s = server();
         s.register(KEY, &[0.0, 0.0]);
-        let (v1, _) = s.push_pull(KEY, &[1.0, 0.0]);
+        let v1 = s.push_pull(KEY, &[1.0, 0.0]);
         assert_eq!(v1, vec![1.0, 0.0]);
-        let (v2, _) = s.push_pull(KEY, &[0.0, 2.0]);
+        let v2 = s.push_pull(KEY, &[0.0, 2.0]);
         assert_eq!(v2, vec![1.0, 2.0]);
     }
 

@@ -5,9 +5,9 @@
 //! and destination partitions, which are often multiple GB in size, from
 //! the partition server."
 //!
-//! Shards are hash-assigned; every checkout/checkin records its byte
-//! volume against the [`NetworkModel`] so simulated transfer time can be
-//! charged to the fetching machine.
+//! Shards are hash-assigned; every checkout/checkin records its framed
+//! wire bytes against the [`NetworkModel`], so a simulated cluster
+//! reports the traffic a TCP one would move.
 //!
 //! The server always retains the **last committed version** of every
 //! partition: a checkout hands the client a *copy* together with a
@@ -103,16 +103,16 @@ impl PartitionServer {
     }
 
     /// Fetches a copy of a partition's last committed floats
-    /// (embeddings, accumulators) plus a fencing token, charging the
-    /// transfer; returns the simulated seconds spent. Any previously
-    /// issued token for this key is invalidated — the lock server
-    /// normally guarantees exclusivity, and when it reassigns an
-    /// expired lease the new checkout fences the old holder out.
+    /// (embeddings, accumulators) plus a fencing token, recording the
+    /// transfer. Any previously issued token for this key is invalidated
+    /// — the lock server normally guarantees exclusivity, and when it
+    /// reassigns an expired lease the new checkout fences the old holder
+    /// out.
     ///
     /// # Panics
     ///
     /// Panics if the key is unknown.
-    pub fn checkout(&self, key: PartitionKey) -> (Vec<f32>, Vec<f32>, u64, f64) {
+    pub fn checkout(&self, key: PartitionKey) -> (Vec<f32>, Vec<f32>, u64) {
         let mut shard = self.shard(key).lock();
         let stored = shard
             .partitions
@@ -123,7 +123,7 @@ impl PartitionServer {
         stored.valid_token = Some(token);
         let (emb, acc) = (stored.emb.clone(), stored.acc.clone());
         drop(shard);
-        let secs = self.net.record_rpc(
+        self.net.record_rpc(
             wirecost::CHECKOUT_REQUEST_BYTES,
             wirecost::part_data_bytes_q(
                 emb.len(),
@@ -132,27 +132,21 @@ impl PartitionServer {
                 self.layout.precision(),
             ),
         );
-        (emb, acc, token, secs)
+        (emb, acc, token)
     }
 
-    /// Returns a partition's floats to the server, charging the
-    /// transfer; returns the simulated seconds spent and whether the
-    /// write committed. A check-in whose token is no longer valid (the
-    /// holder's lease expired and the partition was re-checked-out or
-    /// revoked) is discarded: the committed version stays as it was.
+    /// Returns a partition's floats to the server, recording the
+    /// transfer; returns whether the write committed. A check-in whose
+    /// token is no longer valid (the holder's lease expired and the
+    /// partition was re-checked-out or revoked) is discarded: the
+    /// committed version stays as it was.
     ///
     /// # Panics
     ///
     /// Panics if the key is unknown.
-    pub fn checkin(
-        &self,
-        key: PartitionKey,
-        emb: Vec<f32>,
-        acc: Vec<f32>,
-        token: u64,
-    ) -> (f64, bool) {
+    pub fn checkin(&self, key: PartitionKey, emb: Vec<f32>, acc: Vec<f32>, token: u64) -> bool {
         // bytes cross the wire before the server can judge the token
-        let secs = self.net.record_rpc(
+        self.net.record_rpc(
             wirecost::checkin_request_bytes_q(
                 emb.len(),
                 acc.len(),
@@ -167,12 +161,12 @@ impl PartitionServer {
             .get_mut(&key)
             .unwrap_or_else(|| panic!("partition {key:?} not on server"));
         if stored.valid_token != Some(token) {
-            return (secs, false);
+            return false;
         }
         stored.emb = emb;
         stored.acc = acc;
         stored.valid_token = None;
-        (secs, true)
+        true
     }
 
     /// Invalidates any outstanding checkout token for `key`, so a dead
@@ -232,9 +226,9 @@ mod tests {
     fn checkout_checkin_roundtrip() {
         let s = server(4, 2);
         let key = PartitionKey::new(0u32, 2u32);
-        let (mut emb, acc, token, _) = s.checkout(key);
+        let (mut emb, acc, token) = s.checkout(key);
         emb[0] = 42.0;
-        let (_, committed) = s.checkin(key, emb, acc, token);
+        let committed = s.checkin(key, emb, acc, token);
         assert!(committed);
         let (emb2, _) = s.peek(key);
         assert_eq!(emb2[0], 42.0);
@@ -247,9 +241,9 @@ mod tests {
         let s = server(4, 2);
         let key = PartitionKey::new(0u32, 2u32);
         let before = s.peek(key).0;
-        let (mut emb, _acc, _token, _) = s.checkout(key);
+        let (mut emb, _acc, _token) = s.checkout(key);
         emb[0] = 999.0; // dies here; emb is the client's private copy
-        let (emb2, _, _, _) = s.checkout(key);
+        let (emb2, _, _) = s.checkout(key);
         assert_eq!(emb2, before, "recovery must see the committed version");
     }
 
@@ -259,13 +253,13 @@ mod tests {
         // commits; A's zombie check-in must not clobber B's work
         let s = server(4, 2);
         let key = PartitionKey::new(0u32, 2u32);
-        let (mut emb_a, acc_a, token_a, _) = s.checkout(key);
-        let (mut emb_b, acc_b, token_b, _) = s.checkout(key);
+        let (mut emb_a, acc_a, token_a) = s.checkout(key);
+        let (mut emb_b, acc_b, token_b) = s.checkout(key);
         emb_b[0] = 7.0;
-        let (_, committed) = s.checkin(key, emb_b, acc_b, token_b);
+        let committed = s.checkin(key, emb_b, acc_b, token_b);
         assert!(committed);
         emb_a[0] = -1.0;
-        let (_, committed) = s.checkin(key, emb_a, acc_a, token_a);
+        let committed = s.checkin(key, emb_a, acc_a, token_a);
         assert!(!committed, "stale token must not commit");
         assert_eq!(s.peek(key).0[0], 7.0);
     }
@@ -274,10 +268,10 @@ mod tests {
     fn revoke_fences_out_the_dead_holder() {
         let s = server(4, 2);
         let key = PartitionKey::new(0u32, 2u32);
-        let (mut emb, acc, token, _) = s.checkout(key);
+        let (mut emb, acc, token) = s.checkout(key);
         s.revoke(key);
         emb[0] = -1.0;
-        let (_, committed) = s.checkin(key, emb, acc, token);
+        let committed = s.checkin(key, emb, acc, token);
         assert!(!committed);
     }
 
@@ -288,8 +282,8 @@ mod tests {
         let net = Arc::new(NetworkModel::new(1e6, 0.0));
         let s = PartitionServer::new(layout(4), 2, Arc::clone(&net));
         let key = PartitionKey::new(0u32, 1u32);
-        let (emb, acc, token, secs) = s.checkout(key);
-        assert!(secs > 0.0);
+        let (emb, acc, token) = s.checkout(key);
+        assert!(net.total_seconds() > 0.0);
         let checkout = wirecost::checkout_rpc_bytes(emb.len(), acc.len());
         assert_eq!(net.total_bytes() as usize, checkout);
         assert_eq!(net.total_transfers(), 2, "request + response");
@@ -312,7 +306,7 @@ mod tests {
                 2,
                 Arc::clone(&net),
             );
-            let (emb, acc, token, _) = s.checkout(key);
+            let (emb, acc, token) = s.checkout(key);
             let expect = wirecost::checkout_rpc_bytes_q(emb.len(), acc.len(), 32, precision)
                 + wirecost::checkin_rpc_bytes_q(emb.len(), acc.len(), 32, precision);
             s.checkin(key, emb, acc, token);

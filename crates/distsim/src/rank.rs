@@ -16,9 +16,10 @@
 //! diagonal (conflict-free) bucket grid a cluster run over either
 //! transport is bit-identical to the single-machine run.
 //!
-//! **Partition caching** is the paper's swap loop: a fenced checkout is
-//! exclusive, so a rank keeps only the partitions of the bucket it holds
-//! and checks everything else back in before releasing the old lock.
+//! **Residency** is the paper's swap loop: a fenced checkout is
+//! exclusive, so a rank holds exactly the partitions of the bucket it
+//! holds. On each grant it checks in what the new bucket does not need,
+//! releases the old lock, then checks out what it lacks.
 //!
 //! **Shared parameters** — relation operators and the embedding tables
 //! of unpartitioned entity types — live on the parameter service. Each
@@ -34,7 +35,7 @@ use pbg_core::config::PbgConfig;
 use pbg_core::model::{Model, TrainedEmbeddings};
 use pbg_core::optimizer::HogwildAdagradDense;
 use pbg_core::storage::{PartitionData, PartitionKey, PartitionStore};
-use pbg_core::trainer::{bucketize, needed_keys, train_bucket, Schedule, SwapPlanner};
+use pbg_core::trainer::{bucketize, needed_keys, train_bucket, Schedule};
 use pbg_graph::bucket::{BucketId, Buckets};
 use pbg_graph::edges::EdgeList;
 use pbg_graph::schema::GraphSchema;
@@ -43,7 +44,7 @@ use pbg_telemetry::metrics::names as metric;
 use pbg_telemetry::trace::names as span_name;
 use pbg_telemetry::{Counter, Gauge, Registry};
 use pbg_tensor::hogwild::HogwildArray;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -202,17 +203,16 @@ impl Rank {
         let lock_waits = telemetry.counter(metric::CLUSTER_LOCK_WAITS);
         let idle_ns = telemetry.counter(metric::CLUSTER_IDLE_NS);
         let recovered = telemetry.counter(metric::CLUSTER_RECOVERED_BUCKETS);
-        let prefetch_hits = telemetry.counter(metric::CLUSTER_PREFETCH_HITS);
         let acquire_wait = telemetry.histogram(metric::CLUSTER_ACQUIRE_WAIT_NS);
         // partitions this rank swaps: what the bucket needs, less the
         // shared tables it keeps for the whole run
-        let swapped = |bucket| -> HashSet<PartitionKey> {
-            let mut keys = needed_keys(model, bucket);
-            keys.retain(|key| !shared.contains_key(key));
-            keys
+        let swapped = |bucket| -> BTreeSet<PartitionKey> {
+            let keys = needed_keys(model, bucket).into_iter();
+            keys.filter(|key| !shared.contains_key(key)).collect()
         };
 
-        let mut planner = SwapPlanner::new();
+        // the partitions this rank has checked out, iterated in key order
+        let mut held = BTreeSet::new();
         let mut stats = RankStats::default();
         let mut prev: Option<BucketId> = None;
         let mut buckets_done_in_epoch = 0usize;
@@ -239,30 +239,26 @@ impl Rank {
                         buckets_done_in_epoch = 0;
                     }
                     let needed = swapped(bucket);
-                    let mut transition = planner.step(&needed);
                     // fenced checkouts cannot cache partitions whose bucket
                     // lock has been released — another rank's checkout would
-                    // silently invalidate our token — so evict everything
-                    // this bucket does not need, like the classic swap loop
-                    transition.release.extend(planner.evict_unneeded(&needed));
-                    for &key in &transition.release {
+                    // silently invalidate our token — so check in everything
+                    // this bucket does not need before releasing the lock
+                    for &key in held.difference(&needed) {
                         store.release(key);
                     }
                     if let Some(p) = prev.take() {
                         services.lock.release_bucket(rank, p)?;
                     }
-                    // checkout through the prefetch path: this step's I/O,
-                    // overlappable with the previous bucket's compute
-                    for &key in &transition.acquire {
-                        store.prefetch(key);
+                    for &key in needed.difference(&held) {
+                        store.load(key);
                     }
+                    held = needed;
                     store.check()?;
                     if faults.machine_crashes(epoch, rank, buckets_done_in_epoch) {
                         // hard crash at the worst point: bucket locked,
                         // partitions checked out, nothing released — the
                         // lease reaper and fencing tokens must clean up
                         stats.crashed = true;
-                        prefetch_hits.add(store.prefetch_hits() as u64);
                         return Ok(stats);
                     }
                     // the single-machine trainer's seed and edge order for
@@ -286,7 +282,7 @@ impl Rank {
                     wait_start = Some(t_req);
                     // give up held partitions and locks while waiting (the
                     // granted bucket another rank needs may overlap ours)
-                    for key in planner.finish() {
+                    for key in std::mem::take(&mut held) {
                         store.release(key);
                     }
                     store.check()?;
@@ -314,7 +310,7 @@ impl Rank {
                 }
             }
         }
-        for key in planner.finish() {
+        for key in held {
             store.release(key);
         }
         store.check()?;
@@ -322,7 +318,6 @@ impl Rank {
             services.lock.release_bucket(rank, p)?;
         }
         sync_blocks(&params, tracker, &blocks, true, telemetry)?;
-        prefetch_hits.add(store.prefetch_hits() as u64);
         Ok(stats)
     }
 }
@@ -497,8 +492,6 @@ struct Slot {
     data: Arc<PartitionData>,
     /// Fencing token of the checkout, presented at check-in.
     token: u64,
-    /// Checked out ahead of use; the first `load` is a prefetch hit.
-    prefetched: bool,
 }
 
 /// Rank-local partition store over a [`PartitionService`]. Shared tables
@@ -520,7 +513,6 @@ struct RankStore<'a, P: PartitionService + Sync> {
     lr: f32,
     resident_bytes: Gauge,
     swaps: AtomicUsize,
-    prefetch_hits: AtomicUsize,
     retries: Counter,
     stale_checkins: Counter,
     failed: Mutex<Option<ServiceError>>,
@@ -546,7 +538,6 @@ impl<'a, P: PartitionService + Sync> RankStore<'a, P> {
             lr: model.config().learning_rate,
             resident_bytes: telemetry.gauge(&format!("rank{rank}.resident_bytes")),
             swaps: AtomicUsize::new(0),
-            prefetch_hits: AtomicUsize::new(0),
             retries: telemetry.counter(metric::NET_RPC_RETRIES),
             stale_checkins: telemetry.counter(metric::CLUSTER_STALE_CHECKINS),
             failed: Mutex::new(None),
@@ -621,18 +612,6 @@ impl<'a, P: PartitionService + Sync> RankStore<'a, P> {
         let data = PartitionData::from_parts(rows, self.dim, self.lr, emb, &acc);
         (Arc::new(data), token)
     }
-
-    /// Checks `key` out into a resident slot.
-    fn admit(&self, key: PartitionKey, prefetched: bool) -> Slot {
-        let (data, token) = self.fetch(key);
-        self.swaps.fetch_add(1, Ordering::Relaxed);
-        self.resident_bytes.add(data.bytes() as u64);
-        Slot {
-            data,
-            token,
-            prefetched,
-        }
-    }
 }
 
 impl<P: PartitionService + Sync> PartitionStore for RankStore<'_, P> {
@@ -644,12 +623,12 @@ impl<P: PartitionService + Sync> PartitionStore for RankStore<'_, P> {
             return self.fetch(key).0;
         }
         let mut resident = self.resident.lock();
-        let slot = resident
-            .entry(key)
-            .or_insert_with(|| self.admit(key, false));
-        if std::mem::take(&mut slot.prefetched) {
-            self.prefetch_hits.fetch_add(1, Ordering::Relaxed);
-        }
+        let slot = resident.entry(key).or_insert_with(|| {
+            let (data, token) = self.fetch(key);
+            self.swaps.fetch_add(1, Ordering::Relaxed);
+            self.resident_bytes.add(data.bytes() as u64);
+            Slot { data, token }
+        });
         Arc::clone(&slot.data)
     }
 
@@ -673,15 +652,6 @@ impl<P: PartitionService + Sync> PartitionStore for RankStore<'_, P> {
         self.resident_bytes.sub(data.bytes() as u64);
     }
 
-    fn prefetch(&self, key: PartitionKey) {
-        if !self.shared.contains_key(&key) {
-            self.resident
-                .lock()
-                .entry(key)
-                .or_insert_with(|| self.admit(key, true));
-        }
-    }
-
     fn resident_bytes(&self) -> usize {
         self.resident_bytes.get() as usize
     }
@@ -692,10 +662,6 @@ impl<P: PartitionService + Sync> PartitionStore for RankStore<'_, P> {
 
     fn swap_ins(&self) -> usize {
         self.swaps.load(Ordering::Relaxed)
-    }
-
-    fn prefetch_hits(&self) -> usize {
-        self.prefetch_hits.load(Ordering::Relaxed)
     }
 
     fn load_all(&self) {

@@ -114,8 +114,7 @@ impl LockService for EpochLock {
 
 impl PartitionService for PartitionServer {
     fn checkout(&self, key: PartitionKey) -> Result<(Vec<f32>, Vec<f32>, u64), ServiceError> {
-        let (emb, acc, token, _secs) = PartitionServer::checkout(self, key);
-        Ok((emb, acc, token))
+        Ok(PartitionServer::checkout(self, key))
     }
 
     fn checkin(
@@ -125,8 +124,7 @@ impl PartitionService for PartitionServer {
         acc: Vec<f32>,
         token: u64,
     ) -> Result<bool, ServiceError> {
-        let (_secs, committed) = PartitionServer::checkin(self, key, emb, acc, token);
-        Ok(committed)
+        Ok(PartitionServer::checkin(self, key, emb, acc, token))
     }
 
     fn revoke(&self, key: PartitionKey) -> Result<(), ServiceError> {
@@ -146,8 +144,7 @@ impl ParamService for ParameterServer {
     }
 
     fn push_pull(&self, key: ParamKey, delta: &[f32]) -> Result<Vec<f32>, ServiceError> {
-        let (merged, _secs) = ParameterServer::push_pull(self, key, delta);
-        Ok(merged)
+        Ok(ParameterServer::push_pull(self, key, delta))
     }
 
     fn pull(&self, key: ParamKey) -> Result<Vec<f32>, ServiceError> {

@@ -1,12 +1,34 @@
 //! Property-based tests for the distributed-execution substrate.
 
+use pbg_distsim::event::{simulate, EventSimConfig};
 use pbg_distsim::lockserver::{Acquire, LockServer};
 use pbg_distsim::netmodel::NetworkModel;
-use pbg_distsim::occupancy::{max_parallel, schedule_occupancy};
 use pbg_graph::bucket::BucketId;
 use pbg_tensor::rng::Xoshiro256;
 use proptest::prelude::*;
 use std::collections::HashSet;
+
+/// Machine occupancy of the discrete-event schedule for `P` partitions
+/// and `M` machines, with uniform buckets and free transfers so only
+/// the lock server's scheduling shows.
+fn occupancy(partitions: u32, machines: usize) -> f64 {
+    let p = partitions as u64;
+    simulate(&EventSimConfig {
+        nodes: p * 1_000,
+        edges: p * p * 100_000,
+        dim: 4,
+        partitions,
+        machines,
+        epochs: 2,
+        edges_per_sec: 100_000.0,
+        disk_bandwidth: 1e18,
+        net_bandwidth: 1e18,
+        epoch_overhead_sec: 0.0,
+        pipelined: false,
+        buffer_partitions: 2,
+    })
+    .occupancy
+}
 
 proptest! {
     /// Under any random schedule of acquires and releases, concurrently
@@ -99,10 +121,11 @@ proptest! {
     #[test]
     fn occupancy_bounded_and_monotone_in_machines(p in 2u32..17) {
         let m_half = (p / 2).max(1) as usize;
-        let occ_ok = schedule_occupancy(p, m_half);
-        let occ_over = schedule_occupancy(p, 2 * m_half + 2);
+        let occ_ok = occupancy(p, m_half);
+        let occ_over = occupancy(p, 2 * m_half + 2);
         prop_assert!((0.0..=1.0 + 1e-9).contains(&occ_ok));
         prop_assert!(occ_over <= occ_ok + 1e-9, "oversubscription improved occupancy");
-        prop_assert_eq!(max_parallel(p, 1000), (p / 2).max(1) as usize);
+        // a lone machine always finds a free bucket
+        prop_assert!(occupancy(p, 1) > 0.95, "one machine idled");
     }
 }

@@ -259,7 +259,7 @@ fn handle_partitions(
             wire::write_message(stream, &Message::Pong { nonce })?;
         }
         Message::PartCheckout { key } => {
-            let (emb, acc, token, _secs) = guarded("part_checkout", || parts.checkout(key))?;
+            let (emb, acc, token) = guarded("part_checkout", || parts.checkout(key))?;
             let layout = parts.layout();
             send_part_data(stream, token, emb, acc, layout.dim(), layout.precision())?;
         }
@@ -278,8 +278,7 @@ fn handle_partitions(
             let total = emb_len as usize + acc_len as usize;
             let (mut combined, _) = wire::read_chunks(stream, total)?;
             let acc = combined.split_off(emb_len as usize);
-            let (_secs, committed) =
-                guarded("part_checkin", || parts.checkin(key, combined, acc, token))?;
+            let committed = guarded("part_checkin", || parts.checkin(key, combined, acc, token))?;
             wire::write_message(stream, &Message::PartCheckinResp { committed })?;
         }
         Message::PartRevoke { key } => {
@@ -335,7 +334,7 @@ fn handle_params(
             Message::ParamValue { value }
         }
         Message::ParamPushPull { key, delta } => {
-            let (value, _secs) = guarded("param_push_pull", || params.push_pull(key, &delta))?;
+            let value = guarded("param_push_pull", || params.push_pull(key, &delta))?;
             Message::ParamValue { value }
         }
         Message::ParamPull { key } => {

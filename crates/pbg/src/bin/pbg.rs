@@ -18,7 +18,7 @@
 //!               [--request-log LOG.jsonl]
 //! pbg train     --edges E --cluster lock=H:P,part=H:P,param=H:P
 //!               --rank R [--sync-throttle-ms MS] [--output CKPT] ...
-//! pbg eval      --checkpoint CKPT --test E [--train E]
+//! pbg eval      --checkpoint CKPT --test E [--train E] [--format tsv|snap]
 //!               [--candidates N] [--filtered] [--prevalence]
 //! pbg neighbors --checkpoint CKPT --entity ID [--relation R] [--k K]
 //! pbg trace     summarize TRACE.jsonl...
@@ -95,13 +95,18 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let rest = args.get(1..).unwrap_or_default();
     let result = match args.first().map(String::as_str) {
-        Some("train") => cmd_train(&parse_flags(&args[1..])),
-        Some("serve") => cmd_serve(&parse_flags(&args[1..])),
-        Some("eval") => cmd_eval(&parse_flags(&args[1..])),
-        Some("neighbors") => cmd_neighbors(&parse_flags(&args[1..])),
-        Some("trace") => cmd_trace(&args[1..]),
-        Some("metrics") => cmd_metrics(&args[1..]),
+        Some("train") => parse_flags(rest, TRAIN_FLAGS, &["pin-cores"]).and_then(|f| cmd_train(&f)),
+        Some("serve") => parse_flags(rest, SERVE_FLAGS, &[]).and_then(|f| cmd_serve(&f)),
+        Some("eval") => {
+            parse_flags(rest, EVAL_FLAGS, &["filtered", "prevalence"]).and_then(|f| cmd_eval(&f))
+        }
+        Some("neighbors") => {
+            parse_flags(rest, NEIGHBORS_FLAGS, &[]).and_then(|f| cmd_neighbors(&f))
+        }
+        Some("trace") => cmd_trace(rest),
+        Some("metrics") => cmd_metrics(rest),
         Some("--help") | Some("-h") | None => {
             eprintln!("{}", USAGE);
             return ExitCode::SUCCESS;
@@ -138,12 +143,55 @@ const USAGE: &str = "usage:
   pbg serve     --role embed --model CKPT [--listen HOST:PORT]
                 [--rate-limit RPS] [--rate-burst N]
                 [--request-log LOG.jsonl]
-  pbg eval      --checkpoint CKPT --test E [--train E]
+  pbg eval      --checkpoint CKPT --test E [--train E] [--format tsv|snap]
                 [--candidates N] [--filtered] [--prevalence]
   pbg neighbors --checkpoint CKPT --entity ID [--relation R] [--k K]
   pbg trace     summarize TRACE.jsonl...
   pbg trace     export [--format perfetto] [--output F] TRACE.jsonl...
   pbg metrics   lint METRICS.txt";
+
+/// The value flags each subcommand accepts (its switches are listed
+/// where `main` parses it).
+const TRAIN_FLAGS: &[&str] = &[
+    "edges",
+    "format",
+    "config",
+    "partitions",
+    "disk",
+    "output",
+    "buffer-size",
+    "bucket-ordering",
+    "threads",
+    "precision",
+    "checkpoint-every",
+    "resume",
+    "inject-crash-after",
+    "telemetry",
+    "metrics-addr",
+    "log-format",
+    "cluster",
+    "rank",
+    "sync-throttle-ms",
+];
+const SERVE_FLAGS: &[&str] = &[
+    "role",
+    "listen",
+    "edges",
+    "format",
+    "config",
+    "partitions",
+    "shards",
+    "lease-ms",
+    "precision",
+    "telemetry",
+    "metrics-addr",
+    "model",
+    "rate-limit",
+    "rate-burst",
+    "request-log",
+];
+const EVAL_FLAGS: &[&str] = &["checkpoint", "test", "train", "format", "candidates"];
+const NEIGHBORS_FLAGS: &[&str] = &["checkpoint", "entity", "relation", "k"];
 
 #[derive(Debug, Default)]
 struct Flags {
@@ -175,26 +223,25 @@ impl Flags {
     }
 }
 
-fn parse_flags(args: &[String]) -> Flags {
+/// Parses a subcommand's arguments against the value flags and switches
+/// it accepts. An unknown flag, a value flag without a value, or a
+/// positional argument is an error that carries the usage.
+fn parse_flags(args: &[String], values: &[&str], switches: &[&str]) -> Result<Flags, String> {
     let mut flags = Flags::default();
-    let mut i = 0;
-    while i < args.len() {
-        if let Some(name) = args[i].strip_prefix("--") {
-            match args.get(i + 1) {
-                Some(v) if !v.starts_with("--") => {
-                    flags.values.insert(name.to_string(), v.clone());
-                    i += 2;
-                }
-                _ => {
-                    flags.switches.push(name.to_string());
-                    i += 1;
-                }
-            }
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let name = arg.strip_prefix("--").unwrap_or_default();
+        if switches.contains(&name) {
+            flags.switches.push(name.to_string());
+        } else if values.contains(&name) {
+            let value = args.next().filter(|v| !v.starts_with("--"));
+            let value = value.ok_or_else(|| format!("flag --{name} needs a value\n{USAGE}"))?;
+            flags.values.insert(name.to_string(), value.clone());
         } else {
-            i += 1;
+            return Err(format!("unexpected argument `{arg}`\n{USAGE}"));
         }
     }
-    flags
+    Ok(flags)
 }
 
 fn load_edges(path: &str, format: &str) -> Result<(EdgeList, u32, u32), String> {

@@ -47,8 +47,6 @@ pub mod names {
     pub const CLUSTER_EDGES: &str = "cluster.edges";
     /// Counter: cluster bucket-acquire attempts that had to wait.
     pub const CLUSTER_LOCK_WAITS: &str = "cluster.lock_waits";
-    /// Counter: cluster loads served by a rank's prefetched partition.
-    pub const CLUSTER_PREFETCH_HITS: &str = "cluster.prefetch_hits";
     /// Counter: bytes moved over the simulated network.
     pub const CLUSTER_NET_BYTES: &str = "cluster.net_bytes";
     /// Counter: bytes of shared-parameter sync traffic (relation
@@ -159,10 +157,6 @@ pub mod names {
         (
             CLUSTER_LOCK_WAITS,
             "Cluster bucket-acquire attempts that had to wait",
-        ),
-        (
-            CLUSTER_PREFETCH_HITS,
-            "Cluster loads served by a prefetched partition",
         ),
         (CLUSTER_NET_BYTES, "Bytes moved over the simulated network"),
         (CLUSTER_SYNC_BYTES, "Bytes of shared-parameter sync traffic"),

@@ -124,3 +124,32 @@ fn fb15k_like_complex_softmax_flow() {
         raw.mrr
     );
 }
+
+#[test]
+fn cli_rejects_misspelled_flags_and_stray_arguments() {
+    let dir = std::env::temp_dir().join(format!("pbg_cli_flags_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let edges = dir.join("ring.tsv");
+    std::fs::write(&edges, "0\t0\t1\n1\t0\t2\n2\t0\t3\n3\t0\t0\n").unwrap();
+    let out = dir.join("ckpt");
+    let edges = edges.to_str().unwrap();
+    let ckpt = out.to_str().unwrap();
+    for args in [
+        &["--edges", edges, "--partitons", "4", "--output", ckpt][..],
+        &["--edges", edges, "--output", ckpt, "extra"],
+        &["--edges", edges, "--output"],
+        &["--edges", edges, "--output", "--threads", "1"],
+    ] {
+        let run = std::process::Command::new(env!("CARGO_BIN_EXE_pbg"))
+            .arg("train")
+            .args(args)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert!(!run.status.success(), "{args:?} trained: {stderr}");
+        assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+        assert!(!out.exists(), "{args:?} wrote a checkpoint");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
