@@ -25,6 +25,18 @@ pub struct PbgRun {
 }
 
 impl PbgRun {
+    /// A run's result; its peak is the last epoch's, which reports the
+    /// peak so far.
+    fn new(model: TrainedEmbeddings, epochs: Vec<EpochStats>, seconds: f64) -> Self {
+        let peak_bytes = epochs.last().map_or(0, |e| e.peak_bytes);
+        PbgRun {
+            model,
+            epochs,
+            peak_bytes,
+            seconds,
+        }
+    }
+
     /// Loads served by a completed background prefetch, summed over
     /// epochs (0 for in-memory runs).
     pub fn total_prefetch_hits(&self) -> usize {
@@ -64,12 +76,7 @@ pub fn train_pbg(
     let start = std::time::Instant::now();
     let epochs = trainer.train();
     let seconds = start.elapsed().as_secs_f64();
-    PbgRun {
-        model: trainer.snapshot(),
-        peak_bytes: trainer.store().peak_bytes(),
-        epochs,
-        seconds,
-    }
+    PbgRun::new(trainer.snapshot(), epochs, seconds)
 }
 
 /// Trains PBG, invoking `on_epoch(epoch, elapsed_secs, &snapshot)` after
@@ -87,12 +94,7 @@ pub fn train_pbg_with_curve(
         true
     });
     let seconds = start.elapsed().as_secs_f64();
-    PbgRun {
-        model: trainer.snapshot(),
-        peak_bytes: trainer.store().peak_bytes(),
-        epochs,
-        seconds,
-    }
+    PbgRun::new(trainer.snapshot(), epochs, seconds)
 }
 
 /// Wraps a plain embedding matrix (baseline output) as a

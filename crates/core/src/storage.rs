@@ -6,11 +6,12 @@
 //! `(entity type, partition)`; the trainer loads the two partitions a
 //! bucket needs and releases the ones it no longer uses.
 //! [`DiskStore`] writes released partitions to files and reloads them on
-//! demand, tracking resident and peak bytes — the numbers behind the
-//! memory columns of Tables 3 and 4. In its default pipelined mode a
-//! background I/O thread double-buffers the next bucket's partitions
-//! ([`PartitionStore::prefetch`]) and writes released ones back off the
-//! hot path, so bucket `k+1`'s swap overlaps bucket `k`'s compute.
+//! demand, gauging resident and peak bytes in its telemetry registry —
+//! the numbers behind the memory columns of Tables 3 and 4. In its
+//! default pipelined mode a background I/O thread double-buffers the
+//! next bucket's partitions ([`PartitionStore::prefetch`]) and writes
+//! released ones back off the hot path, so bucket `k+1`'s swap overlaps
+//! bucket `k`'s compute.
 
 use crate::error::{PbgError, Result};
 use crate::shard;
@@ -95,42 +96,25 @@ impl PartitionData {
     }
 }
 
-/// Abstract partition storage.
+/// Abstract partition storage: four operations and no read-back.
 ///
 /// `load` must return the same logical data for a key until `release`d;
-/// `release` may evict (write back) the partition. Implementations track
-/// the resident-byte high-water mark.
+/// `release` may evict (write back) the partition. A store keeps no
+/// counters of its own: what it measures — resident bytes and their
+/// peak, swap-ins, prefetch hits, swap waits, write-back bytes — goes to
+/// the telemetry registry it was built with, under the
+/// [`pbg_telemetry::metrics::names`] metric names, and the trainer's
+/// epoch report is a delta of that registry.
 pub trait PartitionStore: Send + Sync {
     /// Loads (or returns the resident) partition for `key`.
     fn load(&self, key: PartitionKey) -> Arc<PartitionData>;
     /// Releases `key`, allowing eviction. Callers drop their `Arc` first.
     fn release(&self, key: PartitionKey);
-    /// Bytes currently resident.
-    fn resident_bytes(&self) -> usize;
-    /// High-water mark of resident bytes.
-    fn peak_bytes(&self) -> usize;
-    /// Number of loads that had to fetch from backing storage.
-    fn swap_ins(&self) -> usize;
-    /// Forces everything resident (used before evaluation snapshots).
-    fn load_all(&self);
     /// Hints that `key` will be loaded soon; implementations may fetch
     /// it in the background so the later [`PartitionStore::load`] does
     /// not block. Callers must not prefetch keys of the bucket currently
     /// training (see [`crate::trainer::plan::EpochPlan`]). Default: no-op.
     fn prefetch(&self, _key: PartitionKey) {}
-    /// Loads served by a completed prefetch instead of blocking I/O.
-    fn prefetch_hits(&self) -> usize {
-        0
-    }
-    /// Nanoseconds the hot path spent blocked on backing-storage I/O
-    /// (synchronous reads plus waits for in-flight prefetches).
-    fn swap_wait_nanos(&self) -> u64 {
-        0
-    }
-    /// Bytes written back to backing storage by releases.
-    fn bytes_written_back(&self) -> u64 {
-        0
-    }
     /// Marks `key`'s resident data as mutated, so its eventual
     /// [`PartitionStore::release`] must persist it. Callers that write
     /// into a loaded partition MUST call this before releasing it — a
@@ -140,11 +124,6 @@ pub trait PartitionStore: Send + Sync {
     /// traffic. Stores that keep everything resident ignore this.
     /// Default: no-op.
     fn mark_dirty(&self, _key: PartitionKey) {}
-    /// Bytes of write-back skipped because the released partition was
-    /// never marked dirty.
-    fn writeback_skipped_bytes(&self) -> u64 {
-        0
-    }
 }
 
 /// Every `(key, rows)` of `schema`: entity types in order, partitions in
@@ -247,9 +226,7 @@ impl StoreLayout {
 /// unpartitioned regime.
 #[derive(Debug)]
 pub struct InMemoryStore {
-    layout: StoreLayout,
     partitions: HashMap<PartitionKey, Arc<PartitionData>>,
-    bytes: usize,
 }
 
 impl InMemoryStore {
@@ -264,7 +241,7 @@ impl InMemoryStore {
     pub fn with_telemetry(layout: StoreLayout, telemetry: &Registry) -> Self {
         let mut partitions = HashMap::new();
         let mut bytes = 0;
-        for (key, _) in layout.keys().to_vec() {
+        for &(key, _) in layout.keys() {
             let data = Arc::new(layout.init(key));
             bytes += data.bytes();
             partitions.insert(key, data);
@@ -275,16 +252,7 @@ impl InMemoryStore {
         telemetry
             .gauge(metric::STORE_RESIDENT_PARTITIONS)
             .set(partitions.len() as u64);
-        InMemoryStore {
-            layout,
-            partitions,
-            bytes,
-        }
-    }
-
-    /// The layout this store was built from.
-    pub fn layout(&self) -> &StoreLayout {
-        &self.layout
+        InMemoryStore { partitions }
     }
 }
 
@@ -298,20 +266,6 @@ impl PartitionStore for InMemoryStore {
     }
 
     fn release(&self, _key: PartitionKey) {}
-
-    fn resident_bytes(&self) -> usize {
-        self.bytes
-    }
-
-    fn peak_bytes(&self) -> usize {
-        self.bytes
-    }
-
-    fn swap_ins(&self) -> usize {
-        0
-    }
-
-    fn load_all(&self) {}
 }
 
 /// Outcome of one swap read or write; the error names the file and the
@@ -390,9 +344,9 @@ impl SwapState {
 /// State shared between the front end and the background I/O thread.
 ///
 /// The I/O counters are telemetry handles registered under the
-/// [`pbg_telemetry::metrics::names`] metric names: the store's own
-/// accessors, the trainer's epoch reports, the Prometheus dump, and the
-/// JSONL trace all read the same atomics.
+/// [`pbg_telemetry::metrics::names`] metric names and nowhere else: the
+/// trainer's epoch reports, the Prometheus dump, and the JSONL trace all
+/// read the same atomics.
 struct DiskShared {
     layout: StoreLayout,
     dir: PathBuf,
@@ -652,10 +606,10 @@ fn io_loop(shared: Arc<DiskShared>, rx: channel::Receiver<IoMsg>) {
 /// modes produce bit-identical training results (the only difference is
 /// *when* bytes move, never *which* bytes a `load` observes).
 ///
-/// `resident_bytes`/`peak_bytes` gauge the partitions checked out by the
-/// trainer; transient double-buffers (completed prefetches, write-back
-/// queue) are excluded so the metric keeps meaning "working set of the
-/// training loop" across both modes.
+/// The `store.resident_bytes` gauge (and its peak) counts the partitions
+/// checked out by the trainer; transient double-buffers (completed
+/// prefetches, write-back queue) are excluded so the metric keeps meaning
+/// "working set of the training loop" across both modes.
 pub struct DiskStore {
     shared: Arc<DiskShared>,
     /// `Some` in pipelined mode: request channel + thread handle.
@@ -777,11 +731,6 @@ impl DiskStore {
             }),
             io: None,
         })
-    }
-
-    /// `true` when the background I/O thread is active.
-    pub fn is_pipelined(&self) -> bool {
-        self.io.is_some()
     }
 }
 
@@ -908,42 +857,8 @@ impl PartitionStore for DiskStore {
             .expect("disk I/O thread alive");
     }
 
-    fn resident_bytes(&self) -> usize {
-        self.shared.resident_bytes.get() as usize
-    }
-
-    fn peak_bytes(&self) -> usize {
-        self.shared.resident_bytes.peak() as usize
-    }
-
-    fn swap_ins(&self) -> usize {
-        self.shared.swap_ins.get() as usize
-    }
-
-    fn prefetch_hits(&self) -> usize {
-        self.shared.prefetch_hits.get() as usize
-    }
-
-    fn swap_wait_nanos(&self) -> u64 {
-        self.shared.swap_wait_ns.get()
-    }
-
-    fn bytes_written_back(&self) -> u64 {
-        self.shared.bytes_written_back.get()
-    }
-
     fn mark_dirty(&self, key: PartitionKey) {
         self.shared.state.lock().mutated.insert(key);
-    }
-
-    fn writeback_skipped_bytes(&self) -> u64 {
-        self.shared.writeback_skipped.get()
-    }
-
-    fn load_all(&self) {
-        for (key, _) in self.shared.layout.keys().to_vec() {
-            let _ = self.load(key);
-        }
     }
 }
 
@@ -1202,11 +1117,17 @@ mod tests {
         StoreLayout::from_schema(&schema(p), 8, 0.1, 0.1, 42)
     }
 
-    /// Waits until `store` has written back at least `bytes`. A key whose
-    /// write-back has landed is read from its file, not from memory.
-    fn wait_written_back(store: &DiskStore, bytes: u64) {
+    /// Counter `name` of the store built with `reg`.
+    fn counter(reg: &Registry, name: &str) -> u64 {
+        reg.counter(name).get()
+    }
+
+    /// Waits until the store built with `reg` has written back at least
+    /// `bytes`. A key whose write-back has landed is read from its file,
+    /// not from memory.
+    fn wait_written_back(reg: &Registry, bytes: u64) {
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        while store.bytes_written_back() < bytes {
+        while counter(reg, metric::STORE_BYTES_WRITTEN_BACK) < bytes {
             assert!(
                 std::time::Instant::now() < deadline,
                 "write-back did not land"
@@ -1215,19 +1136,20 @@ mod tests {
         }
     }
 
-    /// Both store flavours over `dir`, each made when the loop reaches
-    /// it: synchronous, then pipelined.
+    /// Both store flavours over `dir`, each with its own registry and
+    /// made when the loop reaches it: synchronous, then pipelined.
     fn both_stores<'a>(
         layout: &'a StoreLayout,
         dir: &'a std::path::Path,
-    ) -> impl Iterator<Item = DiskStore> + 'a {
+    ) -> impl Iterator<Item = (DiskStore, Registry)> + 'a {
         [false, true].into_iter().map(move |pipelined| {
-            let layout = layout.clone();
-            if pipelined {
-                DiskStore::new(layout, dir).unwrap()
+            let (layout, reg) = (layout.clone(), Registry::new());
+            let store = if pipelined {
+                DiskStore::with_telemetry(layout, dir, &reg)
             } else {
-                DiskStore::new_sync(layout, dir).unwrap()
-            }
+                DiskStore::new_sync_with_telemetry(layout, dir, &reg)
+            };
+            (store.unwrap(), reg)
         })
     }
 
@@ -1241,14 +1163,15 @@ mod tests {
 
     #[test]
     fn in_memory_load_is_stable() {
-        let store = InMemoryStore::new(layout(2));
+        let reg = Registry::new();
+        let store = InMemoryStore::with_telemetry(layout(2), &reg);
         let key = PartitionKey::new(0u32, 0u32);
         let a = store.load(key);
         a.embeddings.set(0, 0, 123.0);
         store.release(key);
         let b = store.load(key);
         assert_eq!(b.embeddings.get(0, 0), 123.0);
-        assert_eq!(store.swap_ins(), 0);
+        assert_eq!(reg.snapshot().counter(metric::STORE_SWAP_INS), 0);
     }
 
     #[test]
@@ -1270,7 +1193,8 @@ mod tests {
     #[test]
     fn disk_store_roundtrips_through_release() {
         let dir = std::env::temp_dir().join(format!("pbg_disk_{}", std::process::id()));
-        let store = DiskStore::new(layout(2), &dir).unwrap();
+        let reg = Registry::new();
+        let store = DiskStore::with_telemetry(layout(2), &dir, &reg).unwrap();
         let key = PartitionKey::new(0u32, 1u32);
         let data = store.load(key);
         data.embeddings.set(3, 2, 7.5);
@@ -1278,79 +1202,75 @@ mod tests {
         drop(data);
         store.mark_dirty(key);
         store.release(key);
-        assert_eq!(store.resident_bytes(), 0);
+        assert_eq!(reg.gauge(metric::STORE_RESIDENT_BYTES).get(), 0);
         let back = store.load(key);
         assert_eq!(back.embeddings.get(3, 2), 7.5);
         assert!(back.adagrad.accumulator(3) > 0.0, "adagrad state persisted");
-        assert_eq!(store.swap_ins(), 2);
+        assert_eq!(counter(&reg, metric::STORE_SWAP_INS), 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn disk_store_tracks_peak() {
         let dir = std::env::temp_dir().join(format!("pbg_disk_peak_{}", std::process::id()));
-        let store = DiskStore::new(layout(4), &dir).unwrap();
+        let reg = Registry::new();
+        let store = DiskStore::with_telemetry(layout(4), &dir, &reg).unwrap();
+        let resident = reg.gauge(metric::STORE_RESIDENT_BYTES);
         let k0 = PartitionKey::new(0u32, 0u32);
         let k1 = PartitionKey::new(0u32, 1u32);
         let _a = store.load(k0);
-        let one = store.resident_bytes();
+        let one = resident.get();
         let _b = store.load(k1);
-        let two = store.resident_bytes();
+        let two = resident.get();
         assert!(two > one);
         store.release(k0);
         store.release(k1);
-        assert_eq!(store.resident_bytes(), 0);
-        assert_eq!(store.peak_bytes(), two, "peak is the high-water mark");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn load_all_brings_everything_in() {
-        let dir = std::env::temp_dir().join(format!("pbg_disk_all_{}", std::process::id()));
-        let store = DiskStore::new(layout(4), &dir).unwrap();
-        store.load_all();
-        assert_eq!(store.swap_ins(), 4);
-        // idempotent
-        store.load_all();
-        assert_eq!(store.swap_ins(), 4);
+        assert_eq!(resident.get(), 0);
+        assert_eq!(resident.peak(), two, "peak is the high-water mark");
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn prefetch_serves_later_load() {
         let dir = std::env::temp_dir().join(format!("pbg_disk_pf_{}", std::process::id()));
-        let store = DiskStore::new(layout(4), &dir).unwrap();
-        assert!(store.is_pipelined());
+        let reg = Registry::new();
+        let store = DiskStore::with_telemetry(layout(4), &dir, &reg).unwrap();
         let key = PartitionKey::new(0u32, 2u32);
         store.prefetch(key);
         let data = store.load(key);
-        assert_eq!(store.prefetch_hits(), 1, "load served by the prefetch");
-        assert_eq!(store.swap_ins(), 1, "prefetch hits still count as swap-ins");
+        let (hits, swap_ins) = (metric::STORE_PREFETCH_HITS, metric::STORE_SWAP_INS);
+        assert_eq!(counter(&reg, hits), 1, "load served by the prefetch");
+        assert_eq!(
+            counter(&reg, swap_ins),
+            1,
+            "prefetch hits still count as swap-ins"
+        );
         assert!(data.bytes() > 0);
         // duplicate prefetch of a resident key is a no-op
         store.prefetch(key);
         let again = store.load(key);
         assert!(Arc::ptr_eq(&data, &again));
-        assert_eq!(store.swap_ins(), 1);
+        assert_eq!(counter(&reg, swap_ins), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn async_write_back_preserves_data() {
         let dir = std::env::temp_dir().join(format!("pbg_disk_wb_{}", std::process::id()));
-        let store = DiskStore::new(layout(2), &dir).unwrap();
+        let reg = Registry::new();
+        let store = DiskStore::with_telemetry(layout(2), &dir, &reg).unwrap();
         let key = PartitionKey::new(0u32, 0u32);
         let data = store.load(key);
         data.embeddings.set(1, 1, -3.25);
         drop(data);
         store.mark_dirty(key);
         store.release(key);
-        assert_eq!(store.resident_bytes(), 0);
+        assert_eq!(reg.gauge(metric::STORE_RESIDENT_BYTES).get(), 0);
         // the released copy is found again whether or not the
         // background write has landed yet
         let back = store.load(key);
         assert_eq!(back.embeddings.get(1, 1), -3.25);
-        assert_eq!(store.swap_ins(), 2);
+        assert_eq!(counter(&reg, metric::STORE_SWAP_INS), 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1372,11 +1292,15 @@ mod tests {
             shard.embeddings[3], 9.75,
             "row 0, col 3 of the flushed shard"
         );
-        let store = DiskStore::new_sync(layout(2), &dir).unwrap();
-        assert!(!store.is_pipelined());
+        let reg = Registry::new();
+        let store = DiskStore::new_sync_with_telemetry(layout(2), &dir, &reg).unwrap();
         store.prefetch(key);
         store.load(key);
-        assert_eq!(store.prefetch_hits(), 0, "sync mode never prefetches");
+        assert_eq!(
+            counter(&reg, metric::STORE_PREFETCH_HITS),
+            0,
+            "sync mode never prefetches"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1428,14 +1352,15 @@ mod tests {
         let worker_dir = dir.clone();
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
-            let store = DiskStore::new(layout(2), &worker_dir).unwrap();
+            let reg = Registry::new();
+            let store = DiskStore::with_telemetry(layout(2), &worker_dir, &reg).unwrap();
             store.load(k0).embeddings.set(0, 0, 5.0);
             store.mark_dirty(k0);
             store.release(k0);
             store.prefetch(k1);
             store.load(k1);
             // k1's read may overtake k0's write-back: wait for it to land
-            wait_written_back(&store, layout(2).init(k0).bytes() as u64);
+            wait_written_back(&reg, layout(2).init(k0).bytes() as u64);
             let path = worker_dir.join(swap_file_name(k0));
             let mut bytes = std::fs::read(&path).unwrap();
             let mid = bytes.len() / 2;
@@ -1505,14 +1430,15 @@ mod tests {
     #[test]
     fn clean_release_skips_write_back() {
         let dir = std::env::temp_dir().join(format!("pbg_disk_clean_{}", std::process::id()));
-        let store = DiskStore::new(layout(2), &dir).unwrap();
+        let reg = Registry::new();
+        let store = DiskStore::with_telemetry(layout(2), &dir, &reg).unwrap();
         let key = PartitionKey::new(0u32, 0u32);
         let data = store.load(key);
         let bytes = data.bytes() as u64;
         drop(data);
         store.release(key); // never marked dirty
-        assert_eq!(store.writeback_skipped_bytes(), bytes);
-        assert_eq!(store.bytes_written_back(), 0);
+        assert_eq!(counter(&reg, metric::STORE_WRITEBACK_SKIPPED_BYTES), bytes);
+        assert_eq!(counter(&reg, metric::STORE_BYTES_WRITTEN_BACK), 0);
         // reload re-derives the identical deterministic init
         let again = store.load(key);
         let reference = layout(2).init(key);
@@ -1528,26 +1454,24 @@ mod tests {
     #[test]
     fn dirty_bit_clears_after_release() {
         let dir = std::env::temp_dir().join(format!("pbg_disk_bit_{}", std::process::id()));
-        let store = DiskStore::new_sync(layout(2), &dir).unwrap();
+        let reg = Registry::new();
+        let store = DiskStore::new_sync_with_telemetry(layout(2), &dir, &reg).unwrap();
+        let written_back = || counter(&reg, metric::STORE_BYTES_WRITTEN_BACK);
         let key = PartitionKey::new(0u32, 0u32);
         let data = store.load(key);
         data.embeddings.set(0, 0, 42.0);
         drop(data);
         store.mark_dirty(key);
         store.release(key); // writes, consuming the dirty bit
-        let written = store.bytes_written_back();
+        let written = written_back();
         assert!(written > 0);
         // read-only round trip: the mutation survives, no second write
         let back = store.load(key);
         assert_eq!(back.embeddings.get(0, 0), 42.0);
         drop(back);
         store.release(key);
-        assert_eq!(
-            store.bytes_written_back(),
-            written,
-            "clean pass wrote nothing"
-        );
-        assert!(store.writeback_skipped_bytes() > 0);
+        assert_eq!(written_back(), written, "clean pass wrote nothing");
+        assert!(counter(&reg, metric::STORE_WRITEBACK_SKIPPED_BYTES) > 0);
         assert_eq!(store.load(key).embeddings.get(0, 0), 42.0);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1583,7 +1507,7 @@ mod tests {
         let path = dir.join(swap_file_name(key));
         let mut shard_bytes = Vec::new();
         shard::encode_partition(&layout(2).init(key), Precision::F32, &mut shard_bytes);
-        for store in both_stores(&layout(2), &dir) {
+        for (store, reg) in both_stores(&layout(2), &dir) {
             let mut stale = shard_bytes.clone();
             stale.extend_from_slice(b"trailing garbage");
             std::fs::write(&path, stale).unwrap();
@@ -1593,7 +1517,7 @@ mod tests {
             let (written, bytes) = (data.embeddings.to_vec(), data.bytes() as u64);
             drop(data);
             store.release(key);
-            wait_written_back(&store, bytes);
+            wait_written_back(&reg, bytes);
             assert_eq!(store.load(key).embeddings.to_vec(), written);
             store.release(key);
             drop(store);
@@ -1610,7 +1534,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("pbg_disk_inplace_{}", std::process::id()));
         let key = PartitionKey::new(0u32, 0u32);
         let path = dir.join(swap_file_name(key));
-        for store in both_stores(&layout(2), &dir) {
+        for (store, reg) in both_stores(&layout(2), &dir) {
             let mut inode = None;
             let mut written = 0;
             for round in 0..4 {
@@ -1622,7 +1546,7 @@ mod tests {
                 written += data.bytes() as u64;
                 drop(data);
                 store.release(key);
-                wait_written_back(&store, written);
+                wait_written_back(&reg, written);
                 let meta = std::fs::metadata(&path).unwrap();
                 assert_eq!(meta.len(), want.len() as u64, "round {round}");
                 assert_eq!(
@@ -1674,7 +1598,7 @@ mod tests {
         ) {
             let dir = std::env::temp_dir().join(format!("pbg_disk_model_{}", std::process::id()));
             let keys: Vec<PartitionKey> = (0u32..4).map(|p| PartitionKey::new(0u32, p)).collect();
-            for store in both_stores(&layout(4), &dir) {
+            for (store, _) in both_stores(&layout(4), &dir) {
                 // last dirty release per key (init until then), the
                 // resident copy, and whether it is marked dirty
                 let mut saved: Vec<Vec<f32>> =

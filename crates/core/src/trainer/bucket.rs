@@ -243,10 +243,6 @@ pub fn train_bucket(
             .gauge(metric::TRAINER_MFLOPS)
             .set((flop_delta as f64 / secs / 1e6) as u64);
     }
-    let (hits, swaps) = (store.prefetch_hits() as u64, store.swap_ins() as u64);
-    if let Some(hit_bp) = (hits * 10_000).checked_div(hits + swaps) {
-        telemetry.gauge(metric::TRAINER_BUFFER_HIT_BP).set(hit_bp);
-    }
     if tracing {
         telemetry.record_span(
             span_name::BUCKET_TRAIN,

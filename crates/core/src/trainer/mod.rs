@@ -16,7 +16,7 @@ use crate::checkpoint::{self, TrainProgress};
 use crate::config::PbgConfig;
 use crate::error::{PbgError, Result};
 use crate::model::{Model, TrainedEmbeddings};
-use crate::stats::{EpochAccumulator, EpochStats, IoStats};
+use crate::stats::{EpochAccumulator, EpochStats};
 use crate::storage::{DiskStore, InMemoryStore, PartitionStore, StoreLayout};
 use pbg_graph::bucket::{BucketId, Buckets};
 use pbg_graph::edges::EdgeList;
@@ -213,7 +213,7 @@ impl Trainer {
         &self.telemetry
     }
 
-    /// The partition store (for memory inspection).
+    /// The partition store. What it measures is in [`Trainer::telemetry`].
     pub fn store(&self) -> &dyn PartitionStore {
         self.store.as_ref()
     }
@@ -248,7 +248,7 @@ impl Trainer {
             EpochPlan::with_capacity(&order, |b| needed_keys(&self.model, b), config.buffer_size);
         let prefetch_depth = self.telemetry.histogram(metric_name::STORE_PREFETCH_DEPTH);
         let mut acc = EpochAccumulator::new();
-        let io_before = self.io_counters();
+        let before = self.telemetry.snapshot();
         let passes = config.bucket_passes;
         let total_steps = passes * plan.steps().len();
         let policy = self.checkpoint.clone();
@@ -322,7 +322,17 @@ impl Trainer {
                 }
             }
         }
-        let stats = acc.finish(self.epoch, self.io_counters().delta_since(&io_before));
+        let after = self.telemetry.snapshot();
+        let stats = acc.finish(self.epoch, &after.delta_since(&before));
+        // the buffer hit ratio over the run so far, from the store's
+        // registry counters
+        let hits = after.counter(metric_name::STORE_PREFETCH_HITS);
+        let swaps = after.counter(metric_name::STORE_SWAP_INS);
+        if let Some(hit_bp) = (hits * 10_000).checked_div(hits + swaps) {
+            self.telemetry
+                .gauge(metric_name::TRAINER_BUFFER_HIT_BP)
+                .set(hit_bp);
+        }
         if self.telemetry.tracing() {
             // one point per epoch so `pbg trace summarize` can report the
             // buffer's behavior next to the bucket timeline
@@ -364,23 +374,6 @@ impl Trainer {
             ],
         );
         Ok(())
-    }
-
-    /// Snapshot of the store's monotonic I/O counters, read from the
-    /// telemetry registry: epoch aggregates are a *view* of the same
-    /// atomics the trace and the Prometheus dump expose. The in-memory
-    /// store registers no counters, so its snapshot reads fall back to
-    /// the store's own accessors (its resident gauge is set once at
-    /// construction).
-    fn io_counters(&self) -> IoStats {
-        let io = IoStats::from_snapshot(&self.telemetry.snapshot());
-        IoStats {
-            // a store built without telemetry (not reachable through the
-            // public constructors, but cheap to keep honest) or an
-            // InMemoryStore reports its footprint through the trait
-            peak_bytes: io.peak_bytes.max(self.store.peak_bytes()),
-            ..io
-        }
     }
 
     /// Trains the configured number of epochs, invoking `on_epoch` after
@@ -618,16 +611,19 @@ mod tests {
         let stats = t.train();
         assert!(stats[0].swap_ins > 0, "disk store must swap partitions in");
         // with 4 partitions only 2 are ever resident: peak < full size
-        let full_bytes: usize = {
-            let schema = GraphSchema::homogeneous(64, 1).unwrap();
-            let t_full = Trainer::new(schema, &ring(64), config(1, 1)).unwrap();
-            t_full.store().peak_bytes()
+        let peak = |t: &Trainer| {
+            let snap = t.telemetry().snapshot();
+            snap.gauge(metric_name::STORE_RESIDENT_BYTES).peak as usize
         };
+        let full_bytes = {
+            let schema = GraphSchema::homogeneous(64, 1).unwrap();
+            peak(&Trainer::new(schema, &ring(64), config(1, 1)).unwrap())
+        };
+        assert_eq!(stats.last().unwrap().peak_bytes, peak(&t));
         assert!(
-            t.store().peak_bytes() < full_bytes,
-            "peak {} not below full model {}",
-            t.store().peak_bytes(),
-            full_bytes
+            peak(&t) < full_bytes,
+            "peak {} not below full model {full_bytes}",
+            peak(&t)
         );
         assert!(stats.last().unwrap().mean_loss < stats[0].mean_loss);
         std::fs::remove_dir_all(&dir).ok();
@@ -708,31 +704,53 @@ mod tests {
 
     #[test]
     fn epoch_stats_from_registry_match_store_counters() {
-        // fixed-seed disk run: the registry-derived epoch aggregates must
-        // agree with the store's own trait accessors — same atomics, two
-        // views
-        let dir = std::env::temp_dir().join(format!("pbg_reg_equiv_{}", std::process::id()));
-        let schema = GraphSchema::homogeneous(64, 4).unwrap();
-        let mut t =
-            Trainer::with_storage(schema, &ring(64), config(1, 3), Storage::Disk(dir.clone()))
-                .unwrap();
-        let stats = t.train();
-        let swap_ins: usize = stats.iter().map(|e| e.swap_ins).sum();
-        let hits: usize = stats.iter().map(|e| e.prefetch_hits).sum();
-        assert_eq!(swap_ins, t.store().swap_ins());
-        assert_eq!(hits, t.store().prefetch_hits());
-        let snap = t.telemetry().snapshot();
+        // fixed-seed disk runs: each epoch's report is the delta of the
+        // registry over that epoch, field for field
         use pbg_telemetry::metrics::names;
-        assert_eq!(snap.counter(names::STORE_SWAP_INS) as usize, swap_ins);
-        assert_eq!(
-            snap.gauge(names::STORE_RESIDENT_BYTES).peak as usize,
-            t.store().peak_bytes()
-        );
-        assert_eq!(
-            snap.counter(names::TRAINER_EDGES) as usize,
-            stats.iter().map(|e| e.edges).sum::<usize>()
-        );
-        std::fs::remove_dir_all(&dir).ok();
+        let base = std::env::temp_dir().join(format!("pbg_reg_equiv_{}", std::process::id()));
+        let schema = GraphSchema::homogeneous(64, 4).unwrap();
+        for storage in [
+            Storage::DiskSync(base.join("sync")),
+            Storage::Disk(base.join("pipelined")),
+        ] {
+            // the pipelined store's I/O thread lands write-backs whenever
+            // it gets to them, so their count may move between the
+            // trainer's snapshot and this test's
+            let synchronous = matches!(storage, Storage::DiskSync(_));
+            let mut t =
+                Trainer::with_storage(schema.clone(), &ring(64), config(1, 3), storage).unwrap();
+            let mut swap_ins = 0;
+            for _ in 0..3 {
+                let before = t.telemetry().snapshot();
+                let stats = t.train_epoch();
+                let after = t.telemetry().snapshot();
+                let delta = after.delta_since(&before);
+                let count = |name| delta.counter(name) as usize;
+                assert_eq!(stats.edges, count(names::TRAINER_EDGES));
+                assert_eq!(stats.swap_ins, count(names::STORE_SWAP_INS));
+                assert_eq!(stats.prefetch_hits, count(names::STORE_PREFETCH_HITS));
+                assert_eq!(stats.evictions, count(names::STORE_EVICTIONS));
+                assert_eq!(
+                    stats.writeback_skipped_bytes as usize,
+                    count(names::STORE_WRITEBACK_SKIPPED_BYTES)
+                );
+                assert_eq!(
+                    stats.swap_wait_seconds,
+                    count(names::STORE_SWAP_WAIT_NS) as f64 * 1e-9
+                );
+                if synchronous {
+                    assert_eq!(
+                        stats.bytes_written_back as usize,
+                        count(names::STORE_BYTES_WRITTEN_BACK)
+                    );
+                }
+                let peak = after.gauge(names::STORE_RESIDENT_BYTES).peak;
+                assert_eq!(stats.peak_bytes as u64, peak);
+                swap_ins += stats.swap_ins;
+            }
+            assert!(swap_ins > 0, "the disk store swapped partitions in");
+        }
+        std::fs::remove_dir_all(&base).ok();
     }
 
     #[test]

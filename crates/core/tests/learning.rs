@@ -85,8 +85,7 @@ fn disk_swapped_training_learns_with_less_memory() {
     let schema = pbg_graph::schema::GraphSchema::homogeneous(n, 8).unwrap();
     let mut t =
         Trainer::with_storage(schema, &split.train, config(8), Storage::Disk(dir.clone())).unwrap();
-    t.train();
-    let peak = t.store().peak_bytes();
+    let peak = t.train().last().unwrap().peak_bytes;
     let m = mrr(&t.snapshot(), &split);
     std::fs::remove_dir_all(&dir).ok();
 

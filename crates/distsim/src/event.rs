@@ -10,7 +10,6 @@
 //! speedup with machines, and incomplete occupancy when `P/2 < M` or
 //! locks collide.
 
-use crate::netmodel::NetworkModel;
 use pbg_graph::bucket::BucketId;
 use pbg_graph::ids::Partition;
 use serde::{Deserialize, Serialize};
@@ -272,9 +271,9 @@ fn simulate_epoch(
             // swap overlaps the previous bucket's compute, so the step
             // costs max(transfer, train) rather than their sum
             let step = if cfg.pipelined && prev_bucket[mi].is_some() {
-                NetworkModel::pipelined_step_seconds(train_secs, xfer)
+                train_secs.max(xfer)
             } else {
-                NetworkModel::serial_step_seconds(train_secs, xfer)
+                train_secs + xfer
             };
             let finish = clocks[mi] + step;
             io[mi] += xfer;

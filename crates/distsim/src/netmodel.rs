@@ -4,8 +4,8 @@
 //! practice achieves approximately 1 GB/s send/receive bandwidth" (§5.1).
 //! Machines-as-threads move bytes through shared memory instantly, so
 //! every transfer is *accounted*: the servers record the framed bytes
-//! a TCP cluster would move, and the model prices them in seconds at
-//! its bandwidth and latency.
+//! a TCP cluster would move. The model counts bytes and transfers; it
+//! keeps no clock (paper-scale hours come from `distsim::event`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -71,7 +71,7 @@ pub mod wirecost {
     /// protocol); at f16/int8 the embeddings travel quantized and the
     /// Adagrad accumulators follow as plain f32 chunks — optimizer
     /// state is never quantized on the wire.
-    pub fn part_stream_bytes_q(
+    pub fn part_stream_bytes(
         emb_floats: usize,
         acc_floats: usize,
         dim: usize,
@@ -89,69 +89,50 @@ pub mod wirecost {
     pub const CHECKIN_RESPONSE_BYTES: usize = frame_bytes(1 + 1);
 
     /// `PartData` header frame plus the chunk stream for a checkout (or
-    /// peek) response carrying `emb_floats` + `acc_floats` values.
-    pub fn part_data_bytes(emb_floats: usize, acc_floats: usize) -> usize {
-        frame_bytes(1 + 8 + 4 + 4) + chunk_stream_bytes(emb_floats + acc_floats)
-    }
-
-    /// [`part_data_bytes`] at a wire [`Precision`], with `dim`-wide
-    /// embedding rows (see [`part_stream_bytes_q`] for the framing).
-    pub fn part_data_bytes_q(
+    /// peek) response carrying `emb_floats` + `acc_floats` values, with
+    /// `dim`-wide embedding rows at a wire [`Precision`] (see
+    /// [`part_stream_bytes`] for the framing).
+    pub fn part_data_bytes(
         emb_floats: usize,
         acc_floats: usize,
         dim: usize,
         precision: Precision,
     ) -> usize {
-        frame_bytes(1 + 8 + 4 + 4) + part_stream_bytes_q(emb_floats, acc_floats, dim, precision)
+        frame_bytes(1 + 8 + 4 + 4) + part_stream_bytes(emb_floats, acc_floats, dim, precision)
     }
 
-    /// Full checkout RPC: request frame + data response.
-    pub fn checkout_rpc_bytes(emb_floats: usize, acc_floats: usize) -> usize {
-        CHECKOUT_REQUEST_BYTES + part_data_bytes(emb_floats, acc_floats)
-    }
-
-    /// [`checkout_rpc_bytes`] at a wire [`Precision`] with `dim`-wide
-    /// embedding rows.
-    pub fn checkout_rpc_bytes_q(
+    /// Full checkout RPC: request frame + data response, with `dim`-wide
+    /// embedding rows at a wire [`Precision`].
+    pub fn checkout_rpc_bytes(
         emb_floats: usize,
         acc_floats: usize,
         dim: usize,
         precision: Precision,
     ) -> usize {
-        CHECKOUT_REQUEST_BYTES + part_data_bytes_q(emb_floats, acc_floats, dim, precision)
+        CHECKOUT_REQUEST_BYTES + part_data_bytes(emb_floats, acc_floats, dim, precision)
     }
 
     /// `PartCheckin` request frames: header (tag + key + token + lens)
-    /// plus the chunk stream.
-    pub fn checkin_request_bytes(emb_floats: usize, acc_floats: usize) -> usize {
-        frame_bytes(1 + 8 + 8 + 4 + 4) + chunk_stream_bytes(emb_floats + acc_floats)
-    }
-
-    /// [`checkin_request_bytes`] at a wire [`Precision`] with
-    /// `dim`-wide embedding rows.
-    pub fn checkin_request_bytes_q(
+    /// plus the chunk stream, with `dim`-wide embedding rows at a wire
+    /// [`Precision`].
+    pub fn checkin_request_bytes(
         emb_floats: usize,
         acc_floats: usize,
         dim: usize,
         precision: Precision,
     ) -> usize {
-        frame_bytes(1 + 8 + 8 + 4 + 4) + part_stream_bytes_q(emb_floats, acc_floats, dim, precision)
+        frame_bytes(1 + 8 + 8 + 4 + 4) + part_stream_bytes(emb_floats, acc_floats, dim, precision)
     }
 
-    /// Full check-in RPC: streamed request + commit/reject response.
-    pub fn checkin_rpc_bytes(emb_floats: usize, acc_floats: usize) -> usize {
-        checkin_request_bytes(emb_floats, acc_floats) + CHECKIN_RESPONSE_BYTES
-    }
-
-    /// [`checkin_rpc_bytes`] at a wire [`Precision`] with `dim`-wide
-    /// embedding rows.
-    pub fn checkin_rpc_bytes_q(
+    /// Full check-in RPC: streamed request + commit/reject response, with
+    /// `dim`-wide embedding rows at a wire [`Precision`].
+    pub fn checkin_rpc_bytes(
         emb_floats: usize,
         acc_floats: usize,
         dim: usize,
         precision: Precision,
     ) -> usize {
-        checkin_request_bytes_q(emb_floats, acc_floats, dim, precision) + CHECKIN_RESPONSE_BYTES
+        checkin_request_bytes(emb_floats, acc_floats, dim, precision) + CHECKIN_RESPONSE_BYTES
     }
 
     /// `ParamPushPull`/`ParamRegister` request: tag + ParamKey (u32 +
@@ -179,15 +160,14 @@ pub mod wirecost {
     }
 }
 
-/// Bandwidth/latency accounting for simulated transfers.
+/// Byte and transfer accounting for simulated RPCs over a link of a
+/// given bandwidth and latency.
 #[derive(Debug)]
 pub struct NetworkModel {
     bandwidth_bytes_per_sec: f64,
     latency_sec: f64,
     total_bytes: AtomicU64,
     total_transfers: AtomicU64,
-    // simulated seconds × 1e6, accumulated atomically
-    total_micros: AtomicU64,
 }
 
 impl NetworkModel {
@@ -211,7 +191,6 @@ impl NetworkModel {
             latency_sec,
             total_bytes: AtomicU64::new(0),
             total_transfers: AtomicU64::new(0),
-            total_micros: AtomicU64::new(0),
         }
     }
 
@@ -221,32 +200,12 @@ impl NetworkModel {
         NetworkModel::new(1e9, 1e-4)
     }
 
-    /// Simulated seconds to move `bytes` (latency + bytes/bandwidth).
-    pub fn transfer_seconds(&self, bytes: usize) -> f64 {
-        self.latency_sec + bytes as f64 / self.bandwidth_bytes_per_sec
-    }
-
-    /// Records a transfer and returns its simulated duration in seconds.
-    pub fn record_transfer(&self, bytes: usize) -> f64 {
-        let secs = self.transfer_seconds(bytes);
-        self.total_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-        self.total_transfers.fetch_add(1, Ordering::Relaxed);
-        self.total_micros
-            .fetch_add((secs * 1e6) as u64, Ordering::Relaxed);
-        secs
-    }
-
-    /// Records a request/response round trip and returns its simulated
-    /// duration in seconds: one latency each way plus the serialized
-    /// bytes over the link. Counts as two transfers (two directions).
-    pub fn record_rpc(&self, request_bytes: usize, response_bytes: usize) -> f64 {
+    /// Records a request/response round trip: both directions' bytes,
+    /// counted as two transfers.
+    pub fn record_rpc(&self, request_bytes: usize, response_bytes: usize) {
         let bytes = request_bytes + response_bytes;
-        let secs = 2.0 * self.latency_sec + bytes as f64 / self.bandwidth_bytes_per_sec;
         self.total_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
         self.total_transfers.fetch_add(2, Ordering::Relaxed);
-        self.total_micros
-            .fetch_add((secs * 1e6) as u64, Ordering::Relaxed);
-        secs
     }
 
     /// Total bytes transferred so far.
@@ -259,11 +218,6 @@ impl NetworkModel {
         self.total_transfers.load(Ordering::Relaxed)
     }
 
-    /// Total simulated wire seconds across all transfers.
-    pub fn total_seconds(&self) -> f64 {
-        self.total_micros.load(Ordering::Relaxed) as f64 / 1e6
-    }
-
     /// Configured bandwidth (bytes/second).
     pub fn bandwidth(&self) -> f64 {
         self.bandwidth_bytes_per_sec
@@ -273,20 +227,6 @@ impl NetworkModel {
     pub fn latency(&self) -> f64 {
         self.latency_sec
     }
-
-    /// Simulated duration of one bucket step when partition transfers
-    /// overlap the previous bucket's compute (the pipelined swap
-    /// implementation): the slower of the two hides the faster.
-    pub fn pipelined_step_seconds(compute_secs: f64, io_secs: f64) -> f64 {
-        compute_secs.max(io_secs)
-    }
-
-    /// Simulated duration of one bucket step with synchronous swapping
-    /// (the paper's implementation): transfers stall compute, so the
-    /// costs add.
-    pub fn serial_step_seconds(compute_secs: f64, io_secs: f64) -> f64 {
-        compute_secs + io_secs
-    }
 }
 
 #[cfg(test)]
@@ -294,28 +234,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn transfer_time_is_latency_plus_linear() {
-        let net = NetworkModel::new(1000.0, 0.5);
-        assert!((net.transfer_seconds(0) - 0.5).abs() < 1e-12);
-        assert!((net.transfer_seconds(2000) - 2.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn accounting_accumulates() {
         let net = NetworkModel::new(1e6, 0.0);
-        net.record_transfer(500_000);
-        net.record_transfer(500_000);
+        net.record_rpc(500_000, 0);
+        net.record_rpc(200_000, 300_000);
         assert_eq!(net.total_bytes(), 1_000_000);
-        assert_eq!(net.total_transfers(), 2);
-        assert!((net.total_seconds() - 1.0).abs() < 1e-3);
+        assert_eq!(net.total_transfers(), 4);
     }
 
     #[test]
     fn paper_default_moves_a_gigabyte_per_second() {
         let net = NetworkModel::paper_default();
-        let gb = 1_000_000_000;
-        let secs = net.transfer_seconds(gb);
-        assert!((secs - 1.0).abs() < 0.01, "{secs}");
+        assert_eq!(net.bandwidth(), 1e9);
+        assert_eq!(net.latency(), 1e-4);
     }
 
     #[test]
@@ -326,9 +257,10 @@ mod tests {
 
     #[test]
     fn rpc_charges_both_directions_and_two_latencies() {
+        // two transfers, one per direction, each paying a latency on a
+        // real link
         let net = NetworkModel::new(1000.0, 0.25);
-        let secs = net.record_rpc(300, 700);
-        assert!((secs - (0.5 + 1.0)).abs() < 1e-12, "{secs}");
+        net.record_rpc(300, 700);
         assert_eq!(net.total_bytes(), 1000);
         assert_eq!(net.total_transfers(), 2);
     }
@@ -362,8 +294,8 @@ mod tests {
         use pbg_tensor::Precision;
         let dim = 32;
         let round_trip = |rows: usize, precision| {
-            checkout_rpc_bytes_q(rows * dim, rows, dim, precision)
-                + checkin_rpc_bytes_q(rows * dim, rows, dim, precision)
+            checkout_rpc_bytes(rows * dim, rows, dim, precision)
+                + checkin_rpc_bytes(rows * dim, rows, dim, precision)
         };
         for rows in [100, 1_000, 100_000] {
             let (f16, f32) = (
@@ -382,18 +314,16 @@ mod tests {
         use super::wirecost::*;
         use pbg_tensor::Precision;
         for (e, a) in [(0, 0), (640, 10), (CHUNK_FLOATS, 64), (100_032, 100_000)] {
-            // f32 _q forms are the plain forms exactly
+            // at f32 both blocks ride one concatenated plain chunk stream
+            let stream = chunk_stream_bytes(e + a);
+            assert_eq!(part_stream_bytes(e, a, 64, Precision::F32), stream);
             assert_eq!(
-                part_stream_bytes_q(e, a, 64, Precision::F32),
-                chunk_stream_bytes(e + a)
+                checkout_rpc_bytes(e, a, 64, Precision::F32),
+                CHECKOUT_REQUEST_BYTES + frame_bytes(1 + 8 + 4 + 4) + stream
             );
             assert_eq!(
-                checkout_rpc_bytes_q(e, a, 64, Precision::F32),
-                checkout_rpc_bytes(e, a)
-            );
-            assert_eq!(
-                checkin_rpc_bytes_q(e, a, 64, Precision::F32),
-                checkin_rpc_bytes(e, a)
+                checkin_rpc_bytes(e, a, 64, Precision::F32),
+                frame_bytes(1 + 8 + 8 + 4 + 4) + stream + CHECKIN_RESPONSE_BYTES
             );
         }
         // row-aligned quant framing: header + tag + precision + rows +
@@ -417,32 +347,14 @@ mod tests {
         // accumulators ride as plain f32 chunks behind the quantized
         // embeddings — never quantized
         assert_eq!(
-            part_stream_bytes_q(640, 77, 64, Precision::F16),
+            part_stream_bytes(640, 77, 64, Precision::F16),
             quant_stream_bytes(640, 64, Precision::F16) + chunk_stream_bytes(77)
         );
         // a realistic partition stream still compresses close to the
         // element width ratio (f16 ≤ 0.55×, int8 ≤ 0.3× — the f32
         // accumulator tail and int8 scale column eat part of the win)
-        let f32_bytes = checkout_rpc_bytes(1 << 20, 1 << 14);
-        assert!(
-            checkout_rpc_bytes_q(1 << 20, 1 << 14, 256, Precision::F16) * 100 <= f32_bytes * 55
-        );
-        assert!(
-            checkout_rpc_bytes_q(1 << 20, 1 << 14, 256, Precision::Int8) * 100 <= f32_bytes * 30
-        );
-    }
-
-    #[test]
-    fn pipelined_step_is_max_serial_is_sum() {
-        assert_eq!(NetworkModel::pipelined_step_seconds(3.0, 2.0), 3.0);
-        assert_eq!(NetworkModel::pipelined_step_seconds(1.0, 2.5), 2.5);
-        assert_eq!(NetworkModel::serial_step_seconds(3.0, 2.0), 5.0);
-        // overlap never loses to stalling
-        for (c, io) in [(0.0, 0.0), (1.0, 4.0), (4.0, 1.0)] {
-            assert!(
-                NetworkModel::pipelined_step_seconds(c, io)
-                    <= NetworkModel::serial_step_seconds(c, io)
-            );
-        }
+        let f32_bytes = checkout_rpc_bytes(1 << 20, 1 << 14, 256, Precision::F32);
+        assert!(checkout_rpc_bytes(1 << 20, 1 << 14, 256, Precision::F16) * 100 <= f32_bytes * 55);
+        assert!(checkout_rpc_bytes(1 << 20, 1 << 14, 256, Precision::Int8) * 100 <= f32_bytes * 30);
     }
 }

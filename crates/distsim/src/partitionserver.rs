@@ -125,7 +125,7 @@ impl PartitionServer {
         drop(shard);
         self.net.record_rpc(
             wirecost::CHECKOUT_REQUEST_BYTES,
-            wirecost::part_data_bytes_q(
+            wirecost::part_data_bytes(
                 emb.len(),
                 acc.len(),
                 self.layout.dim(),
@@ -147,7 +147,7 @@ impl PartitionServer {
     pub fn checkin(&self, key: PartitionKey, emb: Vec<f32>, acc: Vec<f32>, token: u64) -> bool {
         // bytes cross the wire before the server can judge the token
         self.net.record_rpc(
-            wirecost::checkin_request_bytes_q(
+            wirecost::checkin_request_bytes(
                 emb.len(),
                 acc.len(),
                 self.layout.dim(),
@@ -277,17 +277,17 @@ mod tests {
 
     #[test]
     fn transfers_are_accounted() {
+        use pbg_tensor::Precision;
         // charged bytes are the full framed wire cost of the RPCs, not
         // the raw float payload (see netmodel::wirecost)
         let net = Arc::new(NetworkModel::new(1e6, 0.0));
         let s = PartitionServer::new(layout(4), 2, Arc::clone(&net));
         let key = PartitionKey::new(0u32, 1u32);
         let (emb, acc, token) = s.checkout(key);
-        assert!(net.total_seconds() > 0.0);
-        let checkout = wirecost::checkout_rpc_bytes(emb.len(), acc.len());
+        let checkout = wirecost::checkout_rpc_bytes(emb.len(), acc.len(), 8, Precision::F32);
         assert_eq!(net.total_bytes() as usize, checkout);
         assert_eq!(net.total_transfers(), 2, "request + response");
-        let checkin = wirecost::checkin_rpc_bytes(emb.len(), acc.len());
+        let checkin = wirecost::checkin_rpc_bytes(emb.len(), acc.len(), 8, Precision::F32);
         s.checkin(key, emb, acc, token);
         assert_eq!(net.total_bytes() as usize, checkout + checkin);
         assert_eq!(net.total_transfers(), 4);
@@ -307,8 +307,8 @@ mod tests {
                 Arc::clone(&net),
             );
             let (emb, acc, token) = s.checkout(key);
-            let expect = wirecost::checkout_rpc_bytes_q(emb.len(), acc.len(), 32, precision)
-                + wirecost::checkin_rpc_bytes_q(emb.len(), acc.len(), 32, precision);
+            let expect = wirecost::checkout_rpc_bytes(emb.len(), acc.len(), 32, precision)
+                + wirecost::checkin_rpc_bytes(emb.len(), acc.len(), 32, precision);
             s.checkin(key, emb, acc, token);
             assert_eq!(net.total_bytes() as usize, expect);
             net.total_bytes()

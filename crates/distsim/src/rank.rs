@@ -45,7 +45,6 @@ use pbg_telemetry::trace::names as span_name;
 use pbg_telemetry::{Counter, Gauge, Registry};
 use pbg_tensor::hogwild::HogwildArray;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -286,7 +285,8 @@ impl Rank {
                         store.release(key);
                     }
                     store.check()?;
-                    if let Some(p) = prev.take() {
+                    let released = prev.take();
+                    if let Some(p) = released {
                         services.lock.release_bucket(rank, p)?;
                     }
                     // a crashed rank never releases: reap its lease and
@@ -300,6 +300,11 @@ impl Rank {
                         }
                     }
                     lock_waits.inc();
+                    if released.is_some() {
+                        // our own bucket may be what held the grant back
+                        // (at an epoch end it always is): ask again at once
+                        continue;
+                    }
                     let sleep_start = telemetry.now_ns();
                     std::thread::sleep(Duration::from_micros(200));
                     idle_ns.add(telemetry.now_ns().saturating_sub(sleep_start));
@@ -512,7 +517,6 @@ struct RankStore<'a, P: PartitionService + Sync> {
     dim: usize,
     lr: f32,
     resident_bytes: Gauge,
-    swaps: AtomicUsize,
     retries: Counter,
     stale_checkins: Counter,
     failed: Mutex<Option<ServiceError>>,
@@ -537,7 +541,6 @@ impl<'a, P: PartitionService + Sync> RankStore<'a, P> {
             dim: layout.dim(),
             lr: model.config().learning_rate,
             resident_bytes: telemetry.gauge(&format!("rank{rank}.resident_bytes")),
-            swaps: AtomicUsize::new(0),
             retries: telemetry.counter(metric::NET_RPC_RETRIES),
             stale_checkins: telemetry.counter(metric::CLUSTER_STALE_CHECKINS),
             failed: Mutex::new(None),
@@ -625,7 +628,6 @@ impl<P: PartitionService + Sync> PartitionStore for RankStore<'_, P> {
         let mut resident = self.resident.lock();
         let slot = resident.entry(key).or_insert_with(|| {
             let (data, token) = self.fetch(key);
-            self.swaps.fetch_add(1, Ordering::Relaxed);
             self.resident_bytes.add(data.bytes() as u64);
             Slot { data, token }
         });
@@ -650,23 +652,5 @@ impl<P: PartitionService + Sync> PartitionStore for RankStore<'_, P> {
             }
         }
         self.resident_bytes.sub(data.bytes() as u64);
-    }
-
-    fn resident_bytes(&self) -> usize {
-        self.resident_bytes.get() as usize
-    }
-
-    fn peak_bytes(&self) -> usize {
-        self.resident_bytes.peak() as usize
-    }
-
-    fn swap_ins(&self) -> usize {
-        self.swaps.load(Ordering::Relaxed)
-    }
-
-    fn load_all(&self) {
-        for &key in self.rows.keys() {
-            let _ = self.load(key);
-        }
     }
 }

@@ -107,15 +107,12 @@ proptest! {
         bandwidth in 1e3f64..1e9,
     ) {
         let net = NetworkModel::new(bandwidth, 0.0);
-        let mut expected = 0.0;
         for &s in &sizes {
-            expected += net.record_transfer(s);
+            net.record_rpc(s, s / 2);
         }
-        let total_bytes: usize = sizes.iter().sum();
+        let total_bytes: usize = sizes.iter().map(|&s| s + s / 2).sum();
         prop_assert_eq!(net.total_bytes() as usize, total_bytes);
-        prop_assert_eq!(net.total_transfers() as usize, sizes.len());
-        // micro-second rounding per transfer
-        prop_assert!((net.total_seconds() - expected).abs() < 1e-4 * sizes.len() as f64);
+        prop_assert_eq!(net.total_transfers() as usize, 2 * sizes.len());
     }
 
     #[test]

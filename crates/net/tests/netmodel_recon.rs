@@ -30,6 +30,7 @@ use pbg_graph::schema::GraphSchema;
 use pbg_net::{NetParams, NetPartitions, NetServer};
 use pbg_telemetry::metrics::names as metric;
 use pbg_telemetry::Registry;
+use pbg_tensor::Precision;
 use std::sync::Arc;
 
 /// Measured bytes on the client side of `op`, from a fresh registry.
@@ -76,7 +77,8 @@ fn partition_rpc_bytes_reconcile_across_all_three_observers() {
             "layout rows*dim for {entities}x{dim}"
         );
         assert_eq!(acc.len(), acc_floats);
-        let predicted = wirecost::checkout_rpc_bytes(emb_floats, acc_floats) as u64;
+        let predicted =
+            wirecost::checkout_rpc_bytes(emb_floats, acc_floats, dim, Precision::F32) as u64;
         let simulated = net.total_bytes();
         assert_eq!(
             measured, predicted,
@@ -91,7 +93,8 @@ fn partition_rpc_bytes_reconcile_across_all_three_observers() {
         let measured = measure(&telemetry, || {
             assert!(client.checkin(key, emb, acc, token).expect("checkin"));
         });
-        let predicted = wirecost::checkin_rpc_bytes(emb_floats, acc_floats) as u64;
+        let predicted =
+            wirecost::checkin_rpc_bytes(emb_floats, acc_floats, dim, Precision::F32) as u64;
         assert_eq!(measured, predicted, "checkin {entities}x{dim}: measured");
         assert_eq!(
             net.total_bytes() - simulated,
@@ -107,12 +110,10 @@ fn partition_rpc_bytes_reconcile_across_all_three_observers() {
 /// a layout carrying a storage precision makes the server ship
 /// `PartChunkQ` frames on checkout, and a client constructed with the
 /// matching precision ships them back on checkin. Measured socket
-/// bytes, the serving `NetworkModel`, and the `_q` closed forms must
+/// bytes, the serving `NetworkModel`, and the `wirecost` closed forms must
 /// still agree exactly — at both f16 and int8.
 #[test]
 fn quantized_partition_rpc_bytes_reconcile_across_all_three_observers() {
-    use pbg_tensor::Precision;
-
     let cases: [(u32, usize); 3] = [
         (16, 8),     // one small chunk
         (1024, 128), // exactly one full chunk of floats
@@ -148,7 +149,7 @@ fn quantized_partition_rpc_bytes_reconcile_across_all_three_observers() {
             assert_eq!(emb.len(), emb_floats, "{precision:?} {entities}x{dim}");
             assert_eq!(acc.len(), acc_floats);
             let predicted =
-                wirecost::checkout_rpc_bytes_q(emb_floats, acc_floats, dim, precision) as u64;
+                wirecost::checkout_rpc_bytes(emb_floats, acc_floats, dim, precision) as u64;
             let simulated = net.total_bytes();
             assert_eq!(
                 measured, predicted,
@@ -160,7 +161,9 @@ fn quantized_partition_rpc_bytes_reconcile_across_all_three_observers() {
             );
             // the quantized download must actually be smaller than f32
             assert!(
-                predicted < wirecost::checkout_rpc_bytes(emb_floats, acc_floats) as u64,
+                predicted
+                    < wirecost::checkout_rpc_bytes(emb_floats, acc_floats, dim, Precision::F32)
+                        as u64,
                 "{precision:?} checkout {entities}x{dim} not smaller than f32"
             );
 
@@ -168,7 +171,7 @@ fn quantized_partition_rpc_bytes_reconcile_across_all_three_observers() {
                 assert!(client.checkin(key, emb, acc, token).expect("checkin"));
             });
             let predicted =
-                wirecost::checkin_rpc_bytes_q(emb_floats, acc_floats, dim, precision) as u64;
+                wirecost::checkin_rpc_bytes(emb_floats, acc_floats, dim, precision) as u64;
             assert_eq!(
                 measured, predicted,
                 "{precision:?} checkin {entities}x{dim}: measured"

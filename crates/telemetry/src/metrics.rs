@@ -87,7 +87,8 @@ pub mod names {
     pub const TRAINER_MFLOPS: &str = "trainer.mflops";
     /// Gauge: partition-buffer hit ratio in basis points —
     /// `prefetch_hits / (prefetch_hits + swap_ins) * 10_000` over the
-    /// run so far.
+    /// run so far, set by the single-machine trainer at each epoch end
+    /// (absent on cluster ranks, which prefetch nothing).
     pub const TRAINER_BUFFER_HIT_BP: &str = "trainer.buffer_hit_bp";
     /// Gauge: total kernel flops executed by this process (also the
     /// watermark the per-bucket MFLOP/s delta is taken against).

@@ -57,7 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
              swaps/epoch {:>3}  {:.1}s/epoch",
             metrics.mrr,
             metrics.hits_at_10,
-            format_bytes(trainer.store().peak_bytes()),
+            format_bytes(last.peak_bytes),
             last.swap_ins,
             last.seconds,
         );

@@ -44,8 +44,8 @@ fn quality_flat_and_memory_falls_with_partitions() {
             Storage::Disk(dir.clone())
         };
         let mut t = Trainer::with_storage(schema, &split.train, config(5), storage).unwrap();
-        t.train();
-        results.push((p, mrr_of(&t, &split), t.store().peak_bytes()));
+        let peak = t.train().last().unwrap().peak_bytes;
+        results.push((p, mrr_of(&t, &split), peak));
         std::fs::remove_dir_all(&dir).ok();
     }
     let (_, mrr1, mem1) = results[0];
