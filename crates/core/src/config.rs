@@ -137,7 +137,7 @@ impl serde::Deserialize for PbgConfig {
             threads: serde::get_field(fields, "threads")?,
             bucket_ordering: serde::get_field(fields, "bucket_ordering")?,
             buffer_size: serde::get_field::<Option<usize>>(fields, "buffer_size")?
-                .unwrap_or(crate::buffer::DEFAULT_CAPACITY),
+                .unwrap_or(pbg_graph::buffer::DEFAULT_CAPACITY),
             bucket_passes: serde::get_field(fields, "bucket_passes")?,
             init_scale: serde::get_field(fields, "init_scale")?,
             seed: serde::get_field(fields, "seed")?,
@@ -170,7 +170,7 @@ impl Default for PbgConfig {
             epochs: 10,
             threads: 4,
             bucket_ordering: BucketOrdering::InsideOut,
-            buffer_size: crate::buffer::DEFAULT_CAPACITY,
+            buffer_size: pbg_graph::buffer::DEFAULT_CAPACITY,
             bucket_passes: 1,
             init_scale: 0.1,
             seed: 0,
@@ -223,7 +223,7 @@ impl PbgConfig {
         if self.bucket_passes == 0 {
             return Err(PbgError::Config("bucket_passes must be positive".into()));
         }
-        if self.buffer_size < crate::buffer::DEFAULT_CAPACITY {
+        if self.buffer_size < pbg_graph::buffer::DEFAULT_CAPACITY {
             return Err(PbgError::Config(
                 "buffer_size must be at least 2 (a bucket needs its source \
                  and destination partitions)"

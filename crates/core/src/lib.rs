@@ -57,7 +57,6 @@
 //! | Figure 2 checkpoints | [`checkpoint`], [`shard`] |
 
 pub mod batch;
-pub mod buffer;
 pub mod checkpoint;
 pub mod config;
 pub mod error;
@@ -73,7 +72,6 @@ pub mod stats;
 pub mod storage;
 pub mod trainer;
 
-pub use buffer::{BufferTransition, PartitionBuffer};
 pub use config::{LossKind, NegativeMode, PbgConfig, SimilarityKind};
 pub use error::PbgError;
 pub use eval::{CandidateSampling, LinkPredictionEval};

@@ -11,15 +11,20 @@
 //! afterwards. At the default `B = 2` this degenerates to the paper's
 //! pairwise swap schedule.
 //!
+//! The buffer is `pbg_graph`'s, the same one `ordering::load_count`, the
+//! greedy-reuse ordering and the hour projector replay, so on a
+//! homogeneous schema a plan's `total_acquires` equals the order's
+//! `load_count` at the same capacity.
+//!
 //! The plan serves the single-machine [`crate::trainer::Trainer`], whose
 //! bucket order is known before the epoch starts. A `distsim` rank
 //! learns its next bucket from the lock server and holds only that
 //! bucket's partitions, so it needs no plan: it checks in what the new
 //! bucket does not need and checks out what it lacks.
 
-use crate::buffer::{PartitionBuffer, DEFAULT_CAPACITY};
 use crate::storage::PartitionKey;
 use pbg_graph::bucket::BucketId;
+use pbg_graph::buffer::PartitionBuffer;
 use std::collections::{HashMap, HashSet};
 
 /// One step of an [`EpochPlan`]: a bucket plus its partition traffic.
@@ -64,19 +69,14 @@ pub struct EpochPlan {
 }
 
 impl EpochPlan {
-    /// Plans the epoch for `order` under the paper's two-slot buffer,
-    /// with `needed` mapping each bucket to the partitions it touches
-    /// (see [`crate::trainer::bucket::needed_keys`]).
-    pub fn new(order: &[BucketId], needed: impl Fn(BucketId) -> HashSet<PartitionKey>) -> Self {
-        EpochPlan::with_capacity(order, needed, DEFAULT_CAPACITY)
-    }
-
     /// Plans the epoch for `order` against a [`PartitionBuffer`] of
-    /// `capacity` partition slots. Evictions are lazy LRU (the buffer
-    /// decides), and prefetches are announced up to `capacity - 1` steps
-    /// before their acquire — never earlier than the step after the
-    /// key's previous eviction, so a prefetch can never race its own
-    /// write-back.
+    /// `capacity` partition slots, with `needed` mapping each bucket to
+    /// the partitions it touches (see
+    /// [`crate::trainer::bucket::needed_keys`]). Evictions are lazy LRU
+    /// (the buffer decides), and prefetches are announced up to
+    /// `capacity - 1` steps before their acquire — never earlier than
+    /// the step after the key's previous eviction, so a prefetch can
+    /// never race its own write-back.
     pub fn with_capacity(
         order: &[BucketId],
         needed: impl Fn(BucketId) -> HashSet<PartitionKey>,
@@ -168,6 +168,7 @@ fn sorted(keys: impl IntoIterator<Item = PartitionKey>) -> Vec<PartitionKey> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pbg_graph::buffer::DEFAULT_CAPACITY;
 
     fn key(p: u32) -> PartitionKey {
         PartitionKey::new(0u32, p)
@@ -186,7 +187,7 @@ mod tests {
 
     #[test]
     fn plan_first_step_acquires_everything_it_needs() {
-        let plan = EpochPlan::new(&row_major(3), grid_needed);
+        let plan = EpochPlan::with_capacity(&row_major(3), grid_needed, DEFAULT_CAPACITY);
         let first = &plan.steps()[0];
         assert_eq!(first.acquire, first.needed);
     }
@@ -231,7 +232,7 @@ mod tests {
     fn plan_prefetch_matches_next_acquire() {
         // at B=2 the lookahead is one bucket: whatever step i prefetches
         // is exactly what step i+1 acquires
-        let plan = EpochPlan::new(&row_major(4), grid_needed);
+        let plan = EpochPlan::with_capacity(&row_major(4), grid_needed, DEFAULT_CAPACITY);
         for pair in plan.steps().windows(2) {
             assert_eq!(
                 pair[0].prefetch, pair[1].acquire,
@@ -246,7 +247,7 @@ mod tests {
     fn plan_on_diagonal_reuses_partitions() {
         // order (0,0) -> (0,1): partition 0 stays resident
         let order = vec![BucketId::new(0u32, 0u32), BucketId::new(0u32, 1u32)];
-        let plan = EpochPlan::new(&order, grid_needed);
+        let plan = EpochPlan::with_capacity(&order, grid_needed, DEFAULT_CAPACITY);
         assert_eq!(plan.steps()[0].release, vec![]);
         assert_eq!(plan.steps()[0].prefetch, vec![key(1)]);
         assert_eq!(plan.steps()[1].acquire, vec![key(1)]);
@@ -299,7 +300,7 @@ mod tests {
 
     #[test]
     fn empty_plan() {
-        let plan = EpochPlan::new(&[], grid_needed);
+        let plan = EpochPlan::with_capacity(&[], grid_needed, DEFAULT_CAPACITY);
         assert!(plan.is_empty());
         assert_eq!(plan.total_acquires(), 0);
     }

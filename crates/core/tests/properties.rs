@@ -1,6 +1,5 @@
 //! Property-based tests over the core training machinery.
 
-use pbg_core::buffer::PartitionBuffer;
 use pbg_core::config::{LossKind, PbgConfig, SimilarityKind};
 use pbg_core::loss;
 use pbg_core::negatives::{candidate_offsets, mask_induced_positives};
@@ -9,6 +8,8 @@ use pbg_core::similarity::{score_matrix, score_pairs};
 use pbg_core::storage::PartitionKey;
 use pbg_core::trainer::EpochPlan;
 use pbg_graph::bucket::BucketId;
+use pbg_graph::buffer::{PartitionBuffer, DEFAULT_CAPACITY};
+use pbg_graph::ordering::{self, BucketOrdering};
 use pbg_graph::schema::OperatorKind;
 use pbg_tensor::matrix::Matrix;
 use pbg_tensor::rng::Xoshiro256;
@@ -152,7 +153,7 @@ proptest! {
         // bucket currently training uses
         let order: Vec<BucketId> =
             pairs.iter().map(|&(s, d)| BucketId::new(s, d)).collect();
-        let plan = EpochPlan::new(&order, grid_needed);
+        let plan = EpochPlan::with_capacity(&order, grid_needed, DEFAULT_CAPACITY);
         for step in plan.steps() {
             for k in &step.prefetch {
                 prop_assert!(
@@ -175,7 +176,7 @@ proptest! {
         // the final step
         let order: Vec<BucketId> =
             pairs.iter().map(|&(s, d)| BucketId::new(s, d)).collect();
-        let plan = EpochPlan::new(&order, grid_needed);
+        let plan = EpochPlan::with_capacity(&order, grid_needed, DEFAULT_CAPACITY);
         prop_assert_eq!(plan.len(), order.len());
         let mut resident: HashSet<PartitionKey> = HashSet::new();
         for step in plan.steps() {
@@ -256,5 +257,25 @@ proptest! {
             .unwrap();
         let back = PbgConfig::from_json(&config.to_json()).unwrap();
         prop_assert_eq!(config, back);
+    }
+}
+
+#[test]
+fn load_count_equals_the_trainers_planned_loads_for_every_ordering() {
+    // an ordering's load count and the trainer's plan replay one buffer:
+    // on a homogeneous grid the loads an order is scored by are the loads
+    // the trainer makes running it
+    for ord in BucketOrdering::all() {
+        for p in 2u32..=16 {
+            for b in 2usize..=8 {
+                let order = ord.order_with_buffer(p, p, b, &mut Xoshiro256::seed_from_u64(7));
+                let plan = EpochPlan::with_capacity(&order, grid_needed, b);
+                assert_eq!(
+                    ordering::load_count(&order, b),
+                    plan.total_acquires(),
+                    "{ord:?} P={p} B={b}"
+                );
+            }
+        }
     }
 }

@@ -6,11 +6,15 @@
 //! slots with lazy eviction, which loads strictly less when the bucket
 //! order revisits partitions. [`PartitionBuffer`] is that abstraction:
 //! it decides *which* partitions are resident and *which* to evict,
-//! while the storage layer underneath does the actual I/O. Its one
-//! consumer is [`crate::trainer::plan::EpochPlan`], which unrolls it
-//! over an epoch's bucket order. A `distsim` rank needs no buffer: a
-//! fenced checkout cannot outlive its bucket lock, so the rank holds
-//! exactly its bucket's partitions.
+//! while the storage layer underneath does the actual I/O.
+//!
+//! It is the only residency model in the workspace, generic over the key
+//! so every caller replays the same policy: the trainer's `EpochPlan`
+//! (keyed by entity type and partition), and, keyed by bare
+//! [`crate::ids::Partition`], [`crate::ordering::load_count`], the
+//! greedy-reuse ordering, and the discrete-event projector's machines.
+//! A `distsim` rank needs no buffer: a fenced checkout cannot outlive
+//! its bucket lock, so the rank holds exactly its bucket's partitions.
 //!
 //! Eviction is least-recently-used over bucket steps, never evicting a
 //! partition the current bucket needs. When a bucket needs more keys
@@ -18,13 +22,13 @@
 //! temporarily overflows and shrinks back at the next request — the
 //! buffer is a target, not a hard cap, exactly like Marius's.
 //!
-//! Everything here is deterministic: ties in eviction order break on the
-//! LRU stamp first and the key order second, so a plan computed by
-//! [`crate::trainer::plan::EpochPlan`] replays bit-for-bit against a
-//! live buffer.
+//! Everything here is deterministic: a bucket's keys are touched in key
+//! order, so ties in eviction order break on the LRU stamp first and the
+//! key order second, and a plan computed ahead of time replays
+//! bit-for-bit against a live buffer.
 
-use crate::storage::PartitionKey;
 use std::collections::HashSet;
+use std::hash::Hash;
 
 /// Default buffer capacity: the paper's two-slot source/destination pair.
 pub const DEFAULT_CAPACITY: usize = 2;
@@ -32,32 +36,28 @@ pub const DEFAULT_CAPACITY: usize = 2;
 /// What a [`PartitionBuffer::request`] decided: partitions to load
 /// (missing but needed) and partitions to evict (resident, not needed,
 /// over capacity). Both are sorted.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct BufferTransition {
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BufferTransition<K> {
     /// Keys to load before the bucket can train.
-    pub load: Vec<PartitionKey>,
+    pub load: Vec<K>,
     /// Keys to evict (write back if dirty) to get back under capacity.
-    pub evict: Vec<PartitionKey>,
+    pub evict: Vec<K>,
 }
 
 /// A capacity-`B` partition buffer with lazy LRU eviction.
 ///
 /// Owns the residency decision only — callers translate `load` into
-/// store loads and `evict` into store releases. [`PartitionBuffer`] is
-/// used two ways, both sharing this one implementation: ahead-of-time
-/// by [`crate::trainer::plan::EpochPlan`] to precompute an epoch's
-/// traffic, and as the reference model the property tests replay plans
-/// against.
+/// store loads and `evict` into store releases, or just count them.
 #[derive(Debug, Clone)]
-pub struct PartitionBuffer {
+pub struct PartitionBuffer<K> {
     capacity: usize,
     /// Resident keys, least recently used first.
-    lru: Vec<PartitionKey>,
+    lru: Vec<K>,
     loads: u64,
     evictions: u64,
 }
 
-impl PartitionBuffer {
+impl<K: Copy + Ord + Hash> PartitionBuffer<K> {
     /// Creates an empty buffer with `capacity` partition slots (clamped
     /// up to [`DEFAULT_CAPACITY`] — a bucket needs two partitions).
     pub fn new(capacity: usize) -> Self {
@@ -75,12 +75,12 @@ impl PartitionBuffer {
     }
 
     /// Resident keys, least recently used first.
-    pub fn resident(&self) -> &[PartitionKey] {
+    pub fn resident(&self) -> &[K] {
         &self.lru
     }
 
     /// `true` when `key` is resident.
-    pub fn contains(&self, key: PartitionKey) -> bool {
+    pub fn contains(&self, key: K) -> bool {
         self.lru.contains(&key)
     }
 
@@ -109,8 +109,8 @@ impl PartitionBuffer {
     /// resident) and to evict (LRU residents beyond capacity, never a
     /// needed key). Needed keys are touched in sorted order so the
     /// outcome is independent of `HashSet` iteration order.
-    pub fn request(&mut self, needed: &HashSet<PartitionKey>) -> BufferTransition {
-        let mut wanted: Vec<PartitionKey> = needed.iter().copied().collect();
+    pub fn request(&mut self, needed: &HashSet<K>) -> BufferTransition<K> {
+        let mut wanted: Vec<K> = needed.iter().copied().collect();
         wanted.sort_unstable();
         let mut load = Vec::new();
         for &key in &wanted {
@@ -138,7 +138,7 @@ impl PartitionBuffer {
 
     /// Evicts everything (end of epoch, lock wait, shutdown); returns
     /// the keys that were resident, sorted.
-    pub fn flush(&mut self) -> Vec<PartitionKey> {
+    pub fn flush(&mut self) -> Vec<K> {
         self.evictions += self.lru.len() as u64;
         let mut out = std::mem::take(&mut self.lru);
         out.sort_unstable();
@@ -146,21 +146,18 @@ impl PartitionBuffer {
     }
 }
 
-impl Default for PartitionBuffer {
-    fn default() -> Self {
-        PartitionBuffer::new(DEFAULT_CAPACITY)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn key(p: u32) -> PartitionKey {
-        PartitionKey::new(0u32, p)
+    /// An (entity type, partition) key, as the trainer's buffer holds.
+    type Key = (u32, u32);
+
+    fn key(p: u32) -> Key {
+        (0, p)
     }
 
-    fn set(ps: &[u32]) -> HashSet<PartitionKey> {
+    fn set(ps: &[u32]) -> HashSet<Key> {
         ps.iter().map(|&p| key(p)).collect()
     }
 
@@ -206,9 +203,7 @@ mod tests {
     #[test]
     fn never_evicts_needed_keys_even_over_capacity() {
         let mut buf = PartitionBuffer::new(2);
-        let needed: HashSet<PartitionKey> = [key(0), key(1), PartitionKey::new(1u32, 0u32)]
-            .into_iter()
-            .collect();
+        let needed: HashSet<Key> = [key(0), key(1), (1, 0)].into_iter().collect();
         let t = buf.request(&needed);
         assert_eq!(t.load.len(), 3);
         assert_eq!(t.evict, vec![], "needed keys are not evictable");
@@ -231,7 +226,7 @@ mod tests {
 
     #[test]
     fn capacity_clamps_to_two() {
-        let buf = PartitionBuffer::new(0);
+        let buf = PartitionBuffer::<Key>::new(0);
         assert_eq!(buf.capacity(), 2);
     }
 }

@@ -16,8 +16,10 @@
 //! - [`bucket`]: grouping edges into `P²` (or `P`) buckets by the
 //!   partitions of their endpoints.
 //! - [`ordering`]: bucket iteration orders (inside-out, row-major, random,
-//!   chained) with the "at least one previously-trained partition"
-//!   invariant checker and disk-swap counting.
+//!   chained, Hilbert, greedy reuse) with the "at least one
+//!   previously-trained partition" invariant checker and load counting.
+//! - [`buffer`]: [`buffer::PartitionBuffer`] — the capacity-`B` LRU
+//!   residency model every load count and plan replays.
 //! - [`split`]: train/validation/test edge splits.
 //! - [`io`]: binary and TSV edge-list serialization.
 //! - [`snap`]: SNAP edge-list import (the paper's LiveJournal/Twitter
@@ -38,6 +40,7 @@
 //! ```
 
 pub mod bucket;
+pub mod buffer;
 pub mod edges;
 pub mod ids;
 pub mod io;

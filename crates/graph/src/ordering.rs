@@ -8,25 +8,21 @@
 //! under an implicit two-slot buffer. Marius (arXiv:2101.08358) showed
 //! that with a capacity-`B` partition buffer, an ordering optimized for
 //! *cache reuse* loads fewer partitions than one optimized for swap
-//! count, so this module is trait-shaped: every ordering is an
-//! [`OrderingStrategy`] that produces the epoch sequence for a given
-//! `(grid, buffer capacity)` pair. Implemented strategies are inside-out
-//! plus the ablation alternatives (random, row-major, swap-greedy
-//! chained), a Hilbert space-filling curve, and a BETA-like greedy-reuse
-//! order that scores candidate buckets by how many of their partitions
-//! are already resident in the simulated buffer. An invariant checker,
-//! the classic two-slot swap counter, and a capacity-aware load counter
-//! round out the module.
+//! count, so every ordering produces the epoch sequence for a given
+//! `(grid, buffer capacity)` pair. The orderings are inside-out plus the
+//! ablation alternatives (random, row-major, swap-greedy chained), a
+//! Hilbert space-filling curve, and a BETA-like greedy-reuse order that
+//! scores candidate buckets by how many of their partitions are already
+//! resident in a [`PartitionBuffer`]. An invariant checker, the classic
+//! two-slot swap counter, and a capacity-aware load counter (a replay
+//! through the same buffer the trainer plans with) round out the module.
 
 use crate::bucket::BucketId;
+use crate::buffer::{PartitionBuffer, DEFAULT_CAPACITY};
 use crate::ids::Partition;
 use pbg_tensor::rng::Xoshiro256;
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
-
-/// Buffer capacity assumed by the classic pairwise-swap training loop:
-/// one source slot, one destination slot.
-pub const DEFAULT_BUFFER_PARTITIONS: usize = 2;
 
 /// Strategy for ordering the `P_src × P_dst` bucket grid within an epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
@@ -52,22 +48,21 @@ pub enum BucketOrdering {
     /// is local in both partitions at once. Ignores buffer capacity.
     Hilbert,
     /// BETA-like greedy reuse (Marius, arXiv:2101.08358): each next
-    /// bucket is the one needing the fewest partition loads given a
-    /// simulated LRU buffer of capacity `B`, preferring
+    /// bucket is the one needing the fewest partition loads given the
+    /// [`PartitionBuffer`] of capacity `B` it will run in, preferring
     /// invariant-satisfying candidates. The only buffer-aware ordering.
     GreedyReuse,
 }
 
 impl BucketOrdering {
     /// Produces the epoch's bucket sequence for a `src_parts × dst_parts`
-    /// grid, assuming the classic two-slot buffer
-    /// ([`DEFAULT_BUFFER_PARTITIONS`]).
+    /// grid, assuming the classic two-slot buffer ([`DEFAULT_CAPACITY`]).
     ///
     /// # Panics
     ///
     /// Panics if either dimension is zero.
     pub fn order(self, src_parts: u32, dst_parts: u32, rng: &mut Xoshiro256) -> Vec<BucketId> {
-        self.order_with_buffer(src_parts, dst_parts, DEFAULT_BUFFER_PARTITIONS, rng)
+        self.order_with_buffer(src_parts, dst_parts, DEFAULT_CAPACITY, rng)
     }
 
     /// Produces the epoch's bucket sequence for a `src_parts × dst_parts`
@@ -86,18 +81,20 @@ impl BucketOrdering {
         rng: &mut Xoshiro256,
     ) -> Vec<BucketId> {
         assert!(src_parts > 0 && dst_parts > 0, "empty bucket grid");
-        self.strategy().order(src_parts, dst_parts, buffer, rng)
-    }
-
-    /// The strategy object implementing this ordering.
-    pub fn strategy(self) -> &'static dyn OrderingStrategy {
         match self {
-            BucketOrdering::InsideOut => &InsideOutOrder,
-            BucketOrdering::RowMajor => &RowMajorOrder,
-            BucketOrdering::Random => &RandomOrder,
-            BucketOrdering::Chained => &ChainedOrder,
-            BucketOrdering::Hilbert => &HilbertOrder,
-            BucketOrdering::GreedyReuse => &GreedyReuseOrder,
+            BucketOrdering::InsideOut => inside_out(src_parts, dst_parts),
+            BucketOrdering::RowMajor => row_major(src_parts, dst_parts),
+            BucketOrdering::Random => {
+                let mut ids = row_major(src_parts, dst_parts);
+                for i in (1..ids.len()).rev() {
+                    let j = rng.gen_index(i + 1);
+                    ids.swap(i, j);
+                }
+                ids
+            }
+            BucketOrdering::Chained => chained(src_parts, dst_parts),
+            BucketOrdering::Hilbert => hilbert(src_parts, dst_parts),
+            BucketOrdering::GreedyReuse => greedy_reuse(src_parts, dst_parts, buffer),
         }
     }
 
@@ -142,94 +139,6 @@ impl std::str::FromStr for BucketOrdering {
                  row-major, random, chained, hilbert, greedy-reuse)"
             )),
         }
-    }
-}
-
-/// One bucket-ordering policy: maps a grid plus a buffer capacity to the
-/// epoch's bucket sequence. Implementations must emit every bucket of the
-/// grid exactly once.
-pub trait OrderingStrategy {
-    /// Produces the epoch's bucket sequence. `buffer` is the partition
-    /// buffer capacity the trainer will run with; orderings that do not
-    /// model residency may ignore it. `rng` is consumed only by
-    /// randomized orderings.
-    fn order(
-        &self,
-        src_parts: u32,
-        dst_parts: u32,
-        buffer: usize,
-        rng: &mut Xoshiro256,
-    ) -> Vec<BucketId>;
-}
-
-/// [`BucketOrdering::InsideOut`] as a strategy object.
-pub struct InsideOutOrder;
-
-impl OrderingStrategy for InsideOutOrder {
-    fn order(&self, src_parts: u32, dst_parts: u32, _: usize, _: &mut Xoshiro256) -> Vec<BucketId> {
-        inside_out(src_parts, dst_parts)
-    }
-}
-
-/// [`BucketOrdering::RowMajor`] as a strategy object.
-pub struct RowMajorOrder;
-
-impl OrderingStrategy for RowMajorOrder {
-    fn order(&self, src_parts: u32, dst_parts: u32, _: usize, _: &mut Xoshiro256) -> Vec<BucketId> {
-        row_major(src_parts, dst_parts)
-    }
-}
-
-/// [`BucketOrdering::Random`] as a strategy object.
-pub struct RandomOrder;
-
-impl OrderingStrategy for RandomOrder {
-    fn order(
-        &self,
-        src_parts: u32,
-        dst_parts: u32,
-        _: usize,
-        rng: &mut Xoshiro256,
-    ) -> Vec<BucketId> {
-        let mut ids = row_major(src_parts, dst_parts);
-        for i in (1..ids.len()).rev() {
-            let j = rng.gen_index(i + 1);
-            ids.swap(i, j);
-        }
-        ids
-    }
-}
-
-/// [`BucketOrdering::Chained`] as a strategy object.
-pub struct ChainedOrder;
-
-impl OrderingStrategy for ChainedOrder {
-    fn order(&self, src_parts: u32, dst_parts: u32, _: usize, _: &mut Xoshiro256) -> Vec<BucketId> {
-        chained(src_parts, dst_parts)
-    }
-}
-
-/// [`BucketOrdering::Hilbert`] as a strategy object.
-pub struct HilbertOrder;
-
-impl OrderingStrategy for HilbertOrder {
-    fn order(&self, src_parts: u32, dst_parts: u32, _: usize, _: &mut Xoshiro256) -> Vec<BucketId> {
-        hilbert(src_parts, dst_parts)
-    }
-}
-
-/// [`BucketOrdering::GreedyReuse`] as a strategy object.
-pub struct GreedyReuseOrder;
-
-impl OrderingStrategy for GreedyReuseOrder {
-    fn order(
-        &self,
-        src_parts: u32,
-        dst_parts: u32,
-        buffer: usize,
-        _: &mut Xoshiro256,
-    ) -> Vec<BucketId> {
-        greedy_reuse(src_parts, dst_parts, buffer)
     }
 }
 
@@ -354,22 +263,20 @@ fn hilbert_d2xy(side: u64, d: u64) -> (u32, u32) {
     (x as u32, y as u32)
 }
 
-/// BETA-like greedy reuse: simulate an LRU partition buffer of capacity
-/// `buffer` while building the order; each next bucket is the unvisited
-/// one needing the fewest loads (most resident partitions), restricted to
-/// invariant-satisfying candidates whenever any exist. Ties break to the
-/// smallest bucket id, so the order is deterministic.
+/// BETA-like greedy reuse: replay the order being built through a
+/// [`PartitionBuffer`] of capacity `buffer`; each next bucket is the
+/// unvisited one needing the fewest loads (most resident partitions),
+/// restricted to invariant-satisfying candidates whenever any exist. Ties
+/// break to the smallest bucket id, so the order is deterministic, and
+/// [`load_count`] at the same capacity is the number of loads the order
+/// was chosen against.
 fn greedy_reuse(src_parts: u32, dst_parts: u32, buffer: usize) -> Vec<BucketId> {
-    let capacity = buffer.max(DEFAULT_BUFFER_PARTITIONS);
-    let all = row_major(src_parts, dst_parts);
-    let mut remaining: Vec<BucketId> = all.clone();
-    let mut out = Vec::with_capacity(all.len());
+    let mut remaining = row_major(src_parts, dst_parts);
+    let mut out = Vec::with_capacity(remaining.len());
     let mut trained_src: HashSet<Partition> = HashSet::new();
     let mut trained_dst: HashSet<Partition> = HashSet::new();
-    // LRU queue: least recently used at the front.
-    let mut lru: Vec<Partition> = Vec::new();
+    let mut buffer = PartitionBuffer::new(buffer);
     while !remaining.is_empty() {
-        let resident: HashSet<Partition> = lru.iter().copied().collect();
         let next = if out.is_empty() {
             BucketId::new(0u32, 0u32)
         } else {
@@ -383,18 +290,12 @@ fn greedy_reuse(src_parts: u32, dst_parts: u32, buffer: usize) -> Vec<BucketId> 
             } else {
                 &invariant_ok
             };
-            pick_most_resident(pool, &resident).expect("pool is non-empty")
+            pick_most_resident(pool, buffer.resident()).expect("pool is non-empty")
         };
         remaining.retain(|&b| b != next);
         trained_src.insert(next.src);
         trained_dst.insert(next.dst);
-        for p in next.partitions() {
-            lru.retain(|&q| q != p);
-            lru.push(p);
-        }
-        while lru.len() > capacity {
-            lru.remove(0);
-        }
+        buffer.request(&next.partitions().collect());
         out.push(next);
     }
     out
@@ -402,12 +303,9 @@ fn greedy_reuse(src_parts: u32, dst_parts: u32, buffer: usize) -> Vec<BucketId> 
 
 /// Picks the candidate with the most partitions already in `resident`
 /// (fewest loads), ties broken by the smallest bucket id. The scoring
-/// core of [`BucketOrdering::GreedyReuse`], shared with distsim's
-/// lock-server scheduling. Returns `None` only for an empty slice.
-pub fn pick_most_resident(
-    candidates: &[BucketId],
-    resident: &HashSet<Partition>,
-) -> Option<BucketId> {
+/// core of [`BucketOrdering::GreedyReuse`]. Returns `None` only for an
+/// empty slice.
+pub fn pick_most_resident(candidates: &[BucketId], resident: &[Partition]) -> Option<BucketId> {
     candidates
         .iter()
         .copied()
@@ -421,9 +319,9 @@ pub fn pick_most_resident(
 
 /// Picks the first candidate whose source partition matches `prev`'s
 /// source or whose destination matches `prev`'s destination, else the
-/// first candidate — the classic pairwise-swap affinity rule used by the
-/// lock server and the single-machine chained walk. `candidates` should
-/// be sorted. Returns `None` only for an empty slice.
+/// first candidate — the classic pairwise-swap affinity rule of the lock
+/// server's grants (§4.2). `candidates` should be sorted. Returns `None`
+/// only for an empty slice.
 pub fn pick_shared_side(candidates: &[BucketId], prev: Option<BucketId>) -> Option<BucketId> {
     match prev {
         Some(p) => candidates
@@ -473,29 +371,18 @@ pub fn swap_count(order: &[BucketId]) -> usize {
     swaps
 }
 
-/// Counts partition loads for an order under an LRU buffer of `capacity`
-/// partitions (side-agnostic: any resident partition serves either side
-/// of a bucket). This is the generalization of [`swap_count`] to a
-/// capacity-`B` buffer and the figure of merit for buffer-aware
-/// orderings.
+/// Counts partition loads for an order replayed through a
+/// [`PartitionBuffer`] of `capacity` partitions (side-agnostic: any
+/// resident partition serves either side of a bucket). This is the
+/// generalization of [`swap_count`] to a capacity-`B` buffer and the
+/// figure of merit for buffer-aware orderings; on a homogeneous schema
+/// it equals the trainer's planned loads at the same capacity.
 pub fn load_count(order: &[BucketId], capacity: usize) -> usize {
-    let capacity = capacity.max(DEFAULT_BUFFER_PARTITIONS);
-    let mut lru: Vec<Partition> = Vec::new();
-    let mut loads = 0;
+    let mut buffer = PartitionBuffer::new(capacity);
     for b in order {
-        for p in b.partitions() {
-            if let Some(i) = lru.iter().position(|&q| q == p) {
-                lru.remove(i);
-            } else {
-                loads += 1;
-            }
-            lru.push(p);
-        }
-        while lru.len() > capacity {
-            lru.remove(0);
-        }
+        buffer.request(&b.partitions().collect());
     }
-    loads
+    buffer.loads() as usize
 }
 
 #[cfg(test)]
@@ -612,7 +499,7 @@ mod tests {
         for p in [8u32, 16] {
             let base = load_count(
                 &BucketOrdering::InsideOut.order(p, p, &mut rng),
-                DEFAULT_BUFFER_PARTITIONS,
+                DEFAULT_CAPACITY,
             );
             let big = load_count(
                 &BucketOrdering::GreedyReuse.order_with_buffer(p, p, 4, &mut rng),
@@ -728,7 +615,7 @@ mod tests {
             BucketId::new(3u32, 4u32),
             BucketId::new(4u32, 3u32),
         ];
-        let resident: HashSet<Partition> = [Partition(3), Partition(4)].into_iter().collect();
+        let resident = [Partition(3), Partition(4)];
         assert_eq!(
             pick_most_resident(&eligible, &resident),
             Some(BucketId::new(3u32, 4u32)),

@@ -1,6 +1,7 @@
 //! Property-based tests for the graph substrate.
 
 use pbg_graph::bucket::{BucketId, Buckets};
+use pbg_graph::buffer::PartitionBuffer;
 use pbg_graph::edges::{Edge, EdgeList};
 use pbg_graph::io;
 use pbg_graph::ordering::{invariant_violations, swap_count, BucketOrdering};
@@ -86,23 +87,18 @@ proptest! {
 
     #[test]
     fn greedy_reuse_never_exceeds_buffer_capacity(p in 2u32..12, b in 2usize..9) {
-        // replay the greedy-reuse order through an LRU buffer of its own
-        // capacity: no bucket ever needs more than B resident partitions
-        // and the buffer never overflows, so the ordering is actually
-        // runnable with B slots
+        // replay the greedy-reuse order through the partition buffer of
+        // its own capacity: no bucket ever needs more than B resident
+        // partitions and the buffer never overflows, so the ordering is
+        // actually runnable with B slots
         let mut rng = Xoshiro256::seed_from_u64(0);
         let order = BucketOrdering::GreedyReuse.order_with_buffer(p, p, b, &mut rng);
-        let mut lru: Vec<pbg_graph::ids::Partition> = Vec::new();
+        let mut buffer = PartitionBuffer::new(b);
         for bucket in &order {
             prop_assert!(bucket.partitions().count() <= b, "bucket {} needs > B={}", bucket, b);
-            for q in bucket.partitions() {
-                lru.retain(|&r| r != q);
-                lru.push(q);
-            }
-            while lru.len() > b {
-                lru.remove(0);
-            }
-            prop_assert!(lru.len() <= b);
+            let needed: HashSet<_> = bucket.partitions().collect();
+            buffer.request(&needed);
+            prop_assert!(buffer.len() <= b);
         }
     }
 
