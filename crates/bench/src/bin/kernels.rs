@@ -12,6 +12,9 @@
 //! - `fused`: the [`ScoreGrad`] context — pack once, forward scores plus
 //!   the one-pass dual-gradient backward.
 //!
+//! Each shape also times the blocked forward, the `matmul` row kernel and
+//! the `score_grads` backward under every supported [`Variant`].
+//!
 //! Forward flops are `2·C·N·d`; the fused arm also does the backward
 //! (`4·C·N·d` more) and is normalized accordingly, so all GF/s numbers
 //! are comparable. Results go to `target/experiments/kernels.json` and,
@@ -48,6 +51,15 @@ fn random_matrix(rows: usize, cols: usize, rng: &mut Xoshiro256) -> Matrix {
     let mut m = Matrix::zeros(rows, cols);
     m.fill_with(|_, _| rng.gen_normal());
     m
+}
+
+/// `{variant name: GF/s}`, in `Variant::supported_variants` order.
+fn by_variant(gfs: &[(&str, f64)]) -> serde_json::Value {
+    serde_json::Value::Map(
+        gfs.iter()
+            .map(|&(name, gf)| (name.to_string(), serde_json::Value::F64(gf)))
+            .collect(),
+    )
 }
 
 fn main() {
@@ -114,27 +126,39 @@ fn main() {
             kernels::matmul_nt(c, n, d, pos.as_slice(), d, cand.as_slice(), d, &mut out, n);
         });
 
-        // Arm 2b: the same blocked forward pinned to each microkernel
+        // Arm 2b: each variant-dispatched kernel under every microkernel
         // variant this CPU supports, so the dispatch win is visible in
-        // one run instead of needing three PBG_KERNEL invocations.
-        let mut variant_gfs: Vec<(String, f64)> = Vec::new();
+        // one run instead of needing three PBG_KERNEL invocations: the
+        // blocked forward, the `matmul` row kernel (behind
+        // `Matrix::matmul` and the Linear operator's backward) on a
+        // C×d · d×d product, and the `score_grads` backward normalized to
+        // its dense `4·C·N·d` flops like the fused arm.
+        let weights = random_matrix(d, d, &mut rng);
+        let mut row_out = vec![0.0f32; c * d];
+        let mut ga = vec![0.0f32; c * d];
+        let mut gb = vec![0.0f32; n * d];
+        let row_flops = 2.0 * c as f64 * d as f64 * d as f64;
+        let row_iters = ((budget_flops / row_flops) as usize).clamp(3, 20_000);
+        let bwd_iters = iters.div_ceil(2);
+        let mut nt_variants = Vec::new();
+        let mut row_variants = Vec::new();
+        let mut bwd_variants = Vec::new();
         for v in Variant::supported_variants() {
             let t = best_time(reps, iters, || {
-                kernels::matmul_nt_with(
-                    v,
-                    c,
-                    n,
-                    d,
-                    pos.as_slice(),
-                    d,
-                    cand.as_slice(),
-                    d,
-                    &mut out,
-                    n,
-                );
+                let (a, b) = (pos.as_slice(), cand.as_slice());
+                kernels::matmul_nt_with(v, c, n, d, a, d, b, d, &mut out, n);
             });
-            let fwd = 2.0 * c as f64 * n as f64 * d as f64;
-            variant_gfs.push((v.name().to_string(), fwd / t / 1e9));
+            nt_variants.push((v.name(), fwd_flops / t / 1e9));
+            let t = best_time(reps, row_iters, || {
+                let (a, b) = (pos.as_slice(), weights.as_slice());
+                kernels::matmul_with(v, c, d, d, a, d, b, d, &mut row_out, d);
+            });
+            row_variants.push((v.name(), row_flops / t / 1e9));
+            let t = best_time(reps, bwd_iters, || {
+                let (a, b, g) = (pos.as_slice(), cand.as_slice(), grad.as_slice());
+                kernels::score_grads_with(v, c, n, d, a, d, b, d, g, n, &mut ga, d, &mut gb, d);
+            });
+            bwd_variants.push((v.name(), bwd_flops / t / 1e9));
         }
 
         // Arm 3: fused — pack once, forward + one-pass dual backward.
@@ -147,8 +171,6 @@ fn main() {
 
         // Arm 4: the same forward + backward work through the naive
         // kernels, for the fused speedup denominator.
-        let mut ga = vec![0.0f32; c * d];
-        let mut gb = vec![0.0f32; n * d];
         let t_naive_fb = best_time(reps, iters.div_ceil(3).min(50), || {
             reference::matmul_nt(c, n, d, pos.as_slice(), d, cand.as_slice(), d, &mut out, n);
             reference::score_grads(
@@ -186,16 +208,12 @@ fn main() {
             format!("{blocked_vs_naive:.2}x"),
             format!("{fused_vs_naive:.2}x"),
         ]);
-        let variants_value = serde_json::Value::Map(
-            variant_gfs
-                .iter()
-                .map(|(name, gf)| (name.clone(), serde_json::Value::F64(*gf)))
-                .collect(),
-        );
         let gflops = json!({
             "naive_nt": naive_gf,
             "blocked_nt": blocked_gf,
-            "blocked_nt_variants": variants_value,
+            "blocked_nt_variants": by_variant(&nt_variants),
+            "matmul_variants": by_variant(&row_variants),
+            "score_grads_variants": by_variant(&bwd_variants),
             "fused_fwd_bwd": fused_gf,
             "naive_fwd_bwd": naive_fb_gf,
         });
@@ -212,14 +230,17 @@ fn main() {
              blocked {blocked_gf:6.2} GF/s ({blocked_vs_naive:.2}x)  \
              fused fwd+bwd {fused_gf:6.2} GF/s ({fused_vs_naive:.2}x)"
         );
-        let per_variant: Vec<String> = variant_gfs
-            .iter()
-            .map(|(name, gf)| format!("{name} {gf:.2}"))
-            .collect();
-        println!(
-            "                      blocked by variant: {}",
-            per_variant.join("  ")
-        );
+        for (kernel, gfs) in [
+            ("blocked", &nt_variants),
+            ("matmul", &row_variants),
+            ("score_grads", &bwd_variants),
+        ] {
+            let cells: Vec<String> = gfs
+                .iter()
+                .map(|(name, gf)| format!("{name} {gf:.2}"))
+                .collect();
+            println!("{kernel:>20} by variant: {}", cells.join("  "));
+        }
     }
 
     table.print();

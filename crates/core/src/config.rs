@@ -104,18 +104,13 @@ pub struct PbgConfig {
     /// chunks). Training compute and Adagrad state stay f32; anything
     /// non-default is dequantized back to f32 on load.
     pub precision: pbg_tensor::Precision,
-    /// Pin HOGWILD workers (round-robin) and the disk I/O thread (last
-    /// allowed core) with `sched_setaffinity`. Placement only — results
-    /// are bit-identical pinned or not; pinning failures degrade to
-    /// unpinned with a logged warning.
-    pub pin_cores: bool,
 }
 
 // Hand-written (the vendored serde_derive supports no field attributes):
 // every field is required except `checkpoint_interval_buckets` (defaults
-// to 0), `buffer_size` (defaults to 2), `precision` (defaults to f32),
-// and `pin_cores` (defaults to false), so configs saved before those
-// fields existed keep loading.
+// to 0), `buffer_size` (defaults to 2) and `precision` (defaults to f32),
+// so configs saved before those fields existed keep loading. Unknown keys
+// are ignored, so configs that carry a retired field keep loading too.
 impl serde::Deserialize for PbgConfig {
     fn deserialize(content: &serde::Content) -> std::result::Result<Self, serde::Error> {
         let serde::Content::Map(fields) = content else {
@@ -148,7 +143,6 @@ impl serde::Deserialize for PbgConfig {
             .unwrap_or(0),
             precision: serde::get_field::<Option<pbg_tensor::Precision>>(fields, "precision")?
                 .unwrap_or(pbg_tensor::Precision::F32),
-            pin_cores: serde::get_field::<Option<bool>>(fields, "pin_cores")?.unwrap_or(false),
         })
     }
 }
@@ -176,7 +170,6 @@ impl Default for PbgConfig {
             seed: 0,
             checkpoint_interval_buckets: 0,
             precision: pbg_tensor::Precision::F32,
-            pin_cores: false,
         }
     }
 }
@@ -397,12 +390,6 @@ impl PbgConfigBuilder {
         self
     }
 
-    /// Pins HOGWILD workers and the disk I/O thread with core affinity.
-    pub fn pin_cores(mut self, yes: bool) -> Self {
-        self.config.pin_cores = yes;
-        self
-    }
-
     /// Validates and returns the config.
     ///
     /// # Errors
@@ -508,6 +495,19 @@ mod tests {
         }
         let c = PbgConfig::from_json(&serde_json::to_string(&v).unwrap()).unwrap();
         assert_eq!(c.precision, pbg_tensor::Precision::F32);
+    }
+
+    #[test]
+    fn config_json_with_retired_pin_cores_still_loads() {
+        // configs and checkpoints saved while `pin_cores` existed carry it
+        let mut v: serde_json::Value =
+            serde_json::from_str(&PbgConfig::default().to_json()).unwrap();
+        if let serde_json::Value::Map(fields) = &mut v {
+            fields.push(("pin_cores".to_string(), serde_json::Value::Bool(true)));
+        }
+        let c = PbgConfig::from_json(&serde_json::to_string(&v).unwrap()).unwrap();
+        assert_eq!(c, PbgConfig::default());
+        assert!(!c.to_json().contains("pin_cores"));
     }
 
     #[test]

@@ -647,40 +647,12 @@ impl DiskStore {
         dir: impl Into<PathBuf>,
         telemetry: &Registry,
     ) -> Result<Self> {
-        Self::with_telemetry_pinned(layout, dir, telemetry, false)
-    }
-
-    /// Like [`DiskStore::with_telemetry`]; when `pin_io` is set, the
-    /// background I/O thread pins itself to [`CorePlan::io_core`] (the
-    /// last allowed core) so prefetch/write-back never preempts the
-    /// HOGWILD workers on the low cores mid-chunk. Best-effort: a
-    /// rejected mask logs and runs unpinned.
-    ///
-    /// [`CorePlan::io_core`]: pbg_tensor::affinity::CorePlan::io_core
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the directory cannot be created.
-    pub fn with_telemetry_pinned(
-        layout: StoreLayout,
-        dir: impl Into<PathBuf>,
-        telemetry: &Registry,
-        pin_io: bool,
-    ) -> Result<Self> {
         let mut store = Self::new_sync_with_telemetry(layout, dir, telemetry)?;
         let (tx, rx) = channel::unbounded();
         let shared = Arc::clone(&store.shared);
         let thread = std::thread::Builder::new()
             .name("pbg-disk-io".into())
-            .spawn(move || {
-                if pin_io {
-                    let plan = pbg_tensor::affinity::CorePlan::detect();
-                    if let Err(e) = pbg_tensor::affinity::pin_current_thread(plan.io_core()) {
-                        eprintln!("pbg-core: disk I/O thread not pinned: {e}");
-                    }
-                }
-                io_loop(shared, rx)
-            })
+            .spawn(move || io_loop(shared, rx))
             .expect("spawn disk I/O thread");
         store.io = Some((tx, thread));
         Ok(store)

@@ -109,16 +109,6 @@ pub fn train_bucket(
                 let resident = &resident;
                 let parts = &parts;
                 scope.spawn(move |_| {
-                    if config.pin_cores {
-                        // Best-effort: affinity changes placement only,
-                        // never results; a rejected mask trains unpinned.
-                        let plan = pbg_tensor::affinity::CorePlan::detect();
-                        if let Err(e) =
-                            pbg_tensor::affinity::pin_current_thread(plan.worker_core(tid))
-                        {
-                            eprintln!("pbg-core: worker {tid} not pinned: {e}");
-                        }
-                    }
                     let phases = if tracing {
                         Some(PhaseClock::new())
                     } else {

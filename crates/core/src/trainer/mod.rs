@@ -525,11 +525,10 @@ fn build_store(
     let layout: StoreLayout = model.store_layout();
     Ok(match storage {
         Storage::InMemory => Box::new(InMemoryStore::with_telemetry(layout, telemetry)),
-        Storage::Disk(dir) => Box::new(DiskStore::with_telemetry_pinned(
+        Storage::Disk(dir) => Box::new(DiskStore::with_telemetry(
             layout,
             dir.as_path() as &Path,
             telemetry,
-            model.config().pin_cores,
         )?),
         Storage::DiskSync(dir) => Box::new(DiskStore::new_sync_with_telemetry(
             layout,

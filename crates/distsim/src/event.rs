@@ -17,7 +17,8 @@
 //!   favour reuse and keep the init invariant (§4.2);
 //! - every machine keeps its partitions in `pbg_graph`'s
 //!   [`PartitionBuffer`], the one residency model the trainer's plan and
-//!   `ordering::load_count` replay too.
+//!   `ordering::load_count` replay too, and writes them all back at the
+//!   epoch's end as the trainer's plan does.
 
 use crate::lockserver::{Acquire, LockServer};
 use pbg_core::config::PbgConfig;
@@ -101,7 +102,7 @@ pub struct EventSimReport {
     /// Total bytes swapped/transferred across the run.
     pub moved_bytes: u64,
     /// Partition loads across the run (buffer misses; write-backs are
-    /// the buffer's evictions).
+    /// the buffer's evictions and its epoch-end flush).
     pub partition_loads: u64,
     /// Hours the busiest machine stalled on partition I/O that compute
     /// could not hide (equals `io_hours` when not pipelined).
@@ -243,6 +244,17 @@ impl Machine {
         self.clock += step;
         self.prev = Some(bucket);
     }
+
+    /// Ends the epoch as the trainer's plan does: every resident
+    /// partition writes back. No later compute hides the write-back, so
+    /// it stalls the machine.
+    fn flush(&mut self, costs: &Costs) {
+        let xfer = self.buffer.flush().len() as f64 * costs.load_secs;
+        self.io += xfer;
+        self.stall += xfer;
+        self.busy += xfer;
+        self.clock += xfer;
+    }
 }
 
 struct EpochSim {
@@ -321,6 +333,9 @@ fn simulate_epoch(
             "an epoch ends with every bucket granted"
         );
     }
+    for machine in &mut machines {
+        machine.flush(costs);
+    }
     let max = |f: fn(&Machine) -> f64| machines.iter().map(f).fold(0.0, f64::max);
     EpochSim {
         total: max(|mc| mc.clock),
@@ -336,6 +351,8 @@ fn simulate_epoch(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pbg_core::storage::PartitionKey;
+    use pbg_core::trainer::EpochPlan;
 
     /// The paper's synchronous-swap regime (Tables 3/4 shapes).
     fn base() -> EventSimConfig {
@@ -376,6 +393,49 @@ mod tests {
             ..base()
         });
         assert_eq!(r.partition_loads, 10 * per_epoch);
+    }
+
+    #[test]
+    fn single_machine_moves_what_the_trainers_plan_moves() {
+        // every plan load and every plan release (its evictions and the
+        // epoch-end flush) moves one partition; so must the projector
+        let defaults = PbgConfig::default();
+        for p in [4u32, 8, 16] {
+            for b in [2usize, 3, 4] {
+                let cfg = EventSimConfig {
+                    partitions: p,
+                    buffer_partitions: b,
+                    epochs: 2,
+                    ..base()
+                };
+                let moves: usize = (1..=2)
+                    .map(|epoch| {
+                        let mut rng = epoch_rng(defaults.seed, epoch);
+                        let order = defaults
+                            .bucket_ordering
+                            .order_with_buffer(p, p, b, &mut rng);
+                        let plan = EpochPlan::with_capacity(
+                            &order,
+                            |bucket| {
+                                bucket
+                                    .partitions()
+                                    .map(|q| PartitionKey::new(0u32, q))
+                                    .collect()
+                            },
+                            b,
+                        );
+                        let releases: usize = plan.steps().iter().map(|s| s.release.len()).sum();
+                        plan.total_acquires() + releases
+                    })
+                    .sum();
+                let partition_bytes = (cfg.nodes / u64::from(p) + 1) * bytes_per_node(cfg.dim);
+                assert_eq!(
+                    simulate(&cfg).moved_bytes,
+                    moves as u64 * partition_bytes,
+                    "P = {p}, B = {b}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! pbg train     --edges E [--format tsv|snap] [--config C.json]
 //!               [--partitions P] [--disk DIR] --output CKPT
 //!               [--buffer-size B] [--bucket-ordering O] [--threads T]
-//!               [--precision f32|f16|int8] [--pin-cores]
+//!               [--precision f32|f16|int8]
 //!               [--checkpoint-every N] [--resume DIR]
 //!               [--inject-crash-after N]
 //!               [--telemetry TRACE.jsonl] [--metrics-addr HOST:PORT]
@@ -97,7 +97,7 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let rest = args.get(1..).unwrap_or_default();
     let result = match args.first().map(String::as_str) {
-        Some("train") => parse_flags(rest, TRAIN_FLAGS, &["pin-cores"]).and_then(|f| cmd_train(&f)),
+        Some("train") => parse_flags(rest, TRAIN_FLAGS, &[]).and_then(|f| cmd_train(&f)),
         Some("serve") => parse_flags(rest, SERVE_FLAGS, &[]).and_then(|f| cmd_serve(&f)),
         Some("eval") => {
             parse_flags(rest, EVAL_FLAGS, &["filtered", "prevalence"]).and_then(|f| cmd_eval(&f))
@@ -126,7 +126,7 @@ const USAGE: &str = "usage:
   pbg train     --edges E [--format tsv|snap] [--config C.json]
                 [--partitions P] [--disk DIR] --output CKPT
                 [--buffer-size B] [--bucket-ordering O] [--threads T]
-                [--precision f32|f16|int8] [--pin-cores]
+                [--precision f32|f16|int8]
                 [--checkpoint-every N] [--resume DIR]
                 [--inject-crash-after N]
                 [--telemetry TRACE.jsonl] [--metrics-addr HOST:PORT]
@@ -307,9 +307,6 @@ fn cmd_train(flags: &Flags) -> Result<(), String> {
     if let Some(p) = flags.get("precision") {
         config.precision = pbg::tensor::Precision::parse(p)
             .ok_or_else(|| format!("flag --precision: unknown precision `{p}` (f32|f16|int8)"))?;
-    }
-    if flags.has("pin-cores") {
-        config.pin_cores = true;
     }
     config.validate().map_err(|e| e.to_string())?;
     let schema = homogeneous_schema(num_nodes, num_relations, partitions)?;

@@ -13,8 +13,6 @@
 //!   ([`kernels::dispatch`], `PBG_KERNEL=scalar|sse2|avx2`), and the
 //!   naive [`kernels::reference`] oracle the differential test harness
 //!   diffs against.
-//! - [`affinity`]: `sched_setaffinity`-based core pinning for HOGWILD
-//!   workers and the disk I/O thread ([`affinity::CorePlan`]).
 //! - [`complex`]: complex Hadamard products for the ComplEx operator.
 //! - [`hogwild`]: [`hogwild::HogwildArray`], a lock-free shared f32 store
 //!   backed by `AtomicU32` with relaxed ordering — the sound Rust
@@ -38,7 +36,6 @@
 //! ```
 
 pub mod adagrad;
-pub mod affinity;
 pub mod alias;
 pub mod complex;
 pub mod hogwild;

@@ -24,7 +24,6 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::thread;
 
-use pbg_tensor::affinity::{pin_current_thread, CorePlan};
 use pbg_tensor::hogwild::HogwildArray;
 use pbg_tensor::kernels::{matmul_nt_packed, matmul_nt_packed_threaded, PackedNt};
 use pbg_tensor::rng::Xoshiro256;
@@ -137,96 +136,6 @@ fn write_row_elements_are_never_torn() {
             }
         });
     });
-}
-
-/// The HOGWILD invariants under the production affinity layout: every
-/// writer pins itself to `CorePlan::worker_core(tid)` exactly as
-/// `train_bucket` workers do. Pinning changes placement only — torn reads
-/// stay impossible and lost updates stay bounded. Pin failures (restricted
-/// sandboxes, shrunk cpusets) degrade to unpinned, matching production.
-#[test]
-fn pinned_writers_never_tear_and_bound_lost_updates() {
-    let cols = 16;
-    let arr = HogwildArray::zeros(1, cols);
-    let max = (THREADS * INCREMENTS) as f32;
-    let plan = CorePlan::detect();
-    thread::scope(|scope| {
-        for tid in 0..THREADS {
-            let arr = &arr;
-            scope.spawn(move || {
-                if let Err(e) = pin_current_thread(plan.worker_core(tid)) {
-                    eprintln!("worker {tid} not pinned ({e}); invariants must hold anyway");
-                }
-                let ones = vec![1.0f32; cols];
-                for _ in 0..INCREMENTS {
-                    arr.add_to_row(0, 1.0, &ones);
-                }
-            });
-        }
-    });
-    for col in 0..cols {
-        let v = arr.get(0, col);
-        assert_untorn(v, max, "pinned final value");
-        assert!(v >= 1.0, "cell {col} lost every single update: {v}");
-    }
-    // fetch_add stays exact when every contender shares (or fights over)
-    // pinned cores: the CAS loop loses nothing regardless of placement.
-    let exact = HogwildArray::zeros(1, 4);
-    thread::scope(|scope| {
-        for tid in 0..THREADS {
-            let exact = &exact;
-            scope.spawn(move || {
-                let _ = pin_current_thread(plan.worker_core(tid));
-                for i in 0..INCREMENTS {
-                    exact.fetch_add(0, i % 4, 1.0);
-                }
-            });
-        }
-    });
-    let total: f32 = exact.to_vec().iter().sum();
-    assert_eq!(total, (THREADS * INCREMENTS) as f32);
-}
-
-/// `threads = 1` must produce bit-identical kernel output whether the
-/// caller is pinned or free — pinning is placement, not arithmetic. This
-/// is the property that lets `--pin-cores` default off without forking
-/// the golden vectors.
-#[test]
-fn single_thread_pinned_kernel_is_bit_identical_to_unpinned() {
-    let (m, n, k) = (96, 40, 32);
-    let mut rng = Xoshiro256::seed_from_u64(0xaff1);
-    let a: Vec<f32> = (0..m * k).map(|_| rng.gen_normal()).collect();
-    let b: Vec<f32> = (0..n * k).map(|_| rng.gen_normal()).collect();
-    let packed = PackedNt::pack(n, k, &b, k);
-
-    // Unpinned, on the harness thread.
-    let mut unpinned = vec![0.0f32; m * n];
-    matmul_nt_packed_threaded(m, k, &a, k, &packed, &mut unpinned, n, 1);
-
-    // Pinned, on a dedicated thread (so the harness thread's mask is
-    // never modified).
-    let plan = CorePlan::detect();
-    let (a_ref, packed_ref) = (&a, &packed);
-    let pinned = thread::scope(|scope| {
-        scope
-            .spawn(move || {
-                if let Err(e) = pin_current_thread(plan.worker_core(0)) {
-                    eprintln!("not pinned ({e}); identity must hold anyway");
-                }
-                let mut out = vec![f32::NAN; m * n];
-                matmul_nt_packed_threaded(m, k, a_ref, k, packed_ref, &mut out, n, 1);
-                out
-            })
-            .join()
-            .expect("pinned kernel thread panicked")
-    });
-    for (i, (&p, &u)) in pinned.iter().zip(&unpinned).enumerate() {
-        assert_eq!(
-            p.to_bits(),
-            u.to_bits(),
-            "element {i}: pinned {p} != unpinned {u}"
-        );
-    }
 }
 
 #[test]

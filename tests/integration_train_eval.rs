@@ -139,6 +139,8 @@ fn cli_rejects_misspelled_flags_and_stray_arguments() {
         &["--edges", edges, "--output", ckpt, "extra"],
         &["--edges", edges, "--output"],
         &["--edges", edges, "--output", "--threads", "1"],
+        // retired: a script that still passes it must not be silently ignored
+        &["--edges", edges, "--output", ckpt, "--pin-cores"],
     ] {
         let run = std::process::Command::new(env!("CARGO_BIN_EXE_pbg"))
             .arg("train")
